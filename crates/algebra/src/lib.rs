@@ -47,9 +47,9 @@ pub use eval::{compare_content, entry_of, Matcher, PreparedKind, PreparedPhrase}
 pub use ops::{
     gather_candidates, BoxedOp, KorJoin, Operator, QueryEval, Sort, SrPredJoin, VorFetch,
 };
-pub use par::{execute_parallel, execute_with_workers, merge_survivors, run_in_lanes};
+pub use par::{merge_survivors, run_in_lanes};
 pub use plan::{
-    build_merge_safe_plan, build_plan, choose_spec, EvalMode, KorOrder, Plan, PlanShape, PlanSpec,
+    build_plan, build_task_plan, choose_spec, EvalMode, KorOrder, Plan, PlanShape, PlanSpec,
     PlanStrategy, PlanVerifyError, Stage,
 };
 pub use rank::RankContext;

@@ -54,12 +54,17 @@ impl QueryEval {
         }
     }
 
-    /// Scan over a precomputed candidate list (the sharded parallel path:
-    /// candidates are gathered once and split across workers).
-    pub fn over_candidates(matcher: Arc<Matcher>, candidates: Vec<ElemEntry>) -> Self {
+    /// Scan over a precomputed chunk of the list [`gather_candidates`]
+    /// returned under `mode` (a lane task: the list is gathered once and
+    /// split across lanes).
+    pub fn over_candidates(
+        matcher: Arc<Matcher>,
+        mode: EvalMode,
+        candidates: Vec<ElemEntry>,
+    ) -> Self {
         QueryEval {
             matcher,
-            mode: EvalMode::IndexedNestedLoop,
+            mode,
             candidates,
             cursor: 0,
             initialized: true,

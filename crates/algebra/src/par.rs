@@ -1,134 +1,52 @@
-//! Parallel query execution: sharded candidate scan with per-worker
-//! top-k pruning.
+//! Lanes: the one place query execution creates threads, and the merge
+//! that recombines what the lanes return.
 //!
-//! The candidate list the bottom [`QueryEval`] scan would enumerate is
-//! gathered once, split into contiguous shards, and each shard runs the
-//! full match/score/`kor` pipeline — including mid-plan `topkPrune`s with
-//! a worker-local list and worker-local [`ExecStats`] — on its own thread.
+//! The lane executor (`pimento::segment`) cuts a query into tasks — one
+//! per doc-range segment, a segment's candidate list split into contiguous
+//! chunks when there are more lanes than segments — and each task runs the
+//! full match/score/`kor` pipeline, including mid-plan `topkPrune`s with a
+//! task-local list and task-local [`ExecStats`]. [`run_in_lanes`] schedules
+//! the tasks; [`merge_survivors`] recombines their outputs.
 //!
 //! ## Why the merge is exact
 //!
 //! Mid-plan prunes drop an answer only when `k` list members *certainly
 //! outrank* it (see [`crate::topk`]). That check is pairwise and
-//! set-independent, so it holds regardless of which shard the `k`
-//! witnesses live in: every answer dropped by any worker has `k` answers
+//! set-independent, so it holds regardless of which task the `k`
+//! witnesses live in: every answer dropped by any task has `k` answers
 //! above it in the full ranking and cannot be in the global top-k.
 //!
-//! The per-shard *final* stage is where parallelism could go wrong. With
-//! no VORs the final order is total, so each shard's positional top-k cut
-//! is exact and the union of shard top-k lists contains the global top-k.
+//! The per-task *final* stage is where a partition could go wrong. With
+//! no VORs the final order is total, so each task's positional top-k cut
+//! is exact and the union of task top-k lists contains the global top-k.
 //! With VORs, `≺_V` dominance layering is set-dependent — removing a
-//! shard-mate can lift a dominated answer into an earlier layer — so a
-//! positional cut at `k` inside one shard could drop an answer the global
-//! ranking keeps. Worker plans therefore end in a *survivor* prune
+//! task-mate can lift a dominated answer into an earlier layer — so a
+//! positional cut at `k` inside one task could drop an answer the global
+//! ranking keeps. Task plans therefore end in a *survivor* prune
 //! (`merge_safe` in [`crate::plan`]): keep everything not certainly
-//! outranked by `k` shard answers, which is the same invariant the
+//! outranked by `k` task answers, which is the same invariant the
 //! mid-plan prunes rely on. The merge re-ranks the union of survivors
-//! under the exact `K, V, S` order and cuts at `k`; because every pruned
-//! answer provably sits below `k` surviving answers in any superset
-//! ranking, the cut equals the sequential result bit for bit.
+//! under the exact `K, V, S` order and cuts at `k`.
+//!
+//! When `≺_V` is a **weak order** (incomparability is transitive, so the
+//! dominance layers are the order's own levels), every pruned answer sits
+//! below `k` surviving answers in any superset ranking, and the cut
+//! equals the one-task result bit for bit. Under a genuinely *partial*
+//! `≺_V` the merge layers a pruned set, and layering a subset is not the
+//! restriction of layering the whole: the result can depend on the
+//! partition (`tests/fixtures/partial_order_pi3.rules` reproduces it;
+//! ROADMAP item 5 owns the specification).
 
 use crate::answer::Answer;
-use crate::context::{Database, ExecStats};
-use crate::eval::Matcher;
-use crate::ops::{gather_candidates, BoxedOp, QueryEval};
-use crate::plan::{assemble, build_plan, PlanSpec};
+use crate::context::ExecStats;
 use crate::rank::RankContext;
-use pimento_index::effective_workers;
-use pimento_profile::KeywordOrderingRule;
-use std::sync::Arc;
-
-/// Run `spec`'s plan over `threads` workers, returning the answers, the
-/// aggregated counters, and the per-worker counter breakdown (one entry
-/// per worker actually spawned; a single entry on the sequential path).
-///
-/// Results are identical to [`build_plan`] + [`crate::plan::Plan::execute`]
-/// for every strategy, KOR order, and rank order. Tracing is not supported
-/// here (trace registries are single-threaded); callers wanting a trace
-/// should run sequentially.
-pub fn execute_parallel(
-    db: &Database,
-    matcher: Arc<Matcher>,
-    kors: &[KeywordOrderingRule],
-    rank: Arc<RankContext>,
-    spec: PlanSpec,
-    threads: usize,
-) -> (Vec<Answer>, ExecStats, Vec<ExecStats>) {
-    let candidates = gather_candidates(db, &matcher, spec.eval_mode);
-    let workers = effective_workers(threads, candidates.len());
-    execute_sharded(db, matcher, kors, rank, spec, workers, candidates)
-}
-
-/// The unclamped worker path (benchmarks and tests exercise multi-worker
-/// merging even on single-core machines). Workers beyond the candidate
-/// count are never spawned; `0` or `1` runs the sequential plan.
-pub fn execute_with_workers(
-    db: &Database,
-    matcher: Arc<Matcher>,
-    kors: &[KeywordOrderingRule],
-    rank: Arc<RankContext>,
-    spec: PlanSpec,
-    workers: usize,
-) -> (Vec<Answer>, ExecStats, Vec<ExecStats>) {
-    let candidates = gather_candidates(db, &matcher, spec.eval_mode);
-    execute_sharded(db, matcher, kors, rank, spec, workers, candidates)
-}
-
-fn execute_sharded(
-    db: &Database,
-    matcher: Arc<Matcher>,
-    kors: &[KeywordOrderingRule],
-    rank: Arc<RankContext>,
-    spec: PlanSpec,
-    workers: usize,
-    candidates: Vec<pimento_index::ElemEntry>,
-) -> (Vec<Answer>, ExecStats, Vec<ExecStats>) {
-    if workers <= 1 || candidates.len() <= 1 || spec.trace {
-        // The candidates are re-gathered by the plan's own scan; for the
-        // one-worker path that duplication is the sharding overhead we
-        // are skipping anyway.
-        let (out, stats) = build_plan(db, matcher, kors, rank, spec).execute(db);
-        return (out, stats, vec![stats]);
-    }
-
-    let worker_spec = PlanSpec {
-        trace: false,
-        ..spec
-    };
-    let chunk = candidates.len().div_ceil(workers);
-    let shard_count = candidates.len().div_ceil(chunk);
-    // Slots are pre-filled with the empty result so the merge below never
-    // needs to unwrap: a shard that somehow produced nothing contributes
-    // nothing (scope joins every worker before returning, so in practice
-    // each slot is written exactly once).
-    let mut shards: Vec<(Vec<Answer>, ExecStats)> = (0..shard_count)
-        .map(|_| (Vec::new(), ExecStats::default()))
-        .collect();
-    std::thread::scope(|scope| {
-        for (shard, slot) in candidates.chunks(chunk).zip(shards.iter_mut()) {
-            let matcher = Arc::clone(&matcher);
-            let rank = Arc::clone(&rank);
-            scope.spawn(move || {
-                let source: BoxedOp = Box::new(QueryEval::over_candidates(
-                    Arc::clone(&matcher),
-                    shard.to_vec(),
-                ));
-                let plan = assemble(db, source, matcher, kors, rank, worker_spec, true);
-                *slot = plan.execute(db);
-            });
-        }
-    });
-
-    merge_survivors(shards, &rank, spec.k)
-}
 
 /// Run `tasks` in waves of at most `lanes` scoped threads, returning each
 /// task's result in task order. `lanes <= 1` runs them sequentially on
 /// the calling thread. Slots are pre-filled with `T::default()`, so a
 /// task that somehow never ran contributes the empty result instead of a
 /// panic (scope joins every thread, so in practice each slot is written
-/// exactly once). The scatter-gather segment executor uses this; it lives
-/// here because all thread creation is confined to this module.
+/// exactly once).
 pub fn run_in_lanes<'a, T>(tasks: Vec<Box<dyn FnOnce() -> T + Send + 'a>>, lanes: usize) -> Vec<T>
 where
     T: Default + Send,
@@ -155,179 +73,39 @@ where
     slots
 }
 
-/// Merge per-shard survivor sets into the exact global top-`k`: rank the
-/// union under the exact final `K, V, S` order and cut at `k` — the same
-/// order and cut the sequential final sort + `topkPrune(final)` apply.
-/// Exact for *any* partition of the answer space across shards (candidate
-/// chunks or doc-range segments), provided each shard ran a merge-safe
-/// plan ([`crate::plan::build_merge_safe_plan`]); see the module docs for
-/// the soundness argument. Returns the merged answers, the aggregated
-/// counters (`emitted` reset to the merged length), and the per-shard
-/// counter breakdown.
+/// Merge the concatenated survivor sets of several tasks into the global
+/// top-`k`: rank the union under the exact final `K, V, S` order and cut
+/// at `k` — the same order and cut a lone task's final sort +
+/// `topkPrune(final)` apply. `stats` is the sum of the tasks' counters; it
+/// absorbs the merge's own comparisons and its `emitted` is reset to the
+/// merged length. Holds for *any* partition of the answer space (candidate
+/// chunks or doc-range segments), provided each task ran a merge-safe plan
+/// ([`crate::plan::build_task_plan`]); see the module docs for the
+/// soundness argument and its weak-order precondition.
 pub fn merge_survivors(
-    shards: Vec<(Vec<Answer>, ExecStats)>,
+    mut survivors: Vec<Answer>,
+    stats: &mut ExecStats,
     rank: &RankContext,
     k: usize,
-) -> (Vec<Answer>, ExecStats, Vec<ExecStats>) {
-    let mut merged: Vec<Answer> = Vec::new();
-    let mut agg = ExecStats::default();
-    let mut worker_stats = Vec::with_capacity(shards.len());
-    for (answers, stats) in shards {
-        merged.extend(answers);
-        agg.absorb(&stats);
-        worker_stats.push(stats);
-    }
-    rank.rank(&mut merged, &mut agg);
-    merged.truncate(k);
-    agg.emitted = merged.len() as u64;
-    (merged, agg, worker_stats)
+) -> Vec<Answer> {
+    rank.rank(&mut survivors, stats);
+    survivors.truncate(k);
+    stats.emitted = survivors.len() as u64;
+    survivors
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::plan::{EvalMode, KorOrder, PlanStrategy};
-    use pimento_index::Collection;
-    use pimento_profile::{PersonalizedQuery, RankOrder, ValueOrderingRule};
-    use pimento_tpq::parse_tpq;
-
-    fn db() -> Database {
-        let mut coll = Collection::new();
-        let mut xml = String::from("<people>");
-        for i in 0..60 {
-            let gender = if i % 2 == 0 { "male" } else { "female" };
-            let state = if i % 3 == 0 {
-                "United States"
-            } else {
-                "Elsewhere"
-            };
-            let edu = if i % 5 == 0 { "College" } else { "School" };
-            let city = if i % 7 == 0 { "Phoenix" } else { "Springfield" };
-            let age = 20 + (i % 20);
-            xml.push_str(&format!(
-                "<person><profile>{gender} {state} {edu} {city}</profile><age>{age}</age><business>{}</business></person>",
-                if i % 2 == 0 { "Yes" } else { "No" }
-            ));
-        }
-        xml.push_str("</people>");
-        coll.add_xml(&xml).unwrap();
-        Database::index_plain(coll)
-    }
-
-    fn kors() -> Vec<KeywordOrderingRule> {
-        vec![
-            KeywordOrderingRule::weighted("pi1", "person", "male", 1.0),
-            KeywordOrderingRule::weighted("pi2", "person", "United States", 2.0),
-            KeywordOrderingRule::weighted("pi3", "person", "College", 0.5),
-            KeywordOrderingRule::weighted("pi4", "person", "Phoenix", 1.5),
-        ]
-    }
-
-    fn full_key(answers: &[Answer]) -> Vec<(u32, u32, String, String)> {
-        answers
-            .iter()
-            .map(|a| {
-                let t = a.tiebreak();
-                (t.0, t.1, format!("{:.12}", a.k), format!("{:.12}", a.s))
-            })
-            .collect()
-    }
 
     #[test]
-    fn parallel_matches_sequential_for_all_strategies_and_orders() {
-        let db = db();
-        let q = parse_tpq(r#"//person[ftcontains(./business, "Yes")]"#).unwrap();
-        let matcher = Arc::new(Matcher::new(&db, PersonalizedQuery::unpersonalized(q)));
-        for rank_order in [RankOrder::Kvs, RankOrder::Vks] {
-            let rank = RankContext::new(
-                vec![ValueOrderingRule::prefer_value(
-                    "pi5", "person", "age", "33",
-                )],
-                rank_order,
-            );
-            for strategy in PlanStrategy::all() {
-                let spec = PlanSpec::new(7, strategy);
-                let seq = build_plan(&db, Arc::clone(&matcher), &kors(), Arc::clone(&rank), spec)
-                    .execute(&db)
-                    .0;
-                for threads in [2, 3, 8] {
-                    let (par, _, _) = execute_with_workers(
-                        &db,
-                        Arc::clone(&matcher),
-                        &kors(),
-                        Arc::clone(&rank),
-                        spec,
-                        threads,
-                    );
-                    assert_eq!(
-                        full_key(&seq),
-                        full_key(&par),
-                        "{} x{threads} ({rank_order:?})",
-                        strategy.paper_name()
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn structural_join_candidates_shard_too() {
-        let db = db();
-        let q = parse_tpq(r#"//person[ftcontains(./business, "Yes")]"#).unwrap();
-        let matcher = Arc::new(Matcher::new(&db, PersonalizedQuery::unpersonalized(q)));
-        let rank = RankContext::new(vec![], RankOrder::Kvs);
-        let spec = PlanSpec {
-            eval_mode: EvalMode::StructuralJoin,
-            kor_order: KorOrder::HighestWeightFirst,
-            ..PlanSpec::new(5, PlanStrategy::Push)
-        };
-        let seq = build_plan(&db, Arc::clone(&matcher), &kors(), Arc::clone(&rank), spec)
-            .execute(&db)
-            .0;
-        let (par, _, workers) = execute_with_workers(&db, matcher, &kors(), rank, spec, 4);
-        assert_eq!(full_key(&seq), full_key(&par));
-        assert!(workers.len() > 1, "sharded run expected");
-    }
-
-    #[test]
-    fn stats_aggregate_sums_workers() {
-        let db = db();
-        let q = parse_tpq("//person").unwrap();
-        let matcher = Arc::new(Matcher::new(&db, PersonalizedQuery::unpersonalized(q)));
-        let rank = RankContext::new(vec![], RankOrder::Kvs);
-        let (out, agg, workers) = execute_with_workers(
-            &db,
-            matcher,
-            &kors(),
-            rank,
-            PlanSpec::new(5, PlanStrategy::Push),
-            4,
-        );
-        assert_eq!(out.len(), 5);
-        assert_eq!(agg.emitted, 5);
-        let base: u64 = workers.iter().map(|w| w.base_answers).sum();
-        assert_eq!(agg.base_answers, base);
-        assert_eq!(agg.base_answers, 60, "every person matches //person");
-    }
-
-    #[test]
-    fn zero_and_one_thread_fall_back_to_sequential() {
-        let db = db();
-        let q = parse_tpq("//person").unwrap();
-        let matcher = Arc::new(Matcher::new(&db, PersonalizedQuery::unpersonalized(q)));
-        let rank = RankContext::new(vec![], RankOrder::Kvs);
-        for threads in [0, 1] {
-            let (out, stats, workers) = execute_with_workers(
-                &db,
-                Arc::clone(&matcher),
-                &kors(),
-                Arc::clone(&rank),
-                PlanSpec::new(4, PlanStrategy::Naive),
-                threads,
-            );
-            assert_eq!(out.len(), 4);
-            assert_eq!(workers.len(), 1);
-            assert_eq!(workers[0].emitted, stats.emitted);
+    fn lanes_keep_task_order_and_run_every_task() {
+        for lanes in [0usize, 1, 2, 3, 8] {
+            let tasks: Vec<Box<dyn FnOnce() -> usize + Send>> = (0..7usize)
+                .map(|i| Box::new(move || i * i) as Box<dyn FnOnce() -> usize + Send>)
+                .collect();
+            let out = run_in_lanes(tasks, lanes);
+            assert_eq!(out, vec![0, 1, 4, 9, 16, 25, 36], "lanes={lanes}");
         }
     }
 }

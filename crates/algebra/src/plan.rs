@@ -500,8 +500,9 @@ impl Plan {
     }
 }
 
-/// Build a plan for the prepared `matcher` under `kors` + `rank` (VORs and
-/// rank order), per `spec`.
+/// Build the plan a lone task runs — the whole of `db`, ending in the
+/// positional top-`k` cut — for the prepared `matcher` under `kors` +
+/// `rank` (VORs and rank order), per `spec`.
 pub fn build_plan(
     db: &Database,
     matcher: Arc<Matcher>,
@@ -509,37 +510,41 @@ pub fn build_plan(
     rank: Arc<RankContext>,
     spec: PlanSpec,
 ) -> Plan {
-    let source: BoxedOp = Box::new(QueryEval::with_mode(Arc::clone(&matcher), spec.eval_mode));
-    assemble(db, source, matcher, kors, rank, spec, false)
+    build_task_plan(db, matcher, kors, rank, spec, None, false)
 }
 
-/// Build the merge-safe (per-shard) variant of `spec`'s plan: identical to
-/// [`build_plan`] except that, when VORs are in play, the final stage is a
-/// *survivor* prune instead of a positional top-k cut — the form whose
-/// shard-local outputs [`crate::par::merge_survivors`] can recombine into
-/// the exact global top-k (see [`crate::par`] for the soundness argument).
-/// This is the plan a sharded engine runs against each doc-range segment.
-pub fn build_merge_safe_plan(
+/// Build the plan one lane task runs. `candidates` is the task's chunk of
+/// `db`'s [`crate::ops::gather_candidates`] list (`None`: the scan gathers
+/// the whole list itself). `merge_safe` selects the final stage for a task
+/// that is one of several: when VORs are in play, a *survivor* prune
+/// instead of the positional top-`k` cut — the form whose task-local
+/// outputs [`crate::par::merge_survivors`] can recombine into the global
+/// top-`k` (see [`crate::par`] for the soundness argument).
+pub fn build_task_plan(
     db: &Database,
     matcher: Arc<Matcher>,
     kors: &[KeywordOrderingRule],
     rank: Arc<RankContext>,
     spec: PlanSpec,
+    candidates: Option<Vec<pimento_index::ElemEntry>>,
+    merge_safe: bool,
 ) -> Plan {
-    let source: BoxedOp = Box::new(QueryEval::with_mode(Arc::clone(&matcher), spec.eval_mode));
-    assemble(db, source, matcher, kors, rank, spec, true)
+    let scan = match candidates {
+        Some(chunk) => QueryEval::over_candidates(Arc::clone(&matcher), spec.eval_mode, chunk),
+        None => QueryEval::with_mode(Arc::clone(&matcher), spec.eval_mode),
+    };
+    assemble(db, Box::new(scan), matcher, kors, rank, spec, merge_safe)
 }
 
 /// Assemble the operator tree above an arbitrary `source` scan.
 ///
-/// `merge_safe` builds the per-shard variant of the plan for parallel
-/// execution: when VORs are in play the final prune keeps *every* answer
-/// not certainly outranked by `k` others instead of cutting at position
-/// `k` — `≺_V` layering is set-dependent, so a shard-local positional cut
-/// could drop an answer that belongs to the global top-k. The shard
-/// survivor sets can then be merged and re-cut exactly (see
-/// [`crate::par`]).
-pub(crate) fn assemble(
+/// `merge_safe` builds the per-task variant of the plan: when VORs are in
+/// play the final prune keeps *every* answer not certainly outranked by
+/// `k` others instead of cutting at position `k` — `≺_V` layering is
+/// set-dependent, so a task-local positional cut could drop an answer
+/// that belongs to the global top-k. The task survivor sets can then be
+/// merged and re-cut (see [`crate::par`]).
+fn assemble(
     db: &Database,
     source: BoxedOp,
     matcher: Arc<Matcher>,

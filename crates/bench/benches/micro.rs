@@ -164,25 +164,6 @@ fn bench_profile_io(c: &mut Criterion) {
     });
 }
 
-fn bench_persistence(c: &mut Criterion) {
-    let xml = xmark::generate(5, 256 * 1024);
-    let mut coll = Collection::new();
-    coll.add_xml(&xml).unwrap();
-    let snapshot = pimento::index::save_collection(&coll);
-    c.bench_function("snapshot_save_256K", |b| {
-        b.iter(|| {
-            let s = pimento::index::save_collection(&coll);
-            assert!(!s.is_empty());
-        })
-    });
-    c.bench_function("snapshot_load_256K", |b| {
-        b.iter(|| {
-            let loaded = pimento::index::load_collection(&snapshot).expect("loads");
-            assert_eq!(loaded.len(), 1);
-        })
-    });
-}
-
 fn bench_parallel_ingest(c: &mut Criterion) {
     let docs: Vec<String> = (0..16).map(|i| xmark::generate(i, 64 * 1024)).collect();
     let mut group = c.benchmark_group("parallel_ingest_16x64K");
@@ -200,34 +181,24 @@ fn bench_parallel_ingest(c: &mut Criterion) {
 }
 
 fn bench_par_scan(c: &mut Criterion) {
-    use pimento::algebra::{execute_with_workers, Matcher, PlanSpec, PlanStrategy, RankContext};
-    use pimento::Engine;
+    use pimento::{Engine, SearchOptions};
     use pimento_bench::workloads::{fig5_profile, FIG5_QUERY};
-    use std::sync::Arc;
 
     let xml = xmark::generate(42, 512 * 1024);
     let engine = Engine::from_xml_docs(&[&xml]).expect("xmark parses");
-    let profile = fig5_profile(4, true);
-    let pq = engine
-        .personalize(FIG5_QUERY, &profile)
+    let prepared = engine
+        .prepare(FIG5_QUERY, &fig5_profile(4, true))
         .expect("valid query");
-    let matcher = Arc::new(Matcher::new(engine.db(), pq));
-    let rank = RankContext::new(profile.vors.clone(), profile.rank_order);
-    let spec = PlanSpec::new(10, PlanStrategy::Push);
+    let opts = SearchOptions::top(10);
     let mut group = c.benchmark_group("par_scan_512K");
     group.sample_size(10);
-    for workers in [1usize, 2, 4] {
-        group.bench_function(format!("workers{workers}"), |b| {
+    for lanes in [1usize, 2, 4] {
+        group.bench_function(format!("lanes{lanes}"), |b| {
             b.iter(|| {
-                let (out, _, _) = execute_with_workers(
-                    engine.db(),
-                    Arc::clone(&matcher),
-                    &profile.kors,
-                    Arc::clone(&rank),
-                    spec,
-                    workers,
-                );
-                assert_eq!(out.len(), 10);
+                let res = engine
+                    .run_prepared_lanes(&prepared, &opts, lanes)
+                    .expect("query runs");
+                assert_eq!(res.hits.len(), 10);
             })
         });
     }
@@ -335,7 +306,6 @@ criterion_group!(
     bench_end_to_end_dealer,
     bench_eval_modes,
     bench_profile_io,
-    bench_persistence,
     bench_parallel_ingest,
     bench_par_scan,
     bench_topk_prune

@@ -1,7 +1,7 @@
-//! Criterion benches for the snapshot formats: columnar v4 save and
-//! zero-copy open vs the legacy v3 save and rebuild-on-load open, on one
-//! 256K XMark document — the microscope view behind `snapcold`'s
-//! subprocess-isolated cold-start numbers.
+//! Criterion benches for the columnar (v4) snapshot: save and zero-copy
+//! open on one 256K XMark document. (`BENCH_snapshot.json` is the
+//! historical v3-vs-v4 cold-start record; perfbench's
+//! `index.snapshot_open_ms` tracks the open from here on.)
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use pimento::Engine;
@@ -10,9 +10,7 @@ fn bench_snapshot_formats(c: &mut Criterion) {
     let xml = pimento_datagen::generate_xmark(7, 256 * 1024);
     let engine = Engine::from_xml_docs(&[xml]).expect("corpus parses");
     let v4 = engine.save_snapshot();
-    let v3 = engine.save_snapshot_v3();
     let v4_bytes = bytes::Bytes::from(v4.to_vec());
-    let v3_bytes = bytes::Bytes::from(v3.to_vec());
 
     c.bench_function("snapshot_save_v4_256K", |b| {
         b.iter(|| {
@@ -24,12 +22,6 @@ fn bench_snapshot_formats(c: &mut Criterion) {
         b.iter(|| {
             let e = Engine::from_snapshot_bytes(v4_bytes.clone()).expect("v4 opens");
             assert_eq!(e.snapshot_format(), Some(4));
-        })
-    });
-    c.bench_function("snapshot_open_v3_rebuild_256K", |b| {
-        b.iter(|| {
-            let e = Engine::from_snapshot_bytes(v3_bytes.clone()).expect("v3 opens");
-            assert_eq!(e.snapshot_format(), Some(3));
         })
     });
 }

@@ -3,10 +3,8 @@
 
 use crate::error::Error;
 use crate::result::{SearchOptions, SearchResult, SearchResults};
-use crate::segment::{execute_scatter, Segment};
-use pimento_algebra::{
-    build_merge_safe_plan, build_plan, Answer, Database, Matcher, PlanSpec, RankContext,
-};
+use crate::segment::{execute_lanes, explain_lanes, resolve_lanes, LaneStats, Segment};
+use pimento_algebra::{build_plan, Answer, Database, Matcher, PlanSpec, RankContext};
 use pimento_index::ft_contains;
 use pimento_faults::vfs::Vfs;
 use pimento_index::{
@@ -24,16 +22,15 @@ use std::sync::Arc;
 /// The corpus lives in one or more doc-range [`Segment`]s. Every
 /// constructor builds the monolithic case — exactly one segment with doc
 /// base 0 — and [`Engine::reshard`] splits it into `n` self-contained
-/// segments whose scatter-gather execution is bit-identical to the
-/// monolithic scan (see [`crate::segment`] / DESIGN.md §15).
+/// segments. One executor runs every layout, a segment being one lane
+/// task (see [`crate::segment`] / DESIGN.md §8, §15).
 #[derive(Debug)]
 pub struct Engine {
     /// Doc-range segments in corpus order. Invariant: never empty, bases
     /// are the prefix sums of segment sizes starting at 0.
     segments: Vec<Arc<Segment>>,
-    /// Snapshot format version this engine was opened from (`Some(3)` for
-    /// a legacy rebuild-on-load snapshot, `Some(4)` for a zero-copy
-    /// columnar one), or `None` when built by parsing XML.
+    /// Snapshot format version this engine was opened from (`Some(4)`,
+    /// the zero-copy columnar format), or `None` when built by parsing XML.
     snapshot_format: Option<u32>,
     /// Corpus generation: 0 for a freshly built corpus, bumped by every
     /// published write (ingest, delete, merge compaction). Prepared-plan
@@ -145,18 +142,6 @@ impl Engine {
         }
         let db = self.db();
         pimento_index::save_index(&db.coll, &db.inverted, &db.tags, &db.values)
-    }
-
-    /// Serialize only the collection in the legacy v3 format (indexes are
-    /// rebuilt on load). Kept for format-migration tests and benchmarks.
-    pub fn save_snapshot_v3(&self) -> bytes::Bytes {
-        if self.segments.len() > 1 {
-            return match self.collapse_collection(false) {
-                Ok(full) => pimento_index::save_collection(&full),
-                Err(_) => bytes::Bytes::new(),
-            };
-        }
-        pimento_index::save_collection(&self.db().coll)
     }
 
     /// Serialize segment `i` to its v4 columnar byte image (the unit the
@@ -321,34 +306,28 @@ impl Engine {
             .at_generation(manifest.generation))
     }
 
-    /// Reopen an engine from a snapshot. Columnar (v4) snapshots back the
-    /// indexes with packed views over the buffer — no per-posting heap
-    /// rebuild; legacy v3 snapshots fall back to a full index rebuild.
+    /// Reopen an engine from a columnar (v4) snapshot: the indexes are
+    /// packed views over the buffer — no per-posting heap rebuild. A file
+    /// in an earlier format (`PIMCOL1`–`PIMCOL3`) is rejected by magic
+    /// with the typed `SnapshotVersion` error; nothing of it is decoded.
     pub fn from_snapshot(data: &[u8]) -> Result<Self, Error> {
         Self::from_snapshot_bytes(bytes::Bytes::copy_from_slice(data))
     }
 
     /// Like [`Engine::from_snapshot`], but takes ownership of the buffer so
-    /// the columnar open path is zero-copy end to end.
+    /// the open path is zero-copy end to end.
     pub fn from_snapshot_bytes(data: bytes::Bytes) -> Result<Self, Error> {
-        if pimento_index::is_columnar(&data) {
-            let opened = pimento_index::open_index(data)?;
-            let db = Database::from_parts(
-                opened.collection,
-                opened.inverted,
-                opened.tags,
-                opened.values,
-            );
-            Ok(Engine::monolithic(
-                db,
-                Some(pimento_index::COLUMNAR_VERSION),
-            ))
-        } else {
-            let coll = pimento_index::load_collection(&data)?;
-            let mut engine = Engine::new(coll);
-            engine.snapshot_format = Some(pimento_index::FORMAT_VERSION);
-            Ok(engine)
-        }
+        let opened = pimento_index::open_index(data)?;
+        let db = Database::from_parts(
+            opened.collection,
+            opened.inverted,
+            opened.tags,
+            opened.values,
+        );
+        Ok(Engine::monolithic(
+            db,
+            Some(pimento_index::COLUMNAR_VERSION),
+        ))
     }
 
     /// Snapshot format version this engine was opened from, if any.
@@ -730,109 +709,50 @@ impl Engine {
         })
     }
 
-    /// Execute a [`PreparedSearch`] with the given options.
+    /// Execute a [`PreparedSearch`] with the given options, on the lane
+    /// count `opts.threads` resolves to.
     pub fn run_prepared(
         &self,
         prepared: &PreparedSearch,
         opts: &SearchOptions,
     ) -> Result<SearchResults, Error> {
+        self.run_prepared_lanes(prepared, opts, resolve_lanes(opts.threads))
+    }
+
+    /// [`Engine::run_prepared`] on exactly `lanes` lanes, ignoring
+    /// `opts.threads` and the machine's core count — the entry point for
+    /// tests and benches that must force more lanes than cores.
+    pub fn run_prepared_lanes(
+        &self,
+        prepared: &PreparedSearch,
+        opts: &SearchOptions,
+        lanes: usize,
+    ) -> Result<SearchResults, Error> {
         if opts.k == 0 {
             return Err(Error::InvalidK);
         }
-        let matcher = Arc::clone(&prepared.matcher);
-        let rank = Arc::clone(&prepared.rank);
-        let profile = &prepared.profile;
-        let spec = Self::plan_spec(prepared, opts);
-        // `0` = machine parallelism, via the same knob resolution as
-        // ingest and the serve worker pool (see `index::resolve_threads`).
-        let threads = pimento_index::resolve_threads(opts.threads);
-        let db = self.seg0()?.db();
-        // Tracing registries are single-threaded, so a trace request pins
-        // execution to the sequential plan (scatter-gather runs its
-        // segments sequentially under trace for the same reason).
-        let (answers, stats, worker_stats, explain, trace, shard_times_us) = if self
-            .segments
-            .len()
-            > 1
-        {
-            let lanes = if opts.shards > 0 { opts.shards } else { threads };
-            let run = execute_scatter(
-                &self.segments,
-                &matcher,
-                &prepared.kors,
-                &rank,
-                spec,
-                lanes,
-            );
-            let per_segment = build_merge_safe_plan(
-                db,
-                Arc::clone(&matcher),
-                &prepared.kors,
-                Arc::clone(&rank),
-                PlanSpec {
-                    trace: false,
-                    ..spec
-                },
-            )
-            .explain();
-            let explain = format!("scatter(shards={}) over {per_segment}", self.segments.len());
-            (
-                run.answers,
-                run.stats,
-                run.shard_stats,
-                explain,
-                run.traces,
-                run.shard_times_us,
-            )
-        } else if opts.trace || threads <= 1 {
-            let plan = build_plan(db, Arc::clone(&matcher), &prepared.kors, rank, spec);
-            // Static plan verification (debug builds): every plan about to
-            // execute must pass its shape verifier.
-            if cfg!(debug_assertions) {
-                if let Err(err) = plan.verify() {
-                    debug_assert!(false, "about to execute an unsound plan: {err}");
-                }
-            }
-            let explain = plan.explain();
-            let (answers, stats, trace) = plan.execute_analyzed(db);
-            (answers, stats, vec![stats], explain, trace, Vec::new())
-        } else {
-            let explain = build_plan(
-                db,
-                Arc::clone(&matcher),
-                &prepared.kors,
-                Arc::clone(&rank),
-                spec,
-            )
-            .explain();
-            let (answers, stats, worker_stats) = pimento_algebra::execute_parallel(
-                db,
-                Arc::clone(&matcher),
-                &prepared.kors,
-                rank,
-                spec,
-                threads,
-            );
-            let explain = if worker_stats.len() > 1 {
-                format!("parallel(workers={}) over {explain}", worker_stats.len())
-            } else {
-                explain
-            };
-            (answers, stats, worker_stats, explain, String::new(), Vec::new())
-        };
-        let hits = answers
+        let matcher = &prepared.matcher;
+        let run = execute_lanes(
+            &self.segments,
+            matcher,
+            &prepared.kors,
+            &prepared.rank,
+            Self::plan_spec(prepared, opts),
+            lanes,
+        );
+        let hits = run
+            .answers
             .into_iter()
             .skip(opts.offset)
             .enumerate()
-            .map(|(i, a)| self.materialize_hit(&matcher, profile, opts.offset + i + 1, a))
+            .map(|(i, a)| self.materialize_hit(matcher, &prepared.profile, opts.offset + i + 1, a))
             .collect::<Result<Vec<_>, Error>>()?;
         Ok(SearchResults {
             hits,
-            stats,
-            worker_stats,
-            shard_times_us,
-            explain,
-            trace,
+            stats: run.stats,
+            lanes: run.lanes,
+            explain: run.explain,
+            trace: run.trace,
             applied_rules: matcher.personalized().flock.applied_rules.clone(),
             skipped_rules: matcher.personalized().flock.skipped_rules.clone(),
             flock_size: matcher.personalized().flock.members.len(),
@@ -887,10 +807,9 @@ impl Engine {
         }
     }
 
-    /// The operator-tree description of the plan [`Engine::run_prepared`]
-    /// would execute for `prepared` under `opts`, without executing it.
-    /// Backs the `explain` protocol command and `--explain` on the CLI's
-    /// prepared path.
+    /// What [`Engine::run_prepared`] would run for `prepared` under
+    /// `opts` — exactly the string its `SearchResults::explain` carries —
+    /// without executing it. Backs the `explain` protocol command.
     pub fn explain_prepared(
         &self,
         prepared: &PreparedSearch,
@@ -899,39 +818,14 @@ impl Engine {
         if opts.k == 0 {
             return Err(Error::InvalidK);
         }
-        let spec = Self::plan_spec(prepared, opts);
-        let db = self.seg0()?.db();
-        if self.segments.len() > 1 {
-            let per_segment = build_merge_safe_plan(
-                db,
-                Arc::clone(&prepared.matcher),
-                &prepared.kors,
-                Arc::clone(&prepared.rank),
-                PlanSpec {
-                    trace: false,
-                    ..spec
-                },
-            )
-            .explain();
-            return Ok(format!(
-                "scatter(shards={}) over {per_segment}",
-                self.segments.len()
-            ));
-        }
-        let explain = build_plan(
-            db,
-            Arc::clone(&prepared.matcher),
+        Ok(explain_lanes(
+            &self.segments,
+            &prepared.matcher,
             &prepared.kors,
-            Arc::clone(&prepared.rank),
-            spec,
-        )
-        .explain();
-        let threads = pimento_index::resolve_threads(opts.threads);
-        Ok(if !opts.trace && threads > 1 {
-            format!("parallel(workers<={threads}) over {explain}")
-        } else {
-            explain
-        })
+            &prepared.rank,
+            Self::plan_spec(prepared, opts),
+            resolve_lanes(opts.threads),
+        ))
     }
 
     /// Statically verify the plans [`Engine::run_prepared`] would assemble
@@ -1015,8 +909,10 @@ impl Engine {
         Ok(SearchResults {
             hits,
             stats,
-            worker_stats: vec![stats],
-            shard_times_us: Vec::new(),
+            lanes: vec![LaneStats {
+                stats,
+                ..LaneStats::default()
+            }],
             explain: "winnow(≺_V-maximal) -> kor* -> SrPredJoin* -> QueryEval".to_string(),
             trace: String::new(),
             applied_rules: matcher.personalized().flock.applied_rules.clone(),
@@ -1268,14 +1164,6 @@ mod persistence_tests {
         assert!(opened.db().values.is_packed());
         assert!(opened.db().inverted.is_packed());
 
-        let v3 = original.save_snapshot_v3();
-        let legacy = Engine::from_snapshot(&v3).unwrap();
-        assert_eq!(
-            legacy.snapshot_format(),
-            Some(pimento_index::FORMAT_VERSION)
-        );
-        assert!(!legacy.db().tags.is_packed());
-
         let q = r#"//car[ftcontains(., "good condition")]"#;
         let a = original
             .search(q, &UserProfile::new(), &SearchOptions::top(10))
@@ -1283,11 +1171,7 @@ mod persistence_tests {
         let b = opened
             .search(q, &UserProfile::new(), &SearchOptions::top(10))
             .unwrap();
-        let c = legacy
-            .search(q, &UserProfile::new(), &SearchOptions::top(10))
-            .unwrap();
         assert_eq!(a.elem_refs(), b.elem_refs());
-        assert_eq!(a.elem_refs(), c.elem_refs());
         let bits = |r: &SearchResults| -> Vec<(u64, u64)> {
             r.hits
                 .iter()
@@ -1295,7 +1179,6 @@ mod persistence_tests {
                 .collect::<Vec<_>>()
         };
         assert_eq!(bits(&a), bits(&b));
-        assert_eq!(bits(&a), bits(&c));
     }
 
     #[test]

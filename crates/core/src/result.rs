@@ -1,5 +1,6 @@
 //! Search options and results.
 
+use crate::segment::LaneStats;
 use pimento_algebra::{Answer, Database, EvalMode, ExecStats, KorOrder, PlanStrategy};
 use pimento_index::ElemRef;
 use pimento_xml::subtree_to_string;
@@ -27,15 +28,13 @@ pub struct SearchOptions {
     /// Let the engine pick strategy, evaluation mode, and KOR order from
     /// the query/profile shape (overrides the explicit settings).
     pub auto: bool,
-    /// Worker threads for the sharded candidate scan: `0` (the default)
-    /// uses the machine's available parallelism, clamped like ingest;
-    /// `1` forces sequential execution. Results are identical either way.
+    /// The one lane knob: how many threads execute the query's tasks
+    /// (one per segment; candidate chunks when there are more lanes than
+    /// segments). `0` (the default) uses the machine's available
+    /// parallelism, larger values are clamped to it like ingest, and `1`
+    /// runs every task on the calling thread. For a weak-order `≺_V` the
+    /// results are bit-identical at every value (DESIGN.md §8).
     pub threads: usize,
-    /// On a sharded (multi-segment) engine: how many segments execute
-    /// concurrently during scatter-gather. `0` (the default) uses one
-    /// lane per resolved worker thread. Has no effect on a monolithic
-    /// engine, and never affects results — only scheduling.
-    pub shards: usize,
 }
 
 impl SearchOptions {
@@ -51,7 +50,6 @@ impl SearchOptions {
             trace: false,
             auto: false,
             threads: 0,
-            shards: 0,
         }
     }
 
@@ -82,16 +80,9 @@ impl SearchOptions {
         self
     }
 
-    /// Builder: set the worker-thread count (`0` = machine parallelism).
+    /// Builder: set the lane count (`0` = machine parallelism).
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads;
-        self
-    }
-
-    /// Builder: cap concurrent segment lanes during scatter-gather on a
-    /// sharded engine (`0` = one lane per resolved worker thread).
-    pub fn with_shards(mut self, shards: usize) -> Self {
-        self.shards = shards;
         self
     }
 }
@@ -154,16 +145,14 @@ fn truncate_chars(s: &mut String, cap: usize) {
 pub struct SearchResults {
     /// Ranked hits, best first.
     pub hits: Vec<SearchResult>,
-    /// Execution counters, summed across workers on the parallel path.
+    /// Execution counters, summed over the lane tasks.
     pub stats: ExecStats,
-    /// Per-worker counter breakdown: one entry per worker the sharded
-    /// scan spawned — or, on a multi-segment engine, one entry per
-    /// segment — and a single entry when execution was sequential.
-    pub worker_stats: Vec<ExecStats>,
-    /// Per-segment wall time (µs) of the scatter-gather execution, in
-    /// segment order. Empty on a monolithic engine.
-    pub shard_times_us: Vec<u64>,
-    /// Operator-tree description of the executed plan.
+    /// Per-task counters and wall time (µs), in task order: one entry
+    /// per segment, or per candidate chunk when there were more lanes
+    /// than segments; a single entry when one task did everything.
+    pub lanes: Vec<LaneStats>,
+    /// What ran: the operator tree, under the task layout when several
+    /// tasks ran it (equals [`crate::Engine::explain_prepared`]).
     pub explain: String,
     /// Per-operator row/time trace (empty unless `SearchOptions::trace`).
     pub trace: String,

@@ -81,12 +81,6 @@ const DIR_ROW: usize = 32;
 /// order is a writer convention, not a reader requirement.
 const SECTIONS: [&str; 6] = ["meta", "symtab", "docs", "tags", "vals", "inv"];
 
-/// True when `data` starts with the v4 columnar magic — the cheap sniff
-/// the engine uses to pick an open path.
-pub fn is_columnar(data: &[u8]) -> bool {
-    data.get(..COLUMNAR_MAGIC.len()) == Some(COLUMNAR_MAGIC.as_slice())
-}
-
 /// Everything a columnar snapshot opens into: the decoded document store
 /// plus the three packed (zero-copy) indexes.
 #[derive(Debug)]
@@ -337,9 +331,8 @@ fn section_bytes<'a>(data: &'a [u8], e: &DirEntry) -> Result<&'a [u8], PersistEr
 /// Triage the header: magic family and version. Shared by the opener and
 /// [`inspect`].
 fn check_header(data: &[u8]) -> Result<u32, PersistError> {
-    if data.len() < HEADER_LEN {
-        return Err(PersistError::Truncated);
-    }
+    // Magic first: a pre-columnar file of any length is "wrong version",
+    // not "truncated" or "corrupt" — nothing of it is ever decoded.
     let magic = data.get(..8).ok_or(PersistError::Truncated)?;
     for (old, found) in [(b"PIMCOL1\0", 1u32), (b"PIMCOL2\0", 2), (b"PIMCOL3\0", 3)] {
         if magic == old.as_slice() {
@@ -351,6 +344,9 @@ fn check_header(data: &[u8]) -> Result<u32, PersistError> {
     }
     if magic != COLUMNAR_MAGIC.as_slice() {
         return Err(PersistError::BadMagic);
+    }
+    if data.len() < HEADER_LEN {
+        return Err(PersistError::Truncated);
     }
     let version = u32_at(data, 8);
     if version != COLUMNAR_VERSION {
@@ -641,32 +637,10 @@ pub struct SnapshotReport {
 }
 
 /// Describe a snapshot without opening it: magic/version triage, then the
-/// section directory with per-section CRC verdicts. Handles both v4
-/// (section directory) and v3 (single `body` region + footer CRC); v1/v2
-/// return the typed version error. CRC mismatches are *reported*, not
-/// errors — this is the diagnostic path for damaged files.
+/// section directory with per-section CRC verdicts. Pre-columnar files
+/// (v1–v3) return the typed version error. CRC mismatches are *reported*,
+/// not errors — this is the diagnostic path for damaged files.
 pub fn inspect(data: &[u8]) -> Result<SnapshotReport, PersistError> {
-    if data.get(..8) == Some(b"PIMCOL3\0".as_slice()) {
-        // v3: magic + version word, body, u32 CRC footer.
-        if data.len() < 16 {
-            return Err(PersistError::Truncated);
-        }
-        let body_len = data.len().saturating_sub(4);
-        let body = data.get(..body_len).ok_or(PersistError::Truncated)?;
-        let stored = u32_at(data, body_len);
-        return Ok(SnapshotReport {
-            version: 3,
-            file_len: data.len() as u64,
-            directory_ok: true,
-            sections: vec![SectionReport {
-                name: "body".to_string(),
-                offset: 0,
-                len: body.len() as u64,
-                crc: stored,
-                crc_ok: crc32(body) == stored,
-            }],
-        });
-    }
     let section_count = check_header(data)? as usize;
     let dir_len = DIR_ROW
         .checked_mul(section_count)
@@ -938,22 +912,7 @@ mod tests {
     }
 
     #[test]
-    fn legacy_v3_loader_redirects_v4() {
-        let (.., snap) = snapshot();
-        assert!(matches!(
-            crate::persist::load_collection(&snap),
-            Err(PersistError::SnapshotVersion {
-                found: COLUMNAR_VERSION,
-                expected: 3
-            })
-        ));
-        assert!(is_columnar(&snap));
-        assert!(!is_columnar(b"PIMCOL3\0rest"));
-    }
-
-    #[test]
     fn inspect_reports_sections() {
-        let (c, inv, ..) = sample();
         let (.., snap) = snapshot();
         let report = inspect(&snap).unwrap();
         assert_eq!(report.version, COLUMNAR_VERSION);
@@ -981,23 +940,16 @@ mod tests {
             .map(|s| s.name.as_str())
             .collect();
         assert_eq!(bad, ["tags"]);
-        // v3 files inspect as a single body region.
-        let v3 = crate::persist::save_collection(&c);
-        let r3 = inspect(&v3).unwrap();
-        assert_eq!(r3.version, 3);
-        assert_eq!(r3.sections.len(), 1);
-        assert_eq!(r3.sections[0].name, "body");
-        assert!(r3.sections[0].crc_ok);
-        let mut v3bad = v3.to_vec();
-        v3bad[12] ^= 0x01;
-        assert!(!inspect(&v3bad).unwrap().sections[0].crc_ok);
-        // v1/v2 magics: typed version error.
-        let mut v2 = v3.to_vec();
-        v2[..8].copy_from_slice(b"PIMCOL2\0");
-        assert!(matches!(
-            inspect(&v2),
-            Err(PersistError::SnapshotVersion { found: 2, .. })
-        ));
-        let _ = inv;
+        // Pre-columnar magics: typed version error, however short the file.
+        for (magic, found) in [(b"PIMCOL1\0", 1u32), (b"PIMCOL2\0", 2), (b"PIMCOL3\0", 3)] {
+            let mut old = snap.to_vec();
+            old[..8].copy_from_slice(magic);
+            for len in [8, 12, old.len()] {
+                assert!(matches!(
+                    inspect(&old[..len]),
+                    Err(PersistError::SnapshotVersion { found: f, expected: COLUMNAR_VERSION }) if f == found
+                ));
+            }
+        }
     }
 }

@@ -49,13 +49,13 @@ pub mod values;
 pub mod varint;
 
 pub use columnar::{
-    inspect, is_columnar, open_index, save_index, OpenedIndex, SectionReport, SnapshotReport,
+    inspect, open_index, save_index, OpenedIndex, SectionReport, SnapshotReport,
     COLUMNAR_VERSION,
 };
 pub use fields::{content_value, field_value, field_value_sym, numeric_field, FieldValue};
 pub use inverted::{InvertedIndex, Posting, PostingsRef};
 pub use parallel::{build_collection_parallel, effective_workers, resolve_threads};
-pub use persist::{crc32, load_collection, save_collection, PersistError, FORMAT_VERSION};
+pub use persist::{crc32, PersistError};
 pub use phrase::{
     count_in_element, ft_all, ft_contains, occurrences_in_element, phrase_occurrences,
     postings_in_element,

@@ -16,6 +16,12 @@ use pimento_xml::{parse_content, Document, SymbolId, SymbolTable, XmlError};
 /// never more workers than jobs. The single clamp shared by ingest and
 /// query execution (`0` means "one worker", i.e. inline).
 pub fn effective_workers(requested: usize, jobs: usize) -> usize {
+    // One worker needs no core count: `available_parallelism` reads the
+    // cgroup files on every call, which a one-lane query — every request
+    // of a default server — must not pay.
+    if requested <= 1 || jobs <= 1 {
+        return 1;
+    }
     // More workers than cores only adds scheduling overhead; clamp to the
     // machine (and never spawn more workers than units of work).
     let cores = std::thread::available_parallelism()

@@ -1,65 +1,24 @@
-//! Binary snapshots of a [`Collection`]: parse once, reload instantly.
+//! What every snapshot artifact shares: the typed [`PersistError`], the
+//! per-document arena codec the columnar `docs` section stores
+//! ([`put_document`] / [`read_document`]), and the dependency-free
+//! [`crc32`] that guards snapshot sections, manifests, tombstone sidecars
+//! and durable profiles. The snapshot format itself is
+//! [`crate::columnar`] (v4); the earlier `PIMCOL1`–`PIMCOL3` formats are
+//! recognised by magic there and rejected with
+//! [`PersistError::SnapshotVersion`] before any integrity check or decode.
 //!
-//! Parsing dominates collection load time (the indexes rebuild in a
-//! fraction of the parse cost), so the snapshot stores the parsed arenas —
-//! symbol table, node records, region labels — in a compact little-endian
-//! format:
-//!
-//! ```text
-//! magic   "PIMCOL3\0"                    8 bytes
-//! u32     format version (currently 3)
-//! u32     symbol count                   then len-prefixed UTF-8 names
-//! u32     document count
-//! per document:
-//!   u32   root node id
-//!   u32   node count
-//!   per node:
-//!     u8  kind (0 element / 1 text / 2 comment)
-//!     element: u32 tag, u16 attr count, per attr (u32 sym, str value)
-//!     text/comment: str payload
-//!     u32 parent + 1 (0 = none)
-//!     u32 child count, u32 × children
-//!     u32 start, u32 end, u16 level
-//! u32     CRC32 (IEEE) of everything above
-//! ```
-//!
-//! Strings are `u32` length + UTF-8 bytes. The CRC32 footer (table-based,
-//! dependency-free — see [`crc32`]) rejects bit flips and truncation with
-//! the typed [`PersistError::SnapshotCorrupt`] before any decoding runs;
-//! [`Document::from_parts`] re-validates the arena invariants on load, so
-//! a malformed snapshot fails loudly instead of producing an inconsistent
-//! store. (Format 2 used a 64-bit FNV-1a footer; FNV is a fine hash but a
-//! weak integrity check — CRC32 detects all single-bit and all 2-bit
-//! errors within its span, which is the failure model for at-rest
-//! snapshots.)
-//!
-//! ## Versioning
-//!
-//! The header is versioned: the magic identifies the family and the `u32`
-//! that follows it is the format version. Version triage happens *before*
-//! the integrity check — a snapshot from another format has a different
-//! footer layout, and the useful report is "wrong version", not
-//! "corrupt". Snapshots from older formats — `"PIMCOL2\0"` (v2, FNV-1a
-//! footer) and seed-era `"PIMCOL1\0"` (no version field) — are rejected
-//! with the typed [`PersistError::SnapshotVersion`] instead of being
-//! garbage-decoded. The serialized symbol table (names in [`SymbolId`]
-//! order) is part of the payload, so reloading reproduces identical
-//! interned ids.
+//! A document record is `u32` root node id, `u32` node count, then per
+//! node: `u8` kind (0 element / 1 text / 2 comment); element: `u32` tag,
+//! `u16` attr count, per attr (`u32` sym, str value); text/comment: str
+//! payload; `u32` parent + 1 (0 = none); `u32` child count, `u32` ×
+//! children; `u32` start, `u32` end, `u16` level. Strings are `u32`
+//! length + UTF-8 bytes. [`Document::from_parts`] re-validates the arena
+//! invariants on load, so a malformed record fails loudly instead of
+//! producing an inconsistent store.
 
-use crate::store::Collection;
-use bytes::{Buf, BufMut, Bytes, BytesMut};
-use pimento_xml::{Document, Node, NodeId, NodeKind, SymbolId, SymbolTable};
+use bytes::{Buf, BufMut};
+use pimento_xml::{Document, Node, NodeId, NodeKind, SymbolId};
 use std::fmt;
-
-/// v3 magic: the legacy heap-rebuild format this module reads and writes.
-pub(crate) const MAGIC: &[u8; 8] = b"PIMCOL3\0";
-/// Format 2 magic: same layout, but a 64-bit FNV-1a footer.
-const V2_MAGIC: &[u8; 8] = b"PIMCOL2\0";
-/// Seed-era magic: format 1 snapshots had no version field after the magic.
-const LEGACY_MAGIC: &[u8; 8] = b"PIMCOL1\0";
-/// Legacy (v3) snapshot format version (the `u32` following the magic).
-/// The current columnar format is [`crate::columnar::COLUMNAR_VERSION`].
-pub const FORMAT_VERSION: u32 = 3;
 
 /// Snapshot decoding failure.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -70,7 +29,7 @@ pub enum PersistError {
     Truncated,
     /// A CRC mismatch (bit corruption), naming the failing region: a v4
     /// section (`"directory"`, `"meta"`, `"symtab"`, `"docs"`, `"tags"`,
-    /// `"vals"`, `"inv"`) or `"body"` for the v3 whole-file footer.
+    /// `"vals"`, `"inv"`).
     SnapshotCorrupt {
         /// The section whose integrity check failed.
         section: &'static str,
@@ -86,8 +45,8 @@ pub enum PersistError {
     BadSymbol,
     /// The snapshot is from a different format version.
     SnapshotVersion {
-        /// Version the snapshot declares (1 for seed-era headers, which
-        /// carried no explicit version field).
+        /// Version the snapshot declares (1–3 by magic for the pre-columnar
+        /// formats; the version word of a `PIMCOL4` header otherwise).
         found: u32,
         /// Version this build reads and writes.
         expected: u32,
@@ -122,27 +81,7 @@ impl fmt::Display for PersistError {
 
 impl std::error::Error for PersistError {}
 
-/// Serialize `coll` into a snapshot buffer.
-pub fn save_collection(coll: &Collection) -> Bytes {
-    let mut buf = BytesMut::with_capacity(1024);
-    buf.put_slice(MAGIC);
-    buf.put_u32_le(FORMAT_VERSION);
-    let symbols = coll.symbols();
-    buf.put_u32_le(symbols.len() as u32);
-    for i in 0..symbols.len() as u32 {
-        put_str(&mut buf, symbols.name(SymbolId(i)));
-    }
-    buf.put_u32_le(coll.len() as u32);
-    for (_, doc) in coll.iter() {
-        put_document(&mut buf, doc);
-    }
-    let checksum = crc32(&buf);
-    buf.put_u32_le(checksum);
-    buf.freeze()
-}
-
-/// Encode one document's node arena (shared by the v3 body and the v4
-/// `docs` section — the per-node record layout is identical).
+/// Encode one document's node arena (the v4 `docs` section's record).
 pub(crate) fn put_document<B: BufMut>(buf: &mut B, doc: &Document) {
     buf.put_u32_le(doc.root().0);
     buf.put_u32_le(doc.len() as u32);
@@ -240,81 +179,6 @@ pub(crate) fn read_document(buf: &mut &[u8], sym_count: u32) -> Result<Document,
     Document::from_parts(nodes, root).map_err(PersistError::BadArena)
 }
 
-/// Deserialize a snapshot produced by [`save_collection`].
-pub fn load_collection(data: &[u8]) -> Result<Collection, PersistError> {
-    if data.len() < MAGIC.len() {
-        return Err(PersistError::Truncated);
-    }
-    // Version triage first: older formats carry a different footer layout,
-    // so running the v3 CRC over them would mislabel every old snapshot as
-    // corrupt instead of naming the real problem.
-    if &data[..MAGIC.len()] == LEGACY_MAGIC {
-        // Seed-era snapshot: same family, pre-versioning header.
-        return Err(PersistError::SnapshotVersion {
-            found: 1,
-            expected: FORMAT_VERSION,
-        });
-    }
-    if &data[..MAGIC.len()] == V2_MAGIC {
-        return Err(PersistError::SnapshotVersion {
-            found: 2,
-            expected: FORMAT_VERSION,
-        });
-    }
-    if &data[..MAGIC.len()] == crate::columnar::COLUMNAR_MAGIC {
-        // A v4 columnar snapshot reached the legacy loader; point the
-        // caller at the right open path instead of mislabeling it corrupt.
-        return Err(PersistError::SnapshotVersion {
-            found: crate::columnar::COLUMNAR_VERSION,
-            expected: FORMAT_VERSION,
-        });
-    }
-    if &data[..MAGIC.len()] != MAGIC {
-        return Err(PersistError::BadMagic);
-    }
-    // Integrity next: nothing past this point decodes unverified bytes.
-    if data.len() < MAGIC.len() + 4 + 4 {
-        return Err(PersistError::Truncated);
-    }
-    let (body, tail) = data.split_at(data.len() - 4);
-    let expected = match <[u8; 4]>::try_from(tail) {
-        Ok(bytes) => u32::from_le_bytes(bytes),
-        Err(_) => return Err(PersistError::Truncated),
-    };
-    if crc32(body) != expected {
-        return Err(PersistError::SnapshotCorrupt { section: "body" });
-    }
-    #[cfg(feature = "fault-injection")]
-    if pimento_faults::should_fire("index.persist.load") {
-        return Err(PersistError::SnapshotCorrupt { section: "body" });
-    }
-    let mut buf = &body[MAGIC.len()..];
-    let version = get_u32(&mut buf)?;
-    if version != FORMAT_VERSION {
-        return Err(PersistError::SnapshotVersion {
-            found: version,
-            expected: FORMAT_VERSION,
-        });
-    }
-
-    let mut symbols = SymbolTable::new();
-    let n_syms = get_u32(&mut buf)?;
-    for _ in 0..n_syms {
-        let name = get_str(&mut buf)?;
-        symbols.intern(&name);
-    }
-    let sym_count = symbols.len() as u32;
-
-    let mut coll = Collection::new();
-    *coll.symbols_mut() = symbols;
-    let n_docs = get_u32(&mut buf)?;
-    for _ in 0..n_docs {
-        let doc = read_document(&mut buf, sym_count)?;
-        coll.add_document(doc);
-    }
-    Ok(coll)
-}
-
 pub(crate) fn put_str<B: BufMut>(buf: &mut B, s: &str) {
     buf.put_u32_le(s.len() as u32);
     buf.put_slice(s.as_bytes());
@@ -373,8 +237,8 @@ const CRC32_TABLE: [u32; 256] = {
     table
 };
 
-/// CRC32 (IEEE) over `data` — the snapshot footer checksum, also reused
-/// by the serve layer's durable profile store.
+/// CRC32 (IEEE) over `data` — the v4 section checksum, also reused by
+/// manifests, tombstone sidecars and the serve layer's profile store.
 pub fn crc32(data: &[u8]) -> u32 {
     let mut crc = !0u32;
     for &b in data {
@@ -389,91 +253,38 @@ pub fn crc32(data: &[u8]) -> u32 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::inverted::InvertedIndex;
-    use crate::tags::TagIndex;
-    use crate::tokenize::Tokenizer;
+    use crate::store::Collection;
     use pimento_xml::to_string;
 
-    fn sample() -> Collection {
-        let mut c = Collection::new();
-        c.add_xml(r#"<dealer><car color="red"><price>500</price><note>good &amp; cheap</note></car></dealer>"#)
+    #[test]
+    fn document_records_roundtrip() {
+        let mut coll = Collection::new();
+        coll.add_xml(r#"<dealer><car color="red"><price>500</price><note>good &amp; cheap</note></car></dealer>"#)
             .unwrap();
-        c.add_xml("<dealer><car><!--traded--><price>900</price></car></dealer>")
+        coll.add_xml("<dealer><car><!--traded--><price>900</price></car></dealer>")
             .unwrap();
-        c
-    }
-
-    #[test]
-    fn roundtrip_preserves_documents() {
-        let coll = sample();
-        let snapshot = save_collection(&coll);
-        let loaded = load_collection(&snapshot).unwrap();
-        assert_eq!(loaded.len(), coll.len());
-        for ((_, a), (_, b)) in coll.iter().zip(loaded.iter()) {
-            assert_eq!(to_string(a, coll.symbols()), to_string(b, loaded.symbols()));
-            assert_eq!(a.len(), b.len());
-        }
-    }
-
-    #[test]
-    fn roundtrip_preserves_index_behaviour() {
-        let coll = sample();
-        let loaded = load_collection(&save_collection(&coll)).unwrap();
-        let inv_a = InvertedIndex::build(&coll, Tokenizer::plain());
-        let inv_b = InvertedIndex::build(&loaded, Tokenizer::plain());
-        assert_eq!(inv_a.vocabulary_size(), inv_b.vocabulary_size());
-        assert_eq!(inv_a.postings("good").len(), inv_b.postings("good").len());
-        let tags_a = TagIndex::build(&coll);
-        let tags_b = TagIndex::build(&loaded);
-        assert_eq!(
-            tags_a.count(coll.tag("car").unwrap()),
-            tags_b.count(loaded.tag("car").unwrap())
-        );
-    }
-
-    #[test]
-    fn empty_collection_roundtrips() {
-        let coll = Collection::new();
-        let loaded = load_collection(&save_collection(&coll)).unwrap();
-        assert!(loaded.is_empty());
-    }
-
-    /// FNV-1a as the v1/v2 formats used for their footer (test-only: the
-    /// fixtures below rebuild old-format snapshots byte for byte).
-    fn fnv1a(data: &[u8]) -> u64 {
-        let mut h: u64 = 0xcbf29ce484222325;
-        for &b in data {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x100000001b3);
-        }
-        h
-    }
-
-    #[test]
-    fn corruption_is_detected() {
-        let coll = sample();
-        let snapshot = save_collection(&coll);
-        // Flip every single bit position past the magic in turn: each one
-        // must surface as the typed corruption error, never as garbage
-        // decode output (sampled stride keeps the test fast).
-        for pos in (MAGIC.len()..snapshot.len()).step_by(97) {
-            let mut bytes = snapshot.to_vec();
-            bytes[pos] ^= 0x01;
-            assert!(
-                matches!(
-                    load_collection(&bytes),
-                    Err(PersistError::SnapshotCorrupt { .. })
-                ),
-                "flip at {pos} undetected"
+        let sym_count = coll.symbols().len() as u32;
+        for (_, doc) in coll.iter() {
+            let mut buf = Vec::new();
+            put_document(&mut buf, doc);
+            let mut rest = buf.as_slice();
+            let back = read_document(&mut rest, sym_count).unwrap();
+            assert!(rest.is_empty(), "record consumed exactly");
+            assert_eq!(back.len(), doc.len());
+            assert_eq!(
+                to_string(&back, coll.symbols()),
+                to_string(doc, coll.symbols())
             );
+            // A symbol table one entry short no longer covers the record.
+            assert!(matches!(
+                read_document(&mut buf.as_slice(), 1),
+                Err(PersistError::BadSymbol)
+            ));
+            // Every proper prefix is a typed error, never a panic.
+            for cut in 0..buf.len() {
+                assert!(read_document(&mut &buf[..cut], sym_count).is_err());
+            }
         }
-        let mut bytes = snapshot.to_vec();
-        let mid = bytes.len() / 2;
-        bytes[mid] ^= 0xff;
-        assert!(matches!(
-            load_collection(&bytes),
-            Err(PersistError::SnapshotCorrupt { .. })
-        ));
     }
 
     #[test]
@@ -485,94 +296,6 @@ mod tests {
             crc32(b"The quick brown fox jumps over the lazy dog"),
             0x414F_A339
         );
-    }
-
-    #[test]
-    fn truncation_is_detected() {
-        let coll = sample();
-        let snapshot = save_collection(&coll);
-        assert!(matches!(
-            load_collection(&snapshot[..10]),
-            Err(PersistError::Truncated)
-        ));
-        assert!(matches!(load_collection(&[]), Err(PersistError::Truncated)));
-    }
-
-    #[test]
-    fn bad_magic_is_detected() {
-        let coll = sample();
-        let mut bytes = save_collection(&coll).to_vec();
-        // Magic triage runs before the integrity check, so no checksum
-        // fix-up is needed for this to be a BadMagic (not corruption).
-        bytes[0] = b'X';
-        assert!(matches!(
-            load_collection(&bytes),
-            Err(PersistError::BadMagic)
-        ));
-    }
-
-    /// Rewrite a current snapshot into the seed "PIMCOL1\0" layout (legacy
-    /// magic, no version field, FNV-1a u64 footer).
-    fn as_seed_format(snapshot: &[u8]) -> Vec<u8> {
-        let mut bytes = Vec::with_capacity(snapshot.len());
-        bytes.extend_from_slice(b"PIMCOL1\0");
-        // Skip the version u32; keep the payload, drop the CRC32 footer.
-        bytes.extend_from_slice(&snapshot[12..snapshot.len() - 4]);
-        let sum = fnv1a(&bytes).to_le_bytes();
-        bytes.extend_from_slice(&sum);
-        bytes
-    }
-
-    /// Rewrite a current snapshot into the v2 "PIMCOL2\0" layout (version
-    /// word 2, FNV-1a u64 footer) — the format the previous release wrote.
-    fn as_v2_format(snapshot: &[u8]) -> Vec<u8> {
-        let mut bytes = Vec::with_capacity(snapshot.len() + 4);
-        bytes.extend_from_slice(b"PIMCOL2\0");
-        bytes.extend_from_slice(&2u32.to_le_bytes());
-        bytes.extend_from_slice(&snapshot[12..snapshot.len() - 4]);
-        let sum = fnv1a(&bytes).to_le_bytes();
-        bytes.extend_from_slice(&sum);
-        bytes
-    }
-
-    #[test]
-    fn seed_format_snapshot_is_rejected_with_typed_error() {
-        let seed = as_seed_format(&save_collection(&sample()));
-        assert!(matches!(
-            load_collection(&seed),
-            Err(PersistError::SnapshotVersion {
-                found: 1,
-                expected: FORMAT_VERSION
-            })
-        ));
-    }
-
-    #[test]
-    fn v2_format_snapshot_is_rejected_with_typed_error() {
-        let v2 = as_v2_format(&save_collection(&sample()));
-        assert!(matches!(
-            load_collection(&v2),
-            Err(PersistError::SnapshotVersion {
-                found: 2,
-                expected: FORMAT_VERSION
-            })
-        ));
-    }
-
-    #[test]
-    fn future_format_version_is_rejected() {
-        let mut bytes = save_collection(&sample()).to_vec();
-        bytes[8..12].copy_from_slice(&99u32.to_le_bytes());
-        let body_len = bytes.len() - 4;
-        let sum = crc32(&bytes[..body_len]).to_le_bytes();
-        bytes[body_len..].copy_from_slice(&sum);
-        assert!(matches!(
-            load_collection(&bytes),
-            Err(PersistError::SnapshotVersion {
-                found: 99,
-                expected: FORMAT_VERSION
-            })
-        ));
     }
 
     #[test]

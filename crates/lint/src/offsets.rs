@@ -4,7 +4,7 @@
 //! The v4 snapshot opener slices sections out of an untrusted byte
 //! buffer using directory-supplied offsets and lengths. Inside the
 //! decoder functions of `columnar.rs` / `varint.rs` — everything
-//! reachable from `open_index` / `inspect` / `is_columnar` /
+//! reachable from `open_index` / `inspect` /
 //! `get_varint` / `get_delta_run` — raw `+`/`*` arithmetic on
 //! offset-like values and direct `[…]` indexing are banned: a corrupted
 //! directory must route through `checked_add`/`checked_mul`/`.get(…)`
@@ -23,7 +23,7 @@ const DECODERS: &[(&str, &[&str], &[&str])] = &[
     (
         "index",
         &["columnar"],
-        &["open_index", "inspect", "is_columnar"],
+        &["open_index", "inspect"],
     ),
     ("index", &["varint"], &["get_varint", "get_delta_run"]),
 ];

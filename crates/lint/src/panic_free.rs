@@ -35,7 +35,7 @@ const ROOTS: &[(&str, &[&str], RootFns)] = &[
     (
         "index",
         &["columnar"],
-        RootFns::Only(&["open_index", "inspect", "is_columnar"]),
+        RootFns::Only(&["open_index", "inspect"]),
     ),
     (
         "index",
@@ -45,8 +45,8 @@ const ROOTS: &[(&str, &[&str], RootFns)] = &[
     ("index", &["phrase"], RootFns::All),
     // Sharded-snapshot manifest decoding: parses untrusted on-disk text.
     ("index", &["segment"], RootFns::Only(&["parse"])),
-    // Scatter-gather segment execution: runs on the serving path for
-    // every query against a sharded engine.
+    // The lane executor (`execute_lanes` and everything beside it): runs
+    // on the serving path for every query.
     ("core", &["segment"], RootFns::All),
     // Serve request dispatch: everything a worker or reader thread runs
     // between accept and the response frame.

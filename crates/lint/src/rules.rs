@@ -79,9 +79,10 @@ pub fn is_answer_cmp_module(path: &str) -> bool {
     )
 }
 
-/// Modules allowed to spawn threads: the sharded scan, the parallel
-/// ingest, and the serve worker pool / per-connection readers all sit
-/// behind the `resolve_threads` + `effective_workers` clamp; the ingest
+/// Modules allowed to spawn threads: the query lanes (`par.rs` holds the
+/// one `thread::scope` of query execution), the parallel ingest, and the
+/// serve worker pool / per-connection readers all sit behind the
+/// `resolve_threads` + `effective_workers` clamp; the ingest
 /// writer spawns exactly one named background merger, not a pool, and
 /// the scrubber spawns exactly one named `pimento-scrub` thread.
 pub fn may_spawn_threads(path: &str) -> bool {

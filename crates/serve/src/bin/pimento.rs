@@ -30,11 +30,11 @@ fn serve_usage() -> ! {
          \x20        [--shards N] [--queue-capacity N] [--cache-capacity N] [--query-threads N]\n\
          \x20        [--timeout-ms N] [--conn-timeout-ms N] [--profile-dir DIR]\n\
          --snapshot PATH  open a binary index snapshot instead of parsing XML\n\
-         \x20                (columnar v4 opens zero-copy; legacy v3 rebuilds indexes;\n\
+         \x20                (columnar v4, opened zero-copy; older formats are refused;\n\
          \x20                a directory opens as a sharded snapshot — see `snapshot build --shards`)\n\
-         --shards N       reshard the corpus into N doc-range segments served by\n\
-         \x20                scatter-gather (bit-identical results; ignored if a sharded\n\
-         \x20                snapshot directory already fixes the segmentation)\n\
+         --shards N       lay the corpus out as N doc-range segments, each one lane\n\
+         \x20                task per query (ignored if a sharded snapshot directory\n\
+         \x20                already fixes the segmentation)\n\
          --addr           listen address (default 127.0.0.1:7654; port 0 = pick a free port)\n\
          --threads N      worker pool size (0 = all cores; same clamp as search --threads)\n\
          --queue-capacity bounded request queue; full = typed `overloaded` error (default 64)\n\
@@ -402,16 +402,15 @@ fn run_scrub(rest: Vec<String>) -> ExitCode {
 /// `pimento snapshot`: build and inspect binary index snapshots.
 fn snapshot_usage() -> ! {
     eprintln!(
-        "usage: pimento snapshot build --docs FILE... --out PATH [--v3 | --shards N]\n\
+        "usage: pimento snapshot build --docs FILE... --out PATH [--shards N]\n\
          \x20      pimento snapshot inspect PATH\n\
-         build    parse + index the documents, write a snapshot (columnar v4 by\n\
-         \x20        default; --v3 writes the legacy collection-only format;\n\
+         build    parse + index the documents, write a columnar (v4) snapshot;\n\
          \x20        --shards N writes a sharded snapshot DIRECTORY at PATH: one\n\
-         \x20        v4 file per doc-range segment plus a MANIFEST)\n\
+         \x20        v4 file per doc-range segment plus a MANIFEST\n\
          inspect  print the header, section directory, and per-section CRC\n\
-         \x20        verdicts of a v3 or v4 snapshot — or, for a sharded snapshot\n\
+         \x20        verdicts of a v4 snapshot — or, for a sharded snapshot\n\
          \x20        directory, the manifest plus per-segment verdicts; exit 1 if\n\
-         \x20        any check fails"
+         \x20        any check fails or the file is in an older format"
     );
     std::process::exit(2)
 }
@@ -525,7 +524,6 @@ fn run_snapshot(rest: Vec<String>) -> ExitCode {
         Some("build") => {
             let mut docs: Vec<String> = Vec::new();
             let mut out: Option<String> = None;
-            let mut legacy = false;
             let mut shards = 0usize;
             while let Some(a) = it.next() {
                 match a.as_str() {
@@ -538,7 +536,6 @@ fn run_snapshot(rest: Vec<String>) -> ExitCode {
                         }
                     }
                     "--out" => out = Some(it.next().unwrap_or_else(|| snapshot_usage())),
-                    "--v3" => legacy = true,
                     "--shards" => {
                         shards = it
                             .next()
@@ -547,10 +544,6 @@ fn run_snapshot(rest: Vec<String>) -> ExitCode {
                     }
                     _ => snapshot_usage(),
                 }
-            }
-            if legacy && shards > 1 {
-                eprintln!("--v3 and --shards are mutually exclusive");
-                return ExitCode::FAILURE;
             }
             let (Some(out), false) = (out, docs.is_empty()) else {
                 snapshot_usage()
@@ -592,22 +585,14 @@ fn run_snapshot(rest: Vec<String>) -> ExitCode {
                 );
                 return ExitCode::SUCCESS;
             }
-            let data = if legacy {
-                engine.save_snapshot_v3()
-            } else {
-                engine.save_snapshot()
-            };
+            let data = engine.save_snapshot();
             if let Err(e) = std::fs::write(&out, &data) {
                 eprintln!("cannot write {out}: {e}");
                 return ExitCode::FAILURE;
             }
             println!(
                 "wrote {out}: format v{}, {} docs, {} bytes",
-                if legacy {
-                    pimento_index::FORMAT_VERSION
-                } else {
-                    pimento_index::COLUMNAR_VERSION
-                },
+                pimento_index::COLUMNAR_VERSION,
                 engine.num_docs(),
                 data.len()
             );
@@ -874,9 +859,10 @@ fn usage() -> ! {
     eprintln!(
         "usage: pimento --docs FILE... --query QUERY [--profile RULES_FILE] \
          [--k N] [--strategy naive|il|sil|push] [--threads N] [--shards N] [--explain] [--analyze] [--winnow]\n\
-         --threads N   worker threads for query execution (0 = all cores, 1 = sequential)\n\
-         --shards N    split the corpus into N doc-range segments and answer by\n\
-         \x20             scatter-gather (bit-identical results; see DESIGN.md §15)\n\
+         --threads N   lanes (threads) for query execution (0 = all cores, 1 = the\n\
+         \x20             calling thread only; see DESIGN.md §8)\n\
+         --shards N    lay the corpus out as N doc-range segments before searching\n\
+         \x20             (a layout flag: each segment is one lane task)\n\
        pimento lint --profile RULES_FILE [--query QUERY] [--docs FILE...] [--k N]\n\
          static profile + plan soundness verification (see `pimento lint --help`)\n\
        pimento lint --workspace [--format text|json]\n\
@@ -1111,18 +1097,18 @@ fn main() -> ExitCode {
             results.stats.ft_probes,
             results.stats.vor_comparisons
         );
-        if results.worker_stats.len() > 1 {
-            let shard_breakdown = !results.shard_times_us.is_empty();
-            for (i, w) in results.worker_stats.iter().enumerate() {
-                let label = if shard_breakdown { "shard" } else { "worker" };
-                let time = results
-                    .shard_times_us
-                    .get(i)
-                    .map(|us| format!(" time={us}µs"))
-                    .unwrap_or_default();
+        if results.lanes.len() > 1 {
+            for (i, lane) in results.lanes.iter().enumerate() {
+                let w = &lane.stats;
                 println!(
-                    "  {label} {i}: base={} pruned={} bulk={} ft_probes={} vor_cmps={}{time}",
-                    w.base_answers, w.pruned, w.bulk_pruned, w.ft_probes, w.vor_comparisons
+                    "  lane {i} (segment {}): base={} pruned={} bulk={} ft_probes={} vor_cmps={} time={}µs",
+                    lane.segment,
+                    w.base_answers,
+                    w.pruned,
+                    w.bulk_pruned,
+                    w.ft_probes,
+                    w.vor_comparisons,
+                    lane.micros
                 );
             }
         }

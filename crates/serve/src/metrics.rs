@@ -11,6 +11,7 @@
 
 use crate::json::{obj, Value};
 use pimento::algebra::ExecStats;
+use pimento::segment::LaneStats;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
@@ -102,8 +103,8 @@ counters! {
     /// Milliseconds spent building or opening the engine before the
     /// server was bound (a gauge, set once at startup).
     startup_load_ms,
-    /// Snapshot format version the engine was opened from (`3` legacy,
-    /// `4` columnar, `0` = built from XML; set once at startup).
+    /// Snapshot format version the engine was opened from (`4` columnar,
+    /// `0` = built from XML; set once at startup).
     startup_snapshot_format,
     /// Segment count of the served engine (a gauge, set once at startup;
     /// `1` = monolithic).
@@ -235,14 +236,15 @@ impl Metrics {
         self.merge_failures.store(merge_failures, Ordering::Relaxed);
     }
 
-    /// Fold one search's per-segment scan times into the cumulative
-    /// per-shard slots. No-op on monolithic results (empty slice);
-    /// segments past `MAX_SHARD_SLOTS` fold into the last slot.
-    pub fn absorb_shard_times(&self, times_us: &[u64]) {
-        for (i, &us) in times_us.iter().enumerate() {
-            let idx = i.min(MAX_SHARD_SLOTS - 1);
+    /// Fold one search's per-task wall times into the cumulative
+    /// per-segment slots (a segment scanned as several candidate chunks
+    /// adds each chunk's time); segments past `MAX_SHARD_SLOTS` fold into
+    /// the last slot.
+    pub fn absorb_lanes(&self, lanes: &[LaneStats]) {
+        for lane in lanes {
+            let idx = lane.segment.min(MAX_SHARD_SLOTS - 1);
             if let Some(slot) = self.shard_scan_us.get(idx) {
-                slot.fetch_add(us, Ordering::Relaxed);
+                slot.fetch_add(lane.micros, Ordering::Relaxed);
             }
         }
     }
@@ -439,9 +441,32 @@ mod tests {
     fn shard_slots_accumulate_and_fold() {
         let m = Metrics::new();
         m.set_shards(4);
-        m.absorb_shard_times(&[10, 20, 30, 40]);
-        m.absorb_shard_times(&[1, 2, 3, 4]);
-        m.absorb_shard_times(&[]); // monolithic search: no-op
+        let lanes = |micros: &[u64]| -> Vec<LaneStats> {
+            micros
+                .iter()
+                .enumerate()
+                .map(|(segment, &micros)| LaneStats {
+                    segment,
+                    micros,
+                    ..LaneStats::default()
+                })
+                .collect()
+        };
+        m.absorb_lanes(&lanes(&[10, 20, 30, 40]));
+        m.absorb_lanes(&lanes(&[1, 2, 3, 4]));
+        // Two candidate chunks of one segment land in that segment's slot.
+        m.absorb_lanes(&[
+            LaneStats {
+                segment: 3,
+                micros: 50,
+                ..LaneStats::default()
+            },
+            LaneStats {
+                segment: 3,
+                micros: 6,
+                ..LaneStats::default()
+            },
+        ]);
         let snap = m.snapshot(0, 0);
         let shards = snap.get("shards").expect("shards block");
         assert_eq!(shards.get("count").and_then(Value::as_u64), Some(4));
@@ -449,11 +474,10 @@ mod tests {
             panic!("scan_us array");
         };
         let vals: Vec<u64> = scan.iter().filter_map(Value::as_u64).collect();
-        assert_eq!(vals, vec![11, 22, 33, 44]);
+        assert_eq!(vals, vec![11, 22, 33, 100]);
         // Past-capacity segments fold into the last slot instead of
         // being dropped.
-        let big: Vec<u64> = (0..MAX_SHARD_SLOTS as u64 + 4).map(|_| 1).collect();
-        m.absorb_shard_times(&big);
+        m.absorb_lanes(&lanes(&[1; MAX_SHARD_SLOTS + 4]));
         assert_eq!(
             m.shard_scan_us[MAX_SHARD_SLOTS - 1].load(Ordering::Relaxed),
             5

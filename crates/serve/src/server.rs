@@ -1044,7 +1044,7 @@ fn run_query(
         .run_prepared(&prepared, &opts)
         .map_err(map_engine_err)?;
     metrics.absorb_exec(&results.stats);
-    metrics.absorb_shard_times(&results.shard_times_us);
+    metrics.absorb_lanes(&results.lanes);
     Ok(stamp_degraded(
         results_body(&results, cache_state),
         &degraded,

@@ -106,3 +106,31 @@ fn cli_rejects_bad_inputs() {
     assert_eq!(out.status.code(), Some(1));
     assert!(String::from_utf8_lossy(&out.stderr).contains("line 1"));
 }
+
+/// A snapshot in any pre-columnar format is refused with the typed
+/// version error and a nonzero exit — by `snapshot inspect` and by
+/// `serve --snapshot` alike, before anything of the file is decoded.
+#[test]
+fn cli_refuses_pre_columnar_snapshots() {
+    for version in 1..=3u8 {
+        let name = format!("old-v{version}.snap");
+        let path = write_temp(&name, &format!("PIMCOL{version}\0\u{3}\0\0\0not a v4 body"));
+        let expect = format!("snapshot format version {version} is not supported (expected 4)");
+        let inspect = pimento()
+            .args(["snapshot", "inspect"])
+            .arg(&path)
+            .output()
+            .expect("binary runs");
+        assert_eq!(inspect.status.code(), Some(1), "v{version}");
+        let stderr = String::from_utf8_lossy(&inspect.stderr);
+        assert!(stderr.contains(&expect), "{stderr}");
+        let serve = pimento()
+            .args(["serve", "--addr", "127.0.0.1:0", "--snapshot"])
+            .arg(&path)
+            .output()
+            .expect("binary runs");
+        assert_eq!(serve.status.code(), Some(1), "v{version}");
+        let stderr = String::from_utf8_lossy(&serve.stderr);
+        assert!(stderr.contains(&expect), "{stderr}");
+    }
+}

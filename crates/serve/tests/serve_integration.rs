@@ -624,6 +624,59 @@ fn explain_reports_the_plan_without_executing() {
     handle.join().expect("server thread").expect("server ran");
 }
 
+/// What EXPLAIN shows is what runs: for every (segments, threads) the
+/// `explain` reply is exactly the `explain` of a search of the same
+/// engine at the same thread count — same task cut, same clamped lane
+/// count, same per-task plan.
+#[test]
+fn explain_reply_equals_the_explain_of_a_search() {
+    let profile = fig2_profile();
+    for segments in [1usize, 4] {
+        let mut docs = vec![pimento_datagen::paper_figure1().to_string()];
+        docs.extend((0..3).map(|i| pimento_datagen::generate_dealer(20 + i, 40)));
+        let engine = Arc::new(
+            Engine::from_xml_docs(&docs)
+                .expect("corpus parses")
+                .reshard(segments)
+                .expect("reshard"),
+        );
+        assert_eq!(engine.shard_count(), segments);
+        let (addr, handle) = start(Arc::clone(&engine), ServeConfig::default());
+        let mut c = Client::connect(addr).expect("connect");
+        c.register_profile("u", FIG2_RULES).expect("register");
+        for threads in [1usize, 2] {
+            let body = c
+                .request(&obj([
+                    ("cmd", "explain".into()),
+                    ("user", "u".into()),
+                    ("query", CARS_QUERY.into()),
+                    ("k", 5u64.into()),
+                    ("threads", (threads as u64).into()),
+                ]))
+                .expect("explain");
+            let plan = body.get("plan").and_then(Value::as_str).expect("plan");
+            let searched = engine
+                .search(
+                    CARS_QUERY,
+                    &profile,
+                    &SearchOptions::top(5).with_threads(threads),
+                )
+                .expect("search");
+            assert_eq!(
+                plan, searched.explain,
+                "{segments} segments, threads={threads}"
+            );
+            assert_eq!(
+                plan.starts_with("lanes("),
+                searched.lanes.len() > 1,
+                "{plan}"
+            );
+        }
+        c.shutdown().expect("shutdown");
+        handle.join().expect("server thread").expect("server ran");
+    }
+}
+
 #[test]
 fn snapshot_backed_server_is_bit_identical_and_reports_format() {
     let engine = cars_engine();

@@ -38,7 +38,7 @@ echo "==> snapshot gate: persistence + columnar round-trip tests"
 cargo test -q -p pimento-index
 cargo test -q -p pimento-suite --test snapshot_equivalence
 
-echo "==> snapshot gate: build + inspect a fresh v4 fixture"
+echo "==> snapshot gate: build + inspect a fresh v4 fixture; a v3 file is refused"
 SNAP_DIR="$(mktemp -d)"
 trap 'rm -rf "$SNAP_DIR"' EXIT
 cat > "$SNAP_DIR/fixture.xml" <<'XML'
@@ -48,9 +48,15 @@ cargo run -q -p pimento-serve --release --bin pimento -- \
   snapshot build --docs "$SNAP_DIR/fixture.xml" --out "$SNAP_DIR/fixture.v4.snap"
 cargo run -q -p pimento-serve --release --bin pimento -- \
   snapshot inspect "$SNAP_DIR/fixture.v4.snap"
+printf 'PIMCOL3\0\3\0\0\0' > "$SNAP_DIR/fixture.v3.snap"
+if cargo run -q -p pimento-serve --release --bin pimento -- \
+  snapshot inspect "$SNAP_DIR/fixture.v3.snap"; then
+  echo "snapshot inspect accepted a v3 file" >&2
+  exit 1
+fi
 
-echo "==> shard gate: scatter-gather bit-identity tests"
-cargo test -q -p pimento-suite --test shard_equivalence
+echo "==> shard gate: lane-executor bit-identity matrix (segments x lanes) + partial-order reproducer"
+cargo test -q -p pimento-suite --test lane_equivalence --test partial_order
 
 echo "==> shard gate: loadgen --smoke --shards 4 (sharded serving end to end)"
 cargo run -q -p pimento-bench --release --bin loadgen -- --smoke --shards 4

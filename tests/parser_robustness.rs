@@ -2,7 +2,9 @@
 //! snapshot decoder must never panic on arbitrary input — errors are
 //! values here.
 
-use pimento::index::{load_collection, Collection};
+use pimento::index::{
+    open_index, save_index, Collection, InvertedIndex, TagIndex, Tokenizer, ValueIndex,
+};
 use pimento::profile::{parse_profile, parse_rule, PrefRelRegistry};
 use pimento::tpq::parse_tpq;
 use pimento::xml::{parse_with, SymbolTable};
@@ -116,7 +118,7 @@ proptest! {
     /// The snapshot decoder never panics on arbitrary bytes.
     #[test]
     fn snapshot_decoder_never_panics(bytes in proptest::collection::vec(any::<u8>(), 0..400)) {
-        let _ = load_collection(&bytes);
+        let _ = open_index(bytes.into());
     }
 
     /// Random mutations of a valid snapshot never panic the decoder.
@@ -124,11 +126,13 @@ proptest! {
     fn mutated_snapshot_never_panics(flips in proptest::collection::vec((any::<usize>(), any::<u8>()), 1..8)) {
         let mut coll = Collection::new();
         coll.add_xml("<dealer><car><price>500</price></car></dealer>").unwrap();
-        let mut bytes = pimento::index::save_collection(&coll).to_vec();
+        let inv = InvertedIndex::build(&coll, Tokenizer::plain());
+        let (tags, vals) = (TagIndex::build(&coll), ValueIndex::build(&coll));
+        let mut bytes = save_index(&coll, &inv, &tags, &vals).to_vec();
         for (pos, val) in flips {
             let idx = pos % bytes.len();
             bytes[idx] ^= val;
         }
-        let _ = load_collection(&bytes);
+        let _ = open_index(bytes.into());
     }
 }

@@ -1,9 +1,9 @@
 //! ISSUE 6 acceptance: a columnar (v4) snapshot reopened from bytes is
 //! **bit-identical** to the engine that wrote it — same answer elements,
 //! same `S`/`K` score bits — across every plan strategy, on both the
-//! paper's running example and an XMark-style corpus. The legacy v3
-//! format (rebuild-on-load) must agree too, and the version/corruption
-//! matrix must keep producing typed errors.
+//! paper's running example and an XMark-style corpus — and the
+//! version/corruption matrix must keep producing typed errors, with every
+//! pre-columnar format (v1–v3) refused by magic.
 
 use pimento::profile::{parse_profile, PrefRelRegistry, UserProfile};
 use pimento::{Engine, PlanStrategy, SearchOptions};
@@ -39,11 +39,8 @@ fn fingerprint(
 
 fn assert_equivalent(original: &Engine, corpus: &str, queries: &[&str], profile: &UserProfile) {
     let v4 = original.save_snapshot();
-    let v3 = original.save_snapshot_v3();
     let from_v4 = Engine::from_snapshot(&v4).expect("v4 opens");
-    let from_v3 = Engine::from_snapshot(&v3).expect("v3 opens");
     assert_eq!(from_v4.snapshot_format(), Some(4));
-    assert_eq!(from_v3.snapshot_format(), Some(3));
     // The v4 open path must be backed by packed views, not a heap rebuild.
     assert!(
         from_v4.db().tags.is_packed(),
@@ -61,21 +58,16 @@ fn assert_equivalent(original: &Engine, corpus: &str, queries: &[&str], profile:
         for strategy in STRATEGIES {
             let want = fingerprint(original, profile, query, strategy);
             let got4 = fingerprint(&from_v4, profile, query, strategy);
-            let got3 = fingerprint(&from_v3, profile, query, strategy);
             assert_eq!(
                 want, got4,
                 "{corpus}: v4 mismatch for {query} under {strategy:?}"
-            );
-            assert_eq!(
-                want, got3,
-                "{corpus}: v3 mismatch for {query} under {strategy:?}"
             );
         }
     }
 }
 
 #[test]
-fn paper_example_is_bit_identical_across_formats() {
+fn paper_example_is_bit_identical_after_reopen() {
     let mut docs = vec![pimento_datagen::paper_figure1().to_string()];
     docs.push(pimento_datagen::generate_dealer(3, 40));
     docs.push(pimento_datagen::generate_dealer(9, 40));
@@ -91,7 +83,7 @@ fn paper_example_is_bit_identical_across_formats() {
 }
 
 #[test]
-fn xmark_corpus_is_bit_identical_across_formats() {
+fn xmark_corpus_is_bit_identical_after_reopen() {
     let docs: Vec<String> = (0..3)
         .map(|i| pimento_datagen::generate_xmark(i, 20_000))
         .collect();
@@ -121,12 +113,35 @@ fn version_and_corruption_matrix() {
     let mid = bad.len() / 2;
     bad[mid] ^= 0x40;
     assert!(Engine::from_snapshot(&bad).is_err(), "bit flip at {mid}");
-    // Older magics are rejected as version errors, not parse garbage.
-    for magic in [&b"PIMCOL1\0"[..], b"PIMCOL2\0"] {
-        let mut fake = v4.to_vec();
-        fake[..8].copy_from_slice(magic);
-        assert!(Engine::from_snapshot(&fake).is_err(), "{magic:?}");
+    // A file in any earlier format is refused by its magic with the typed
+    // version error — by the open path and by inspect alike, whatever
+    // follows the magic and however short the file — and so is a future
+    // version word.
+    use pimento::index::PersistError::SnapshotVersion;
+    for (magic, found) in [(&b"PIMCOL1\0"[..], 1), (b"PIMCOL2\0", 2), (b"PIMCOL3\0", 3)] {
+        let mut old = v4.to_vec();
+        old[..8].copy_from_slice(magic);
+        let want = SnapshotVersion { found, expected: 4 };
+        for len in [8, 12, old.len()] {
+            assert!(
+                matches!(Engine::from_snapshot(&old[..len]), Err(pimento::Error::Snapshot(e)) if e == want),
+                "v{found}, {len} bytes"
+            );
+            assert_eq!(
+                pimento::index::inspect(&old[..len]).err(),
+                Some(want.clone())
+            );
+        }
     }
+    let mut future = v4.to_vec();
+    future[8..12].copy_from_slice(&99u32.to_le_bytes());
+    assert!(matches!(
+        Engine::from_snapshot(&future),
+        Err(pimento::Error::Snapshot(SnapshotVersion {
+            found: 99,
+            expected: 4
+        }))
+    ));
     // The inspect report agrees with the open path.
     let report = pimento::index::inspect(&v4).expect("inspect v4");
     assert_eq!(report.version, 4);
@@ -139,10 +154,4 @@ fn version_and_corruption_matrix() {
         bad_report.sections.iter().any(|s| !s.crc_ok),
         "{bad_report:?}"
     );
-
-    // v3 snapshots inspect too: one body section, footer CRC verified.
-    let v3 = engine.save_snapshot_v3();
-    let v3_report = pimento::index::inspect(&v3).expect("inspect v3");
-    assert_eq!(v3_report.version, 3);
-    assert!(v3_report.sections.iter().all(|s| s.crc_ok));
 }

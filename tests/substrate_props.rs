@@ -1,7 +1,9 @@
 //! Property-based tests of the substrate invariants: XML round-tripping,
 //! region-label well-nestedness, and inverted-index consistency.
 
-use pimento::index::{Collection, InvertedIndex, TagIndex, Tokenizer};
+use pimento::index::{
+    open_index, save_index, Collection, InvertedIndex, TagIndex, Tokenizer, ValueIndex,
+};
 use pimento::xml::{parse_with, to_string, NodeKind, SymbolTable};
 use proptest::prelude::*;
 
@@ -185,9 +187,11 @@ proptest! {
         let xml = build_xml(&ops);
         let mut coll = Collection::new();
         coll.add_xml(&xml).unwrap();
-        let once = pimento::index::save_collection(&coll);
-        let loaded = pimento::index::load_collection(&once).expect("loads");
-        let twice = pimento::index::save_collection(&loaded);
+        let inv = InvertedIndex::build(&coll, Tokenizer::plain());
+        let (tags, vals) = (TagIndex::build(&coll), ValueIndex::build(&coll));
+        let once = save_index(&coll, &inv, &tags, &vals);
+        let opened = open_index(once.clone()).expect("opens");
+        let twice = save_index(&opened.collection, &opened.inverted, &opened.tags, &opened.values);
         prop_assert_eq!(once, twice);
     }
 

@@ -11,7 +11,7 @@
 //! [`Matcher::eval_pred_near`].
 
 use crate::context::Database;
-use pimento_index::{content_value, ft_contains, ElemEntry, ElemRef, FieldValue};
+use pimento_index::{content_value, count_in_element, ElemEntry, ElemRef, FieldValue};
 use pimento_profile::PersonalizedQuery;
 use pimento_tpq::{Axis, Predicate, RelOp, TagTest, TpqNodeId, Value};
 use pimento_xml::nav;
@@ -48,15 +48,24 @@ pub struct PreparedPhrase {
     pub weight: f64,
 }
 
-/// The analyzed form of a keyword predicate.
+/// The analyzed form of a keyword predicate. The normalized idf of every
+/// phrase is fixed at matcher build, so scoring a candidate needs neither
+/// a document-frequency lookup nor a logarithm.
 #[derive(Debug, Clone)]
 pub enum PreparedKind {
     /// `ftcontains`: a single phrase (normalized tokens).
-    Phrase(Vec<String>),
+    Phrase {
+        /// The analyzed tokens.
+        tokens: Vec<String>,
+        /// `Scorer::nidf` of the tokens.
+        nidf: f64,
+    },
     /// `ftall`: every term present, optional window/order.
     All {
         /// Per-term analyzed tokens.
         terms: Vec<Vec<String>>,
+        /// `Scorer::nidf` per term, parallel to `terms`.
+        nidfs: Vec<f64>,
         /// Maximum token span.
         window: Option<u32>,
         /// Terms must occur in the listed order.
@@ -64,52 +73,57 @@ pub enum PreparedKind {
     },
 }
 
-impl PreparedPhrase {
-    /// Does the predicate hold on `elem`?
-    pub fn matches(&self, db: &Database, elem: &ElemEntry) -> bool {
-        match &self.kind {
-            PreparedKind::Phrase(tokens) => ft_contains(&db.inverted, elem, tokens),
-            PreparedKind::All {
-                terms,
-                window,
-                ordered,
-            } => pimento_index::ft_all(&db.inverted, elem, terms, *window, *ordered),
-        }
-    }
+/// `Scorer::ft_score` with the phrase's `nidf` supplied; `None` when the
+/// phrase does not occur in `elem`.
+fn phrase_score(db: &Database, elem: &ElemEntry, tokens: &[String], nidf: f64) -> Option<f64> {
+    let tf = count_in_element(&db.inverted, elem, tokens);
+    (tf > 0).then(|| db.scorer.tf_component(tf) * nidf)
+}
 
-    /// Score contribution on `elem` (0.0 when the predicate fails), already
+impl PreparedPhrase {
+    /// One index probe deciding both questions: `None` when the predicate
+    /// fails on `elem`, otherwise its score contribution, already
     /// weighted. For `ftall`, the score is the mean of the per-term phrase
     /// scores — keeping it within the declared `bound`.
-    pub fn score(&self, db: &Database, elem: &ElemEntry) -> f64 {
+    pub fn probe(&self, db: &Database, elem: &ElemEntry) -> Option<f64> {
         match &self.kind {
-            PreparedKind::Phrase(tokens) => {
-                self.weight * db.scorer.ft_score(&db.inverted, elem, tokens)
+            PreparedKind::Phrase { tokens, nidf } => {
+                phrase_score(db, elem, tokens, *nidf).map(|s| self.weight * s)
             }
             PreparedKind::All {
                 terms,
+                nidfs,
                 window,
                 ordered,
             } => {
                 if !pimento_index::ft_all(&db.inverted, elem, terms, *window, *ordered) {
-                    return 0.0;
+                    return None;
                 }
                 let sum: f64 = terms
                     .iter()
-                    .map(|t| db.scorer.ft_score(&db.inverted, elem, t))
+                    .zip(nidfs)
+                    .map(|(t, &nidf)| phrase_score(db, elem, t, nidf).unwrap_or(0.0))
                     .sum();
-                self.weight * sum / terms.len() as f64
+                Some(self.weight * sum / terms.len() as f64)
             }
         }
+    }
+
+    /// Score contribution on `elem` (0.0 when the predicate fails), already
+    /// weighted.
+    pub fn score(&self, db: &Database, elem: &ElemEntry) -> f64 {
+        self.probe(db, elem).unwrap_or(0.0)
     }
 
     /// Display text for explain output.
     pub fn describe(&self) -> String {
         match &self.kind {
-            PreparedKind::Phrase(tokens) => tokens.join(" "),
+            PreparedKind::Phrase { tokens, .. } => tokens.join(" "),
             PreparedKind::All {
                 terms,
                 window,
                 ordered,
+                ..
             } => {
                 let mut s = format!(
                     "all({})",
@@ -154,12 +168,12 @@ impl Matcher {
                 let prepared = match p {
                     Predicate::FtContains { phrase } => {
                         let tokens = db.inverted.analyze(phrase);
-                        let bound = db.scorer.nidf(&db.inverted, &tokens) * weight;
+                        let nidf = db.scorer.nidf(&db.inverted, &tokens);
                         PreparedPhrase {
                             node: id,
                             idx: i,
-                            kind: PreparedKind::Phrase(tokens),
-                            bound,
+                            kind: PreparedKind::Phrase { tokens, nidf },
+                            bound: nidf * weight,
                             weight,
                         }
                     }
@@ -170,17 +184,18 @@ impl Matcher {
                     } => {
                         let term_tokens: Vec<Vec<String>> =
                             terms.iter().map(|t| db.inverted.analyze(t)).collect();
-                        let bound = weight
-                            * term_tokens
-                                .iter()
-                                .map(|t| db.scorer.nidf(&db.inverted, t))
-                                .sum::<f64>()
-                            / term_tokens.len().max(1) as f64;
+                        let nidfs: Vec<f64> = term_tokens
+                            .iter()
+                            .map(|t| db.scorer.nidf(&db.inverted, t))
+                            .collect();
+                        let bound =
+                            weight * nidfs.iter().sum::<f64>() / term_tokens.len().max(1) as f64;
                         PreparedPhrase {
                             node: id,
                             idx: i,
                             kind: PreparedKind::All {
                                 terms: term_tokens,
+                                nidfs,
                                 window: *window,
                                 ordered: *ordered,
                             },
@@ -286,10 +301,7 @@ impl Matcher {
                     // means the node can't satisfy it.
                     let prepared = self.kw_tokens.get(&(nid, i))?;
                     *ft_probes += 1;
-                    if !prepared.matches(db, elem) {
-                        return None;
-                    }
-                    score += prepared.score(db, elem);
+                    score += prepared.probe(db, elem)?;
                 }
                 Predicate::Compare { op, value } => {
                     if !compare_content(db, elem.elem_ref(), *op, value) {

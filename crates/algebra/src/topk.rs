@@ -135,39 +135,24 @@ impl TopkPrune {
         // unknown (no certainty at all).
         let k_win = m.k > a.k + kb;
         let k_tie = m.k == a.k + kb;
-        // Certainty on the V component (when VORs exist).
-        enum VCert {
-            Win,
-            Tie,
-            Unknown,
-        }
-        let v = if self.rank.vors.is_empty() {
-            VCert::Tie
-        } else if !self.cfg.use_v {
-            VCert::Unknown
-        } else {
-            match self.rank.vor_compare(m, a, stats) {
-                VorOutcome::PreferA => VCert::Win,
-                VorOutcome::Equal => VCert::Tie,
-                VorOutcome::PreferB | VorOutcome::Incomparable => VCert::Unknown,
-            }
-        };
         let s_win = m.s > a.s + sb;
-        match self.rank.order {
-            RankOrder::Kvs => {
-                k_win
-                    || (k_tie
-                        && match v {
-                            VCert::Win => true,
-                            VCert::Tie => s_win,
-                            VCert::Unknown => false,
-                        })
-            }
-            RankOrder::Vks => match v {
-                VCert::Win => true,
-                VCert::Tie => k_win || (k_tie && s_win),
-                VCert::Unknown => false,
-            },
+        // Under K,V,S the K component decides alone unless it can only
+        // tie, so `≺_V` is consulted on a K tie and nowhere else.
+        if self.rank.order == RankOrder::Kvs && (k_win || !k_tie) {
+            return k_win;
+        }
+        // With the V component certainly tied, K then S decide.
+        let below_v = k_win || (k_tie && s_win);
+        if self.rank.vors.is_empty() {
+            return below_v;
+        }
+        if !self.cfg.use_v {
+            return false;
+        }
+        match self.rank.vor_compare(m, a, stats) {
+            VorOutcome::PreferA => true,
+            VorOutcome::Equal => below_v,
+            VorOutcome::PreferB | VorOutcome::Incomparable => false,
         }
     }
 
@@ -213,7 +198,13 @@ impl TopkPrune {
             return false;
         }
         let list = std::mem::take(&mut self.list);
-        let all_outrank = list.iter().all(|m| self.certainly_outranks(m, a, stats));
+        // A conjunction, so the order of the scan cannot change the
+        // decision; the worst member is the likeliest to fail it, so an
+        // answer that must pass exits on the first comparison.
+        let all_outrank = list
+            .iter()
+            .rev()
+            .all(|m| self.certainly_outranks(m, a, stats));
         self.list = list;
         all_outrank
     }

@@ -298,6 +298,60 @@ fn bench_topk_prune(c: &mut Criterion) {
     group.finish();
 }
 
+fn bench_rank_layering(c: &mut Criterion) {
+    // `≺_V` dominance layering inside `RankContext::rank`: n answers that
+    // tie on K and S, their mileage taking D distinct values under one
+    // "smaller mileage first" rule (D layers). D = 2 and 52 are the
+    // duplicate-heavy shapes a VOR on `color` or `age` gives; D = n is
+    // the all-distinct shape, ranked under V,K,S (one pool, n layers).
+    use pimento::algebra::{Answer, ExecStats, RankContext};
+    use pimento::index::{DocId, ElemEntry};
+    use pimento::profile::{AttrValue, RankOrder, ValueOrderingRule};
+    use std::sync::Arc;
+
+    let rule = ValueOrderingRule::prefer_smaller("m", "car", "mileage");
+    let mut group = c.benchmark_group("rank_layering");
+    group.sample_size(10);
+    for n in [1_000u32, 4_000] {
+        for d in [2, 52, n] {
+            let order = if d == n {
+                RankOrder::Vks
+            } else {
+                RankOrder::Kvs
+            };
+            let rank = RankContext::new(vec![rule.clone()], order);
+            let answers: Vec<Answer> = (0..n)
+                .map(|i| {
+                    let elem = ElemEntry {
+                        doc: DocId(0),
+                        node: pimento::xml::NodeId(0),
+                        start: i,
+                        end: i + 1,
+                        level: 1,
+                    };
+                    let mut a = Answer::new(elem, 0.5);
+                    // 7919 is coprime to every D here: the values arrive
+                    // shuffled, each class equally often.
+                    let mileage = f64::from((i * 7919) % d);
+                    let key = rank.make_key("car", |_, _| Some(AttrValue::Num(mileage)));
+                    a.vor = Some(Arc::new(key));
+                    a
+                })
+                .collect();
+            group.bench_function(format!("n{n}_d{d}"), |b| {
+                b.iter(|| {
+                    let mut pool = answers.clone();
+                    let mut stats = ExecStats::default();
+                    rank.rank(&mut pool, &mut stats);
+                    assert_eq!(pool.len(), n as usize);
+                    stats.vor_comparisons
+                })
+            });
+        }
+    }
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_parse_index,
@@ -308,6 +362,7 @@ criterion_group!(
     bench_profile_io,
     bench_parallel_ingest,
     bench_par_scan,
-    bench_topk_prune
+    bench_topk_prune,
+    bench_rank_layering
 );
 criterion_main!(benches);

@@ -58,7 +58,7 @@ pub use scoping::{Atom, Edit, ScopingRule, SrAction};
 pub use thesaurus::Thesaurus;
 pub use validate::{validate, Finding, FindingKind, Severity, VerifyReport, Warning};
 pub use vor::{compare_all, AttrValue, PrefOp, RuleCmp, ValueOrderingRule, VorForm, VorOutcome};
-pub use vor_table::{CompiledKey, CompiledVors};
+pub use vor_table::{CompiledKey, CompiledVors, KeyClass};
 
 #[cfg(test)]
 mod proptests {

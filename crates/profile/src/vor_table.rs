@@ -168,6 +168,56 @@ impl CompiledKey {
     }
 }
 
+/// A key viewed under **class** equality: two keys are in one class when
+/// every field is identical, floats compared by bit pattern (so `0.0` and
+/// `-0.0` are different classes and a `NaN` equals itself, which makes
+/// this a true equivalence, unlike the derived `PartialEq`).
+/// [`CompiledVors::compare`] is a pure function of the two keys' contents,
+/// so keys of one class are interchangeable in either argument position —
+/// which is what lets ranking decide `≺_V` once per class instead of once
+/// per answer.
+#[derive(Debug, Clone, Copy)]
+pub struct KeyClass<'a>(pub &'a CompiledKey);
+
+/// A slot as class equality sees it: the lowered text of a string value,
+/// and the bit pattern of the float a value is or parses to. Equality and
+/// hash both go through this view, so they agree by construction.
+fn class_view(slot: &Option<CVal>) -> Option<(Option<&str>, Option<u64>)> {
+    slot.as_ref().map(|v| match v {
+        CVal::Num(n) => (None, Some(n.to_bits())),
+        CVal::Str { lower, parsed } => (Some(&**lower), parsed.map(f64::to_bits)),
+    })
+}
+
+impl PartialEq for KeyClass<'_> {
+    fn eq(&self, other: &Self) -> bool {
+        let (a, b) = (self.0, other.0);
+        // `PrefVal` holds no float, so the derived equality is already
+        // bitwise on `prefs`.
+        a.tag_lower == b.tag_lower
+            && a.applicable == b.applicable
+            && a.prefs == b.prefs
+            && a.slots
+                .iter()
+                .map(class_view)
+                .eq(b.slots.iter().map(class_view))
+    }
+}
+
+impl Eq for KeyClass<'_> {}
+
+impl std::hash::Hash for KeyClass<'_> {
+    /// Hashes the tag and the slot values only: `applicable` and `prefs`
+    /// are derived from them at key construction, and a coarser hash is
+    /// still consistent with `eq`.
+    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
+        self.0.tag_lower.hash(state);
+        for slot in self.0.slots.iter() {
+            class_view(slot).hash(state);
+        }
+    }
+}
+
 impl CompiledVors {
     /// Compile a rule set. The rules' input order and priority classes are
     /// preserved exactly (they are semantically significant: within a
@@ -529,6 +579,84 @@ mod agreement {
             }
         }
         assert_eq!(checked, answers.len() * answers.len());
+    }
+
+    fn class_hash(k: &CompiledKey) -> u64 {
+        use std::hash::{Hash, Hasher};
+        let mut h = std::collections::hash_map::DefaultHasher::new();
+        KeyClass(k).hash(&mut h);
+        h.finish()
+    }
+
+    #[test]
+    fn keys_of_one_class_are_interchangeable() {
+        // The class laws ranking relies on: same class ⇒ same hash and
+        // the same `compare` outcome against every third key, in both
+        // argument positions; and a key is never preferred to itself.
+        // Each domain answer is keyed twice, and the float corner cases
+        // get keys of their own.
+        let rules = rules();
+        let compiled = CompiledVors::compile(&rules);
+        let mut keys: Vec<CompiledKey> = answers()
+            .iter()
+            .chain(answers().iter())
+            .map(|(tag, fields)| compiled.make_key(tag, |_, attr| fields.get(attr).cloned()))
+            .collect();
+        let corner = |mileage: AttrValue| {
+            compiled.make_key("car", |_, attr| match attr {
+                "mileage" => Some(mileage.clone()),
+                "make" => Some(AttrValue::Str("honda".into())),
+                _ => None,
+            })
+        };
+        for m in [0.0, -0.0, f64::NAN, 10_000.0] {
+            keys.push(corner(AttrValue::Num(m)));
+            keys.push(corner(AttrValue::Num(m)));
+        }
+        keys.push(corner(AttrValue::Str("NaN".into())));
+        keys.push(corner(AttrValue::Str("10000".into())));
+
+        let mut same_class_pairs = 0usize;
+        for (i, a) in keys.iter().enumerate() {
+            assert!(
+                KeyClass(a) == KeyClass(a),
+                "key {i}: reflexive, NaN included"
+            );
+            // Members of one class never dominate one another.
+            assert_ne!(compiled.compare(a, a), VorOutcome::PreferA, "key {i}");
+            for (j, b) in keys.iter().enumerate() {
+                if i == j || KeyClass(a) != KeyClass(b) {
+                    continue;
+                }
+                same_class_pairs += 1;
+                assert_eq!(class_hash(a), class_hash(b), "keys {i}/{j}");
+                for (t, c) in keys.iter().enumerate() {
+                    assert_eq!(
+                        compiled.compare(a, c),
+                        compiled.compare(b, c),
+                        "{i}/{j} vs {t}"
+                    );
+                    assert_eq!(
+                        compiled.compare(c, a),
+                        compiled.compare(c, b),
+                        "{t} vs {i}/{j}"
+                    );
+                }
+            }
+        }
+        assert!(same_class_pairs >= 2 * answers().len() + 8);
+        // Bitwise, not numeric: the zeros differ, and a number is not the
+        // string that parses to it, although `compare` treats both alike.
+        let class_eq = |a: AttrValue, b: AttrValue| KeyClass(&corner(a)) == KeyClass(&corner(b));
+        assert!(!class_eq(AttrValue::Num(0.0), AttrValue::Num(-0.0)));
+        assert!(!class_eq(
+            AttrValue::Num(10_000.0),
+            AttrValue::Str("10000".into())
+        ));
+        assert!(!class_eq(
+            AttrValue::Num(f64::NAN),
+            AttrValue::Str("NaN".into())
+        ));
     }
 
     #[test]

@@ -58,6 +58,11 @@ fi
 echo "==> shard gate: lane-executor bit-identity matrix (segments x lanes) + partial-order reproducer"
 cargo test -q -p pimento-suite --test lane_equivalence --test partial_order
 
+echo "==> rank gate: class layering == all-pairs oracle (proptest), key-class laws, Fig. 5 work bound"
+cargo test -q -p pimento-algebra class_layering
+cargo test -q -p pimento-profile keys_of_one_class_are_interchangeable
+cargo test -q -p pimento-suite --test rank_work
+
 echo "==> shard gate: loadgen --smoke --shards 4 (sharded serving end to end)"
 cargo run -q -p pimento-bench --release --bin loadgen -- --smoke --shards 4
 

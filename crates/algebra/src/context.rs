@@ -46,33 +46,6 @@ impl std::ops::Deref for Database {
     }
 }
 
-/// Why an in-place index mutation was refused or failed.
-#[derive(Debug, Clone, PartialEq)]
-pub enum MutateError {
-    /// The document's XML failed to parse.
-    Xml(pimento_xml::XmlError),
-    /// The index block is shared (another engine generation still reads
-    /// it); in-place mutation would change published results.
-    Shared,
-}
-
-impl std::fmt::Display for MutateError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            MutateError::Xml(e) => write!(f, "{e}"),
-            MutateError::Shared => write!(f, "indexes are shared; cannot mutate in place"),
-        }
-    }
-}
-
-impl std::error::Error for MutateError {}
-
-impl From<pimento_xml::XmlError> for MutateError {
-    fn from(e: pimento_xml::XmlError) -> Self {
-        MutateError::Xml(e)
-    }
-}
-
 impl Database {
     /// Index `coll` with the given tokenizer.
     pub fn index(coll: Collection, tokenizer: Tokenizer) -> Self {
@@ -98,9 +71,9 @@ impl Database {
     }
 
     /// Assemble a database from already-constructed parts — the columnar
-    /// snapshot open path, where the indexes are packed zero-copy views
-    /// instead of heap rebuilds. Only the scorer (a handful of corpus
-    /// aggregates) is computed here.
+    /// snapshot open path, where the indexes were decoded from the file
+    /// instead of rebuilt from the documents. Only the scorer (a handful
+    /// of corpus aggregates) is computed here.
     pub fn from_parts(
         coll: Collection,
         inverted: InvertedIndex,
@@ -163,23 +136,6 @@ impl Database {
     pub fn live_docs(&self) -> usize {
         self.coll.len() - self.deleted_count() as usize
     }
-
-    /// Add one more document, updating the indexes incrementally — new
-    /// postings and element entries append in `(doc, …)` order, so no
-    /// rebuild or re-sort happens; only the scorer's document count
-    /// refreshes. Fails with [`MutateError::Shared`] when the index block
-    /// is still referenced by another generation (published segments are
-    /// immutable; build a delta segment instead).
-    pub fn add_xml(&mut self, xml: &str) -> Result<pimento_index::DocId, MutateError> {
-        let indexes = Arc::get_mut(&mut self.indexes).ok_or(MutateError::Shared)?;
-        let doc_id = indexes.coll.add_xml(xml)?;
-        let doc = indexes.coll.doc(doc_id);
-        indexes.inverted.index_document(doc_id, doc);
-        indexes.tags.index_document(doc_id, doc);
-        indexes.values.index_document(doc_id, doc);
-        self.scorer = Scorer::new(&self.indexes.inverted);
-        Ok(doc_id)
-    }
 }
 
 /// Counters accumulated during one plan execution — the observable the
@@ -240,72 +196,5 @@ mod tests {
         a.absorb(&b);
         assert_eq!(a.pruned, 7);
         assert_eq!(a.emitted, 2);
-    }
-}
-
-#[cfg(test)]
-mod incremental_tests {
-    use super::*;
-
-    #[test]
-    fn incremental_add_equals_full_rebuild() {
-        let docs = [
-            "<dealer><car><d>good condition</d><price>100</price></car></dealer>",
-            "<dealer><car><d>rusty</d><price>50</price></car></dealer>",
-            "<dealer><car><d>good condition low mileage</d><price>900</price></car></dealer>",
-        ];
-        // Full build.
-        let mut full_coll = Collection::new();
-        for d in &docs {
-            full_coll.add_xml(d).unwrap();
-        }
-        let full = Database::index_plain(full_coll);
-        // Incremental build.
-        let mut coll = Collection::new();
-        coll.add_xml(docs[0]).unwrap();
-        let mut inc = Database::index_plain(coll);
-        for d in &docs[1..] {
-            inc.add_xml(d).unwrap();
-        }
-        assert_eq!(full.inverted.num_docs(), inc.inverted.num_docs());
-        assert_eq!(
-            full.inverted.vocabulary_size(),
-            inc.inverted.vocabulary_size()
-        );
-        for term in ["good", "condition", "rusty", "mileage", "100"] {
-            assert_eq!(
-                full.inverted.postings(term),
-                inc.inverted.postings(term),
-                "{term}"
-            );
-            assert_eq!(
-                full.inverted.doc_freq(term),
-                inc.inverted.doc_freq(term),
-                "{term}"
-            );
-        }
-        let car = full.coll.tag("car").unwrap();
-        let car_i = inc.coll.tag("car").unwrap();
-        assert_eq!(full.tags.elements(car), inc.tags.elements(car_i));
-    }
-
-    #[test]
-    fn queries_see_incrementally_added_documents() {
-        let mut coll = Collection::new();
-        coll.add_xml("<dealer><car><d>good condition</d></car></dealer>")
-            .unwrap();
-        let mut db = Database::index_plain(coll);
-        db.add_xml("<dealer><car><d>good condition in NYC</d></car></dealer>")
-            .unwrap();
-        let car = db.coll.tag("car").unwrap();
-        assert_eq!(db.tags.count(car), 2);
-        let nyc = db.inverted.analyze("NYC");
-        let hits: Vec<_> = db
-            .tags
-            .elements(car)
-            .iter()
-            .filter(|e| pimento_index::ft_contains(&db.inverted, e, &nyc))
-            .collect();
-        assert_eq!(hits.len(), 1);
     }
 }

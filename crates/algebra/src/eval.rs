@@ -354,7 +354,7 @@ impl Matcher {
                     parent_elem.start,
                     parent_elem.end,
                 ) {
-                    consider(self, cand, ft_probes);
+                    consider(self, *cand, ft_probes);
                 }
             }
             (Some(CompiledTag::Sym(sym)), Axis::Child) => {
@@ -474,7 +474,7 @@ impl Matcher {
             .tags
             .elements_within(sym, scope.doc, scope.start, scope.end)
         {
-            best = best.max(phrase.score(db, &cand));
+            best = best.max(phrase.score(db, cand));
         }
         // The scope element itself may carry the tag.
         if db.coll.node(scope.elem_ref()).tag() == Some(sym) {
@@ -707,7 +707,7 @@ mod tests {
         pq.optional_preds.insert((pq.tpq.root(), 0));
         let m = Matcher::new(&db, pq);
         let b = db.coll.tag("b").unwrap();
-        let elem = db.tags.elements(b).at(0);
+        let elem = db.tags.elements(b)[0];
         let opt = m.optional_keywords();
         let mut probes = 0;
         assert!(m.eval_pred_near(&db, &opt[0], &elem, &mut probes) > 0.0);
@@ -726,8 +726,8 @@ mod tests {
         let db = db("<a><x>red</x><y>42</y></a>");
         let x = db.coll.tag("x").unwrap();
         let y = db.coll.tag("y").unwrap();
-        let ex = db.tags.elements(x).at(0).elem_ref();
-        let ey = db.tags.elements(y).at(0).elem_ref();
+        let ex = db.tags.elements(x)[0].elem_ref();
+        let ey = db.tags.elements(y)[0].elem_ref();
         assert!(compare_content(
             &db,
             ex,

@@ -42,7 +42,7 @@ pub mod topk;
 pub mod trace;
 
 pub use answer::{Answer, VorKey};
-pub use context::{Database, ExecStats, Indexes, MutateError};
+pub use context::{Database, ExecStats, Indexes};
 pub use eval::{compare_content, entry_of, Matcher, PreparedKind, PreparedPhrase};
 pub use ops::{
     gather_candidates, BoxedOp, KorJoin, Operator, QueryEval, Sort, SrPredJoin, VorFetch,
@@ -110,16 +110,16 @@ mod oracle_tests {
         let mut probes = 0u64;
         let mut answers: Vec<Answer> = Vec::new();
         for e in db.tags.elements(sym) {
-            let Some(mut s) = matcher.match_answer(db, &e, &mut probes) else {
+            let Some(mut s) = matcher.match_answer(db, e, &mut probes) else {
                 continue;
             };
             for p in matcher.optional_keywords() {
-                s += matcher.eval_pred_near(db, &p, &e, &mut probes);
+                s += matcher.eval_pred_near(db, &p, e, &mut probes);
             }
-            let mut a = Answer::new(e, s);
+            let mut a = Answer::new(*e, s);
             for kor in kors {
                 let tokens = db.inverted.analyze(&kor.phrase);
-                if ft_contains(&db.inverted, &e, &tokens) {
+                if ft_contains(&db.inverted, e, &tokens) {
                     a.k += kor.weight;
                 }
             }

@@ -367,7 +367,7 @@ mod tests {
         let mut probes = 0;
         let car = db.coll.tag("car").unwrap();
         for e in db.tags.elements(car) {
-            if m.match_answer(&db, &e, &mut probes).is_some() {
+            if m.match_answer(&db, e, &mut probes).is_some() {
                 assert!(
                     pre.iter().any(|c| c.node == e.node && c.doc == e.doc),
                     "pre-filter dropped a true answer"

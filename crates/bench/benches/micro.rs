@@ -205,6 +205,46 @@ fn bench_par_scan(c: &mut Criterion) {
     group.finish();
 }
 
+fn bench_reopened_query(c: &mut Criterion) {
+    // An engine reopened from its own snapshot against the engine that
+    // wrote it, same query. The decoded indexes are structurally the built
+    // ones, so the two must stay within noise: a gap here means a restarted
+    // server is slower than the one that built the corpus (numbers in
+    // EXPERIMENTS.md).
+    use pimento::profile::UserProfile;
+    use pimento::{Engine, SearchOptions};
+    use pimento_bench::workloads::{fig5_profile, FIG5_QUERY};
+
+    let xmark_doc = [xmark::generate(42, 1024 * 1024)];
+    let dealers: Vec<String> = (0..32).map(|i| carsale::generate_dealer(i, 100)).collect();
+    let cases = [
+        ("xmark_1M_fig5", &xmark_doc[..], FIG5_QUERY, fig5_profile(4, true)),
+        (
+            "dealers_32x100",
+            &dealers[..],
+            r#"//car[ftcontains(., "good condition")]"#,
+            UserProfile::new(),
+        ),
+    ];
+    let opts = SearchOptions::top(10);
+    let mut group = c.benchmark_group("reopened_query");
+    group.sample_size(10);
+    for (corpus, docs, query, profile) in &cases {
+        let built = Engine::from_xml_docs(docs).expect("corpus parses");
+        let reopened = Engine::from_snapshot_bytes(built.save_snapshot()).expect("snapshot opens");
+        for (how, engine) in [("built", &built), ("reopened", &reopened)] {
+            let prepared = engine.prepare(query, profile).expect("valid query");
+            group.bench_function(format!("{corpus}/{how}"), |b| {
+                b.iter(|| {
+                    let res = engine.run_prepared(&prepared, &opts).expect("query runs");
+                    assert_eq!(res.hits.len(), 10);
+                })
+            });
+        }
+    }
+    group.finish();
+}
+
 fn bench_topk_prune(c: &mut Criterion) {
     // §6.3 ablation: the three pruning regimes over a synthetic stream of
     // 10k answers (Algorithm 1: S only; Algorithm 3: K bound; Algorithm 2:
@@ -362,6 +402,7 @@ criterion_group!(
     bench_profile_io,
     bench_parallel_ingest,
     bench_par_scan,
+    bench_reopened_query,
     bench_topk_prune,
     bench_rank_layering
 );

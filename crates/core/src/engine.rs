@@ -30,7 +30,7 @@ pub struct Engine {
     /// are the prefix sums of segment sizes starting at 0.
     segments: Vec<Arc<Segment>>,
     /// Snapshot format version this engine was opened from (`Some(4)`,
-    /// the zero-copy columnar format), or `None` when built by parsing XML.
+    /// the columnar format), or `None` when built by parsing XML.
     snapshot_format: Option<u32>,
     /// Corpus generation: 0 for a freshly built corpus, bumped by every
     /// published write (ingest, delete, merge compaction). Prepared-plan
@@ -127,8 +127,8 @@ impl Engine {
 
     /// Serialize the engine to a columnar (v4) binary snapshot: documents
     /// plus the already-built indexes, laid out so that
-    /// [`Engine::from_snapshot`] opens them as zero-copy views instead of
-    /// rebuilding them. A sharded engine flattens back to one monolithic
+    /// [`Engine::from_snapshot`] decodes them instead of rebuilding them
+    /// from the documents. A sharded engine flattens back to one monolithic
     /// snapshot; use [`Engine::save_sharded_snapshot`] to keep the
     /// per-segment layout.
     pub fn save_snapshot(&self) -> bytes::Bytes {
@@ -188,10 +188,8 @@ impl Engine {
     }
 
     /// Write a sharded snapshot directory: one v4 columnar file per
-    /// segment plus a [`ShardManifest`] (v2 when the engine carries a
-    /// nonzero generation or tombstones, v1 otherwise).
-    /// [`Engine::from_sharded_dir`] reopens each segment through the
-    /// zero-copy columnar path.
+    /// segment plus a checksummed [`ShardManifest`];
+    /// [`Engine::from_sharded_dir`] reopens it.
     pub fn save_sharded_snapshot(&self, dir: &Path) -> Result<(), Error> {
         self.save_sharded_snapshot_vfs(&pimento_faults::vfs::StdVfs, dir)
     }
@@ -225,10 +223,10 @@ impl Engine {
     }
 
     /// Reopen a sharded snapshot directory written by
-    /// [`Engine::save_sharded_snapshot`]: each segment opens through the
-    /// zero-copy columnar path, and corpus-wide scoring statistics are
-    /// recomputed by exact integer summation across segments — so search
-    /// results are bit-identical to the engine that was saved.
+    /// [`Engine::save_sharded_snapshot`]: each segment file is validated
+    /// and decoded, and corpus-wide scoring statistics are recomputed by
+    /// exact integer summation across segments — so search results are
+    /// bit-identical to the engine that was saved.
     pub fn from_sharded_dir(dir: &Path) -> Result<Self, Error> {
         Self::from_sharded_dir_vfs(&pimento_faults::vfs::StdVfs, dir)
     }
@@ -256,7 +254,7 @@ impl Engine {
             let data = vfs
                 .read(&path)
                 .map_err(|e| crate::error::classify_io(&path, &e))?;
-            let opened = pimento_index::open_index(bytes::Bytes::from(data))?;
+            let opened = pimento_index::open_index(&data)?;
             let mut db = Database::from_parts(
                 opened.collection,
                 opened.inverted,
@@ -306,17 +304,13 @@ impl Engine {
             .at_generation(manifest.generation))
     }
 
-    /// Reopen an engine from a columnar (v4) snapshot: the indexes are
-    /// packed views over the buffer — no per-posting heap rebuild. A file
-    /// in an earlier format (`PIMCOL1`–`PIMCOL3`) is rejected by magic
-    /// with the typed `SnapshotVersion` error; nothing of it is decoded.
+    /// Reopen an engine from a columnar (v4) snapshot: every section is
+    /// validated and decoded here, once, into the same indexes a build
+    /// from XML produces — a malformed file is a typed error from this
+    /// call, and queries never see how the engine was obtained. A file in
+    /// an earlier format (`PIMCOL1`–`PIMCOL3`) is rejected by magic with
+    /// the typed `SnapshotVersion` error; nothing of it is decoded.
     pub fn from_snapshot(data: &[u8]) -> Result<Self, Error> {
-        Self::from_snapshot_bytes(bytes::Bytes::copy_from_slice(data))
-    }
-
-    /// Like [`Engine::from_snapshot`], but takes ownership of the buffer so
-    /// the open path is zero-copy end to end.
-    pub fn from_snapshot_bytes(data: bytes::Bytes) -> Result<Self, Error> {
         let opened = pimento_index::open_index(data)?;
         let db = Database::from_parts(
             opened.collection,
@@ -328,6 +322,14 @@ impl Engine {
             db,
             Some(pimento_index::COLUMNAR_VERSION),
         ))
+    }
+
+    /// [`Engine::from_snapshot`] for callers holding the file as [`Bytes`];
+    /// the buffer is released when this returns.
+    ///
+    /// [`Bytes`]: bytes::Bytes
+    pub fn from_snapshot_bytes(data: bytes::Bytes) -> Result<Self, Error> {
+        Self::from_snapshot(&data)
     }
 
     /// Snapshot format version this engine was opened from, if any.
@@ -602,26 +604,6 @@ impl Engine {
     /// Documents visible to queries: total minus tombstoned.
     pub fn live_docs(&self) -> usize {
         self.num_docs() - self.deleted_docs()
-    }
-
-    /// Add a document to a live engine; indexes update incrementally.
-    /// Only valid on a monolithic (single-segment) engine — a sharded
-    /// corpus is immutable (rebuild or [`Engine::reshard`] instead).
-    pub fn add_xml(&mut self, xml: &str) -> Result<(), Error> {
-        if self.segments.len() > 1 {
-            return Err(Error::Shard(
-                "cannot add documents to a sharded engine; rebuild it monolithic first",
-            ));
-        }
-        let seg = self
-            .segments
-            .first_mut()
-            .ok_or(Error::Shard("engine has no segments"))?;
-        let seg = Arc::get_mut(seg).ok_or(Error::Shard(
-            "engine segment is shared; cannot mutate in place",
-        ))?;
-        seg.db_mut().add_xml(xml)?;
-        Ok(())
     }
 
     /// Personalize `query` under `profile`: run the static analyses and
@@ -1147,7 +1129,7 @@ mod persistence_tests {
     }
 
     #[test]
-    fn columnar_snapshot_opens_packed_and_reports_format() {
+    fn columnar_snapshot_reopens_to_the_built_indexes_and_reports_format() {
         let docs: Vec<String> = (0..3)
             .map(|i| pimento_datagen::generate_dealer(i, 8))
             .collect();
@@ -1160,9 +1142,9 @@ mod persistence_tests {
             opened.snapshot_format(),
             Some(pimento_index::COLUMNAR_VERSION)
         );
-        assert!(opened.db().tags.is_packed());
-        assert!(opened.db().values.is_packed());
-        assert!(opened.db().inverted.is_packed());
+        assert_eq!(opened.db().tags, original.db().tags);
+        assert_eq!(opened.db().values, original.db().values);
+        assert_eq!(opened.db().inverted, original.db().inverted);
 
         let q = r#"//car[ftcontains(., "good condition")]"#;
         let a = original

@@ -74,17 +74,6 @@ impl std::error::Error for Error {
     }
 }
 
-impl From<pimento_algebra::MutateError> for Error {
-    fn from(e: pimento_algebra::MutateError) -> Self {
-        match e {
-            pimento_algebra::MutateError::Xml(e) => Error::Xml(e),
-            pimento_algebra::MutateError::Shared => {
-                Error::Shard("engine indexes are shared; cannot mutate in place")
-            }
-        }
-    }
-}
-
 impl From<XmlError> for Error {
     fn from(e: XmlError) -> Self {
         Error::Xml(e)

@@ -49,12 +49,6 @@ impl Segment {
         &self.db
     }
 
-    /// Mutable database access for the monolithic single-segment case
-    /// (incremental `add_xml`).
-    pub(crate) fn db_mut(&mut self) -> &mut Database {
-        &mut self.db
-    }
-
     /// Global doc id of the segment's first document.
     pub fn doc_base(&self) -> u32 {
         self.doc_base

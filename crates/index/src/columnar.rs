@@ -1,15 +1,14 @@
 //! `PIMCOL4` columnar snapshots: flat, offset-indexed, CRC-checked.
 //!
-//! The legacy v3 snapshot ([`crate::persist`]) stores only the parsed
-//! document arenas; every open re-builds the tag, value, and inverted
-//! indexes on the heap. This module writes the *indexes themselves* as
-//! flat columnar sections, so opening a snapshot is O(validation) instead
-//! of O(rebuild): the file loads into one immutable [`Bytes`] buffer and
-//! the packed index backings ([`TagIndex`], [`ValueIndex`],
-//! [`InvertedIndex`]) are zero-copy windows over it — no per-posting or
-//! per-element heap allocation happens at open. ("Zero-copy" throughout
-//! means *no rebuild*: the crate is `forbid(unsafe_code)`, so packed rows
-//! are decoded on access with `from_le_bytes`, never pointer-cast.)
+//! A snapshot stores the parsed document arenas *and* the three indexes
+//! built over them as flat sections behind a CRC-checked directory. This
+//! module is the only place that knows the byte layout: [`save_index`]
+//! writes it, and [`open_index`] validates and decodes every section, in
+//! one pass, into exactly the structures [`TagIndex::build`],
+//! [`ValueIndex::build`] and [`InvertedIndex::build`] produce — so a
+//! reopened index is indistinguishable from a built one and the query
+//! path has a single representation to read (DESIGN.md §13.4 has the
+//! measurement behind decoding at open rather than on access).
 //!
 //! ## On-disk layout (all integers little-endian)
 //!
@@ -30,9 +29,8 @@
 //!   meta     u32 tokenizer kind (0 plain / 1 stemming), u32 doc count,
 //!            u32 symbol count, u32 reserved
 //!   symtab   dense symbol column (see `SymbolTable::column_bytes`)
-//!   docs     node arenas, one per document in id order (the v3 per-node
-//!            record encoding; decoded to heap at open — documents are
-//!            the one part queries mutate/traverse as linked arenas)
+//!   docs     node arenas, one per document in id order (the per-node
+//!            record encoding of `crate::persist`)
 //!   tags     u32 sym domain, u32 total rows,
 //!            per-symbol directory (u32 start row, u32 row count) × domain,
 //!            18-byte element rows (u32 doc, u32 node, u32 start, u32 end,
@@ -46,26 +44,36 @@
 //!            u32 total postings); UTF-8 name heap; runs blob — per token:
 //!            12-byte doc-run entries (u32 doc, u32 payload offset, u32
 //!            posting count), then delta-encoded varint payload, each
-//!            posting a (pos, label, text-node) triple, first absolute,
-//!            rest deltas (see `crate::varint`)
+//!            posting a (pos, label, text-node) triple of deltas from the
+//!            previous posting of the run (from zero for the first; see
+//!            `crate::varint`)
 //! ```
 //!
-//! Integrity is per-section: the opener checks the directory CRC, then
-//! each section's CRC, then structural bounds (directory spans, row
-//! counts, name/run offsets) — a flipped bit or truncation surfaces as
-//! [`PersistError::SnapshotCorrupt`] *naming the failing section* before
-//! any query can observe bad data. Older magics (v1–v3) are rejected with
-//! the typed [`PersistError::SnapshotVersion`].
+//! Names, run blobs and per-symbol row spans are laid out back to back in
+//! directory order, and the opener insists on it: every offset must equal
+//! the end of its predecessor and the last must land on the section end.
+//! No two entries can therefore alias the same bytes (decoded size is
+//! bounded by file size) and every accepted file re-serializes to the same
+//! bytes, which is what lets the scrubber repair a segment bit-identically.
+//!
+//! Integrity is per-section: the opener checks the directory CRC, then for
+//! each section its CRC and, while decoding, its structure (spans, counts,
+//! offsets, varint runs, id ranges) — a flipped bit, a truncation or a
+//! malformed-but-checksummed section surfaces as
+//! [`PersistError::SnapshotCorrupt`] *naming the failing section* from
+//! `open_index`, before any query can observe bad data. Older magics
+//! (v1–v3) are rejected with the typed [`PersistError::SnapshotVersion`].
 
-use crate::inverted::{InvertedIndex, Posting, RUN_ROW, TOKEN_ROW};
+use crate::inverted::{InvertedIndex, Posting, TokenEntry};
 use crate::persist::{crc32, put_document, read_document, PersistError};
 use crate::store::{Collection, DocId};
-use crate::tags::{put_elem_row, u32_at, u64_at, TagIndex, ELEM_ROW};
+use crate::tags::{ElemEntry, TagIndex};
 use crate::tokenize::Tokenizer;
-use crate::values::{put_val_row, ValueIndex, VAL_ROW};
-use crate::varint::put_varint;
+use crate::values::ValueIndex;
+use crate::varint::{get_varint, put_varint};
 use bytes::Bytes;
-use pimento_xml::{SymbolId, SymbolTable};
+use pimento_xml::{NodeId, SymbolId, SymbolTable};
+use std::collections::HashMap;
 
 /// v4 magic: the columnar format this module reads and writes.
 pub(crate) const COLUMNAR_MAGIC: &[u8; 8] = b"PIMCOL4\0";
@@ -76,22 +84,32 @@ pub const COLUMNAR_VERSION: u32 = 4;
 const HEADER_LEN: usize = 24;
 /// Directory row size: name + offset + length + CRC + reserved.
 const DIR_ROW: usize = 32;
+/// One element row: four `u32`s + one `u16`, unpadded.
+const ELEM_ROW: usize = 18;
+/// One value row: the `f64` bit pattern followed by the element row.
+const VAL_ROW: usize = 8 + ELEM_ROW;
+/// One token-directory row: `name_off`, `name_len`, `doc_freq`,
+/// `run_count`, `runs_off`, `total_postings` — six `u32`s.
+const TOKEN_ROW: usize = 24;
+/// One per-document run-table entry: `doc`, `payload_off` (relative to the
+/// token's varint payload base), `posting_count`.
+const RUN_ROW: usize = 12;
 
 /// Section names in file order. The opener looks sections up by name, so
 /// order is a writer convention, not a reader requirement.
 const SECTIONS: [&str; 6] = ["meta", "symtab", "docs", "tags", "vals", "inv"];
 
-/// Everything a columnar snapshot opens into: the decoded document store
-/// plus the three packed (zero-copy) indexes.
+/// Everything a columnar snapshot opens into: the document store and the
+/// three indexes over it, decoded.
 #[derive(Debug)]
 pub struct OpenedIndex {
-    /// Decoded document arenas + symbol table.
+    /// Document arenas + symbol table.
     pub collection: Collection,
-    /// Packed inverted index (varint posting runs, decoded per lookup).
+    /// Inverted index.
     pub inverted: InvertedIndex,
-    /// Packed tag index (flat element rows).
+    /// Tag index.
     pub tags: TagIndex,
-    /// Packed value index (flat value rows).
+    /// Value index.
     pub values: ValueIndex,
 }
 
@@ -122,18 +140,32 @@ fn docs_section(coll: &Collection) -> Vec<u8> {
     out
 }
 
-fn tags_section(tags: &TagIndex, sym_domain: u32) -> Vec<u8> {
+fn put_elem_row(out: &mut Vec<u8>, e: &ElemEntry) {
+    out.extend_from_slice(&e.doc.0.to_le_bytes());
+    out.extend_from_slice(&e.node.0.to_le_bytes());
+    out.extend_from_slice(&e.start.to_le_bytes());
+    out.extend_from_slice(&e.end.to_le_bytes());
+    out.extend_from_slice(&e.level.to_le_bytes());
+}
+
+/// The shared shape of `tags` and `vals`: a per-symbol `(start row, row
+/// count)` directory over the whole symbol domain, then the rows.
+fn rowed_section<T>(
+    by_tag: &HashMap<SymbolId, Vec<T>>,
+    sym_domain: u32,
+    put_row: impl Fn(&mut Vec<u8>, &T),
+) -> Vec<u8> {
     let mut dir = Vec::with_capacity(sym_domain as usize * 8);
     let mut rows = Vec::new();
     let mut start = 0u32;
     for s in 0..sym_domain {
-        let view = tags.elements(SymbolId(s));
+        let list = by_tag.get(&SymbolId(s)).map(Vec::as_slice).unwrap_or(&[]);
         dir.extend_from_slice(&start.to_le_bytes());
-        dir.extend_from_slice(&(view.len() as u32).to_le_bytes());
-        for e in view.iter() {
-            put_elem_row(&mut rows, &e);
+        dir.extend_from_slice(&(list.len() as u32).to_le_bytes());
+        for row in list {
+            put_row(&mut rows, row);
         }
-        start += view.len() as u32;
+        start += list.len() as u32;
     }
     let mut out = Vec::with_capacity(8 + dir.len() + rows.len());
     out.extend_from_slice(&sym_domain.to_le_bytes());
@@ -143,89 +175,54 @@ fn tags_section(tags: &TagIndex, sym_domain: u32) -> Vec<u8> {
     out
 }
 
-fn vals_section(values: &ValueIndex, sym_domain: u32) -> Vec<u8> {
-    let mut dir = Vec::with_capacity(sym_domain as usize * 8);
-    let mut rows = Vec::new();
-    let mut start = 0u32;
-    for s in 0..sym_domain {
-        let entries = values.dump_tag(SymbolId(s));
-        dir.extend_from_slice(&start.to_le_bytes());
-        dir.extend_from_slice(&(entries.len() as u32).to_le_bytes());
-        for (v, e) in &entries {
-            put_val_row(&mut rows, *v, e);
-        }
-        start += entries.len() as u32;
-    }
-    let mut out = Vec::with_capacity(8 + dir.len() + rows.len());
-    out.extend_from_slice(&sym_domain.to_le_bytes());
-    out.extend_from_slice(&start.to_le_bytes());
-    out.extend_from_slice(&dir);
-    out.extend_from_slice(&rows);
-    out
-}
-
-/// Delta-encode one `(token, doc)` posting run: first triple absolute,
-/// the rest as differences (all nondecreasing in document order).
+/// Delta-encode one `(token, doc)` posting run: each triple as its
+/// difference from the previous one (from zero for the first); all three
+/// components are nondecreasing in document order.
 fn put_run_payload(out: &mut Vec<u8>, run: &[Posting]) {
     let (mut pp, mut pl, mut pt) = (0u32, 0u32, 0u32);
-    for (i, p) in run.iter().enumerate() {
-        if i == 0 {
-            put_varint(out, p.pos);
-            put_varint(out, p.label);
-            put_varint(out, p.text_node.0);
-        } else {
-            debug_assert!(p.pos >= pp && p.label >= pl && p.text_node.0 >= pt);
-            put_varint(out, p.pos - pp);
-            put_varint(out, p.label - pl);
-            put_varint(out, p.text_node.0 - pt);
-        }
+    for p in run {
+        debug_assert!(p.pos >= pp && p.label >= pl && p.text_node.0 >= pt);
+        put_varint(out, p.pos - pp);
+        put_varint(out, p.label - pl);
+        put_varint(out, p.text_node.0 - pt);
         (pp, pl, pt) = (p.pos, p.label, p.text_node.0);
     }
 }
 
-fn inv_section(inverted: &InvertedIndex, doc_count: u32) -> Vec<u8> {
-    let names = inverted.dump_token_names();
-    let mut doc_tokens = Vec::with_capacity(doc_count as usize * 4);
-    for d in 0..doc_count {
-        doc_tokens.extend_from_slice(&inverted.doc_len(DocId(d)).to_le_bytes());
+fn inv_section(inverted: &InvertedIndex) -> Vec<u8> {
+    let mut tokens: Vec<(&String, &TokenEntry)> = inverted.tokens.iter().collect();
+    tokens.sort_unstable_by_key(|(name, _)| *name);
+    let mut doc_tokens = Vec::with_capacity(inverted.doc_tokens.len() * 4);
+    for n in &inverted.doc_tokens {
+        doc_tokens.extend_from_slice(&n.to_le_bytes());
     }
-    let mut token_rows = Vec::with_capacity(names.len() * TOKEN_ROW);
+    let mut token_rows = Vec::with_capacity(tokens.len() * TOKEN_ROW);
     let mut name_heap = Vec::new();
     let mut runs = Vec::new();
-    for name in &names {
-        let postings = inverted.postings(name);
+    for (name, entry) in &tokens {
         // Split into per-document runs (postings are (doc, pos)-sorted).
         let mut run_table = Vec::new();
         let mut payload = Vec::new();
-        let mut run_count = 0u32;
-        let mut i = 0;
-        while i < postings.len() {
-            let doc = postings[i].doc;
-            let mut j = i;
-            while j < postings.len() && postings[j].doc == doc {
-                j += 1;
-            }
-            run_table.extend_from_slice(&doc.0.to_le_bytes());
+        for run in entry.postings.chunk_by(|a, b| a.doc == b.doc) {
+            run_table.extend_from_slice(&run[0].doc.0.to_le_bytes());
             run_table.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-            run_table.extend_from_slice(&((j - i) as u32).to_le_bytes());
-            put_run_payload(&mut payload, &postings[i..j]);
-            run_count += 1;
-            i = j;
+            run_table.extend_from_slice(&(run.len() as u32).to_le_bytes());
+            put_run_payload(&mut payload, run);
         }
         token_rows.extend_from_slice(&(name_heap.len() as u32).to_le_bytes());
         token_rows.extend_from_slice(&(name.len() as u32).to_le_bytes());
-        token_rows.extend_from_slice(&inverted.doc_freq(name).to_le_bytes());
-        token_rows.extend_from_slice(&run_count.to_le_bytes());
+        token_rows.extend_from_slice(&entry.doc_freq.to_le_bytes());
+        token_rows.extend_from_slice(&((run_table.len() / RUN_ROW) as u32).to_le_bytes());
         token_rows.extend_from_slice(&(runs.len() as u32).to_le_bytes());
-        token_rows.extend_from_slice(&(postings.len() as u32).to_le_bytes());
+        token_rows.extend_from_slice(&(entry.postings.len() as u32).to_le_bytes());
         name_heap.extend_from_slice(name.as_bytes());
         runs.extend_from_slice(&run_table);
         runs.extend_from_slice(&payload);
     }
     let mut out =
         Vec::with_capacity(16 + doc_tokens.len() + token_rows.len() + name_heap.len() + runs.len());
-    out.extend_from_slice(&doc_count.to_le_bytes());
-    out.extend_from_slice(&(names.len() as u32).to_le_bytes());
+    out.extend_from_slice(&(inverted.doc_tokens.len() as u32).to_le_bytes());
+    out.extend_from_slice(&(tokens.len() as u32).to_le_bytes());
     out.extend_from_slice(&(name_heap.len() as u32).to_le_bytes());
     out.extend_from_slice(&(runs.len() as u32).to_le_bytes());
     out.extend_from_slice(&doc_tokens);
@@ -248,6 +245,7 @@ pub fn save_index(
 ) -> Bytes {
     let sym_count = coll.symbols().len() as u32;
     let doc_count = coll.len() as u32;
+    debug_assert_eq!(inverted.num_docs(), doc_count);
     let sections: [(&str, Vec<u8>); 6] = [
         (
             "meta",
@@ -255,9 +253,15 @@ pub fn save_index(
         ),
         ("symtab", coll.symbols().column_bytes()),
         ("docs", docs_section(coll)),
-        ("tags", tags_section(tags, sym_count)),
-        ("vals", vals_section(values, sym_count)),
-        ("inv", inv_section(inverted, doc_count)),
+        ("tags", rowed_section(&tags.by_tag, sym_count, put_elem_row)),
+        (
+            "vals",
+            rowed_section(&values.by_tag, sym_count, |out, (v, e)| {
+                out.extend_from_slice(&v.to_bits().to_le_bytes());
+                put_elem_row(out, e);
+            }),
+        ),
+        ("inv", inv_section(inverted)),
     ];
     debug_assert!(sections.iter().map(|(n, _)| *n).eq(SECTIONS));
 
@@ -295,6 +299,37 @@ pub fn save_index(
 // Opener
 // ---------------------------------------------------------------------------
 
+/// Little-endian field readers. Callers hand them a window they have
+/// already sized (a header after its length check, one `chunks_exact`
+/// row), so a read past the end cannot happen; it is asserted in debug
+/// builds and yields zero rather than a panic in release builds.
+fn u16_at(b: &[u8], off: usize) -> u16 {
+    let mut raw = [0u8; 2];
+    match off.checked_add(2).and_then(|end| b.get(off..end)) {
+        Some(src) => raw.copy_from_slice(src),
+        None => debug_assert!(false, "u16_at past the sized window"),
+    }
+    u16::from_le_bytes(raw)
+}
+
+fn u32_at(b: &[u8], off: usize) -> u32 {
+    let mut raw = [0u8; 4];
+    match off.checked_add(4).and_then(|end| b.get(off..end)) {
+        Some(src) => raw.copy_from_slice(src),
+        None => debug_assert!(false, "u32_at past the sized window"),
+    }
+    u32::from_le_bytes(raw)
+}
+
+fn u64_at(b: &[u8], off: usize) -> u64 {
+    let mut raw = [0u8; 8];
+    match off.checked_add(8).and_then(|end| b.get(off..end)) {
+        Some(src) => raw.copy_from_slice(src),
+        None => debug_assert!(false, "u64_at past the sized window"),
+    }
+    u64::from_le_bytes(raw)
+}
+
 /// One parsed directory entry.
 #[derive(Debug, Clone, Copy)]
 struct DirEntry {
@@ -321,11 +356,6 @@ fn slice_at(data: &[u8], off: usize, len: usize) -> Result<&[u8], PersistError> 
     off.checked_add(len)
         .and_then(|end| data.get(off..end))
         .ok_or(PersistError::Truncated)
-}
-
-/// The byte window a directory entry describes.
-fn section_bytes<'a>(data: &'a [u8], e: &DirEntry) -> Result<&'a [u8], PersistError> {
-    slice_at(data, e.offset, e.len)
 }
 
 /// Triage the header: magic family and version. Shared by the opener and
@@ -392,40 +422,35 @@ fn read_directory(data: &[u8]) -> Result<Vec<DirEntry>, PersistError> {
     Ok(entries)
 }
 
-fn find<'a>(entries: &'a [DirEntry], name: &str) -> Result<&'a DirEntry, PersistError> {
-    entries
-        .iter()
-        .find(|e| e.name == name)
-        .ok_or(PersistError::BadArena("missing snapshot section"))
-}
-
-/// Open a v4 columnar snapshot over one shared buffer.
+/// Open a v4 columnar snapshot: validate and decode every section, in file
+/// order, into the document store and the three indexes over it.
 ///
-/// Validation is O(file bytes) for the CRC sweeps plus O(symbols + tokens)
-/// structural checks; the only heap decoding is the `docs` arenas. The
-/// returned indexes are packed views over `data` — no postings or element
-/// rows are materialized here.
-pub fn open_index(data: Bytes) -> Result<OpenedIndex, PersistError> {
-    let entries = read_directory(&data)?;
+/// Each section is CRC-checked and then decoded in one pass over its
+/// bytes; nothing borrows from `data` afterwards.
+pub fn open_index(data: &[u8]) -> Result<OpenedIndex, PersistError> {
+    let entries = read_directory(data)?;
     #[cfg(feature = "fault-injection")]
     if pimento_faults::should_fire("index.persist.load") {
         return Err(PersistError::SnapshotCorrupt {
             section: "directory",
         });
     }
-    // Per-section integrity before any decoding.
-    for e in &entries {
-        if crc32(section_bytes(&data, e)?) != e.crc {
-            return Err(PersistError::SnapshotCorrupt { section: e.name });
+    let section = |name: &'static str| -> Result<&[u8], PersistError> {
+        let e = entries
+            .iter()
+            .find(|e| e.name == name)
+            .ok_or(PersistError::BadArena("missing snapshot section"))?;
+        let bytes = slice_at(data, e.offset, e.len)?;
+        if crc32(bytes) != e.crc {
+            return Err(PersistError::SnapshotCorrupt { section: name });
         }
-    }
+        Ok(bytes)
+    };
 
-    // meta
-    let meta = find(&entries, "meta")?;
-    if meta.len < 16 {
+    let m = section("meta")?;
+    if m.len() < 16 {
         return Err(PersistError::SnapshotCorrupt { section: "meta" });
     }
-    let m = section_bytes(&data, meta)?;
     let tokenizer = match u32_at(m, 0) {
         0 => Tokenizer::plain(),
         1 => Tokenizer::stemming(),
@@ -434,173 +459,242 @@ pub fn open_index(data: Bytes) -> Result<OpenedIndex, PersistError> {
     let doc_count = u32_at(m, 4);
     let sym_count = u32_at(m, 8);
 
-    // symtab
-    let symtab = find(&entries, "symtab")?;
-    let symbols = SymbolTable::from_column_bytes(section_bytes(&data, symtab)?)
-        .map_err(PersistError::BadArena)?;
+    let symbols =
+        SymbolTable::from_column_bytes(section("symtab")?).map_err(PersistError::BadArena)?;
     if symbols.len() as u32 != sym_count {
         return Err(PersistError::BadArena("symbol count mismatch"));
     }
 
-    // docs — the one heap-decoded section (arena traversal needs it).
-    let docs = find(&entries, "docs")?;
-    let mut coll = Collection::new();
-    *coll.symbols_mut() = symbols;
-    let mut buf = section_bytes(&data, docs)?;
+    let mut collection = Collection::new();
+    *collection.symbols_mut() = symbols;
+    let mut buf = section("docs")?;
     for _ in 0..doc_count {
         let doc = read_document(&mut buf, sym_count)?;
-        coll.add_document(doc);
+        collection.add_document(doc);
     }
     if !buf.is_empty() {
         return Err(PersistError::BadArena("trailing bytes after documents"));
     }
 
-    // tags
-    let tags = find(&entries, "tags")?;
-    let (tag_dir, tag_rows) = split_rowed(&data, tags, sym_count, ELEM_ROW, "tags")?;
-
-    // vals
-    let vals = find(&entries, "vals")?;
-    let (val_dir, val_rows) = split_rowed(&data, vals, sym_count, VAL_ROW, "vals")?;
-
-    // inv
-    let inv = find(&entries, "inv")?;
-    let (doc_tokens, token_rows, names, runs) = split_inv(&data, inv, doc_count)?;
+    // Element rows address nodes of the documents just decoded; a row
+    // pointing outside them would panic the first query that follows it.
+    let node_counts: Vec<usize> = collection.iter().map(|(_, d)| d.len()).collect();
+    let elem_row = |row: &[u8]| {
+        let e = ElemEntry {
+            doc: DocId(u32_at(row, 0)),
+            node: NodeId(u32_at(row, 4)),
+            start: u32_at(row, 8),
+            end: u32_at(row, 12),
+            level: u16_at(row, 16),
+        };
+        let nodes = node_counts.get(e.doc.0 as usize)?;
+        ((e.node.0 as usize) < *nodes).then_some(e)
+    };
+    let tags = TagIndex {
+        by_tag: decode_rowed(section("tags")?, "tags", sym_count, ELEM_ROW, elem_row)?,
+    };
+    let values = ValueIndex {
+        by_tag: decode_rowed(section("vals")?, "vals", sym_count, VAL_ROW, |row| {
+            let v = f64::from_bits(u64_at(row, 0));
+            let e = elem_row(row.get(8..)?)?;
+            (!v.is_nan()).then_some((v, e))
+        })?,
+    };
+    let inverted = decode_inv(section("inv")?, tokenizer, doc_count)?;
 
     Ok(OpenedIndex {
-        collection: coll,
-        inverted: InvertedIndex::from_packed(tokenizer, doc_tokens, token_rows, names, runs),
-        tags: TagIndex::from_packed(tag_dir, tag_rows),
-        values: ValueIndex::from_packed(val_dir, val_rows),
+        collection,
+        inverted,
+        tags,
+        values,
     })
 }
 
-/// Validate and slice a `tags`/`vals`-shaped section into its directory
-/// and row windows.
-fn split_rowed(
-    data: &Bytes,
-    e: &DirEntry,
-    sym_count: u32,
-    row: usize,
+/// Decode a `tags`/`vals`-shaped section: `decode_row` turns one
+/// `row_len`-byte row into an entry, or `None` for a row that must not be
+/// served.
+fn decode_rowed<T>(
+    b: &[u8],
     section: &'static str,
-) -> Result<(Bytes, Bytes), PersistError> {
+    sym_count: u32,
+    row_len: usize,
+    decode_row: impl Fn(&[u8]) -> Option<T>,
+) -> Result<HashMap<SymbolId, Vec<T>>, PersistError> {
     let corrupt = || PersistError::SnapshotCorrupt { section };
-    let b = section_bytes(data, e).map_err(|_| corrupt())?;
     if b.len() < 8 {
         return Err(corrupt());
     }
-    let domain = u32_at(b, 0) as usize;
+    let domain = u32_at(b, 0);
     let total = u32_at(b, 4) as usize;
-    if domain != sym_count as usize {
+    if domain != sym_count {
         return Err(corrupt());
     }
-    let dir_len = domain.checked_mul(8).ok_or_else(corrupt)?;
-    let rows_len = total.checked_mul(row).ok_or_else(corrupt)?;
-    let body_len = dir_len
-        .checked_add(rows_len)
-        .and_then(|v| v.checked_add(8))
+    let dir_len = (domain as usize).checked_mul(8).ok_or_else(corrupt)?;
+    let rows_len = total.checked_mul(row_len).ok_or_else(corrupt)?;
+    let (dir, rows) = b
+        .get(8..)
+        .and_then(|body| body.split_at_checked(dir_len))
         .ok_or_else(corrupt)?;
-    if body_len != b.len() {
+    if rows.len() != rows_len {
         return Err(corrupt());
     }
-    // Every directory span must stay inside the row region, and spans must
-    // tile it in order (start rows nondecreasing), so accessors can slice
-    // without panicking.
-    let dir_bytes = slice_at(b, 8, dir_len).map_err(|_| corrupt())?;
-    let mut prev_end = 0usize;
-    for span in dir_bytes.chunks_exact(8) {
+    // The per-symbol spans tile the row region in symbol order, so the
+    // rows are consumed front to back, each exactly once.
+    let mut rows = rows.chunks_exact(row_len);
+    let mut next_row = 0usize;
+    let mut by_tag = HashMap::new();
+    for (sym, span) in (0..domain).zip(dir.chunks_exact(8)) {
         let start = u32_at(span, 0) as usize;
         let count = u32_at(span, 4) as usize;
-        let end = start
-            .checked_add(count)
-            .filter(|&end| end <= total)
-            .ok_or_else(corrupt)?;
-        if start != prev_end {
+        if start != next_row {
             return Err(corrupt());
         }
-        prev_end = end;
+        if count == 0 {
+            continue;
+        }
+        if count > rows.len() {
+            return Err(corrupt());
+        }
+        let mut list = Vec::with_capacity(count);
+        for row in rows.by_ref().take(count) {
+            list.push(decode_row(row).ok_or_else(corrupt)?);
+        }
+        next_row = next_row.checked_add(count).ok_or_else(corrupt)?;
+        by_tag.insert(SymbolId(sym), list);
     }
-    if prev_end != total {
+    if next_row != total {
         return Err(corrupt());
     }
-    let dir_start = e.offset.checked_add(8).ok_or_else(corrupt)?;
-    let rows_start = dir_start.checked_add(dir_len).ok_or_else(corrupt)?;
-    let end = e.offset.checked_add(e.len).ok_or_else(corrupt)?;
-    Ok((
-        data.slice(dir_start..rows_start),
-        data.slice(rows_start..end),
-    ))
+    Ok(by_tag)
 }
 
-/// Validate and slice the `inv` section into its four windows.
-fn split_inv(
-    data: &Bytes,
-    e: &DirEntry,
+/// Decode `count` delta-encoded posting triples of document `doc` from the
+/// front of `buf`, returning the remaining bytes. `None` on a truncated or
+/// overlong varint, or a delta that overflows `u32`.
+fn decode_run<'a>(
+    mut buf: &'a [u8],
+    count: usize,
+    doc: DocId,
+    out: &mut Vec<Posting>,
+) -> Option<&'a [u8]> {
+    let (mut pos, mut label, mut text) = (0u32, 0u32, 0u32);
+    for _ in 0..count {
+        let (dp, rest) = get_varint(buf)?;
+        let (dl, rest) = get_varint(rest)?;
+        let (dt, rest) = get_varint(rest)?;
+        buf = rest;
+        pos = pos.checked_add(dp)?;
+        label = label.checked_add(dl)?;
+        text = text.checked_add(dt)?;
+        out.push(Posting {
+            doc,
+            pos,
+            label,
+            text_node: NodeId(text),
+        });
+    }
+    Some(buf)
+}
+
+/// Decode the `inv` section.
+fn decode_inv(
+    b: &[u8],
+    tokenizer: Tokenizer,
     expect_docs: u32,
-) -> Result<(Bytes, Bytes, Bytes, Bytes), PersistError> {
+) -> Result<InvertedIndex, PersistError> {
     let corrupt = || PersistError::SnapshotCorrupt { section: "inv" };
-    let b = section_bytes(data, e).map_err(|_| corrupt())?;
     if b.len() < 16 {
         return Err(corrupt());
     }
-    let doc_count = u32_at(b, 0) as usize;
     let token_count = u32_at(b, 4) as usize;
     let names_len = u32_at(b, 8) as usize;
     let runs_len = u32_at(b, 12) as usize;
-    if doc_count != expect_docs as usize {
+    if u32_at(b, 0) != expect_docs {
         return Err(corrupt());
     }
-    let dt_len = doc_count.checked_mul(4).ok_or_else(corrupt)?;
-    let tr_len = token_count.checked_mul(TOKEN_ROW).ok_or_else(corrupt)?;
-    let total = [16, dt_len, tr_len, names_len, runs_len]
-        .into_iter()
-        .try_fold(0usize, |a, x| a.checked_add(x))
-        .ok_or_else(corrupt)?;
-    if total != b.len() {
+    // Four windows back to back, filling the section exactly.
+    let mut rest = b.get(16..).ok_or_else(corrupt)?;
+    let mut window = |len: Option<usize>| {
+        let (head, tail) = rest.split_at_checked(len?)?;
+        rest = tail;
+        Some(head)
+    };
+    let doc_tokens = window((expect_docs as usize).checked_mul(4)).ok_or_else(corrupt)?;
+    let token_rows = window(token_count.checked_mul(TOKEN_ROW)).ok_or_else(corrupt)?;
+    let names = window(Some(names_len)).ok_or_else(corrupt)?;
+    let runs = window(Some(runs_len)).ok_or_else(corrupt)?;
+    if !rest.is_empty() {
         return Err(corrupt());
     }
-    let tr_base = dt_len.checked_add(16).ok_or_else(corrupt)?;
-    let names_base = tr_base.checked_add(tr_len).ok_or_else(corrupt)?;
-    let runs_base = names_base.checked_add(names_len).ok_or_else(corrupt)?;
-    // Structural bounds per token row: the name must live inside the name
-    // heap, the run table inside the runs blob, and names must be strictly
-    // sorted (the lookup binary-searches them).
-    let token_rows = b.get(tr_base..names_base).ok_or_else(corrupt)?;
-    let names_heap = b.get(names_base..runs_base).ok_or_else(corrupt)?;
-    let mut prev_name: Option<&[u8]> = None;
+
+    let mut tokens = HashMap::with_capacity(token_count);
+    let (mut names_at, mut runs_at) = (0usize, 0usize);
+    let mut prev_name: Option<&str> = None;
     for trow in token_rows.chunks_exact(TOKEN_ROW) {
-        let name_off = u32_at(trow, 0) as usize;
         let name_len = u32_at(trow, 4) as usize;
+        let doc_freq = u32_at(trow, 8);
         let run_count = u32_at(trow, 12) as usize;
-        let runs_off = u32_at(trow, 16) as usize;
-        let name_end = name_off
-            .checked_add(name_len)
-            .filter(|&end| end <= names_len)
-            .ok_or_else(corrupt)?;
-        let table_len = run_count.checked_mul(RUN_ROW).ok_or_else(corrupt)?;
-        if runs_off
-            .checked_add(table_len)
-            .is_none_or(|end| end > runs_len)
+        let total_postings = u32_at(trow, 20) as usize;
+        if u32_at(trow, 0) as usize != names_at
+            || u32_at(trow, 16) as usize != runs_at
+            || run_count == 0
         {
             return Err(corrupt());
         }
-        let name = names_heap.get(name_off..name_end).ok_or_else(corrupt)?;
-        if prev_name.is_some_and(|p| name <= p) {
+        // Names are valid UTF-8 and strictly sorted (one entry per token).
+        let name = slice_at(names, names_at, name_len)
+            .ok()
+            .and_then(|raw| std::str::from_utf8(raw).ok())
+            .filter(|name| prev_name.is_none_or(|p| p < *name))
+            .ok_or_else(corrupt)?;
+        prev_name = Some(name);
+        names_at = names_at.checked_add(name_len).ok_or_else(corrupt)?;
+
+        let table_len = run_count.checked_mul(RUN_ROW).ok_or_else(corrupt)?;
+        let (table, payload) = runs
+            .get(runs_at..)
+            .and_then(|blob| blob.split_at_checked(table_len))
+            .ok_or_else(corrupt)?;
+        // A posting takes at least three payload bytes: this bounds the
+        // allocation below by the bytes actually present.
+        if total_postings
+            .checked_mul(3)
+            .is_none_or(|least| least > payload.len())
+        {
             return Err(corrupt());
         }
-        prev_name = Some(name);
+        let mut postings = Vec::with_capacity(total_postings);
+        let mut unread = payload;
+        let mut prev_doc = None;
+        for run in table.chunks_exact(RUN_ROW) {
+            let doc = u32_at(run, 0);
+            let count = u32_at(run, 8) as usize;
+            // One nonempty run per document, documents ascending, each
+            // run's payload starting where the previous one ended.
+            if doc >= expect_docs
+                || prev_doc.is_some_and(|p| doc <= p)
+                || count == 0
+                || u32_at(run, 4) as usize != payload.len() - unread.len()
+            {
+                return Err(corrupt());
+            }
+            prev_doc = Some(doc);
+            unread = decode_run(unread, count, DocId(doc), &mut postings).ok_or_else(corrupt)?;
+        }
+        if postings.len() != total_postings || doc_freq as usize != run_count {
+            return Err(corrupt());
+        }
+        runs_at = runs_len - unread.len();
+        tokens.insert(name.to_string(), TokenEntry { doc_freq, postings });
     }
-    let window = |rel_start: usize, rel_end: usize| -> Result<Bytes, PersistError> {
-        let s = e.offset.checked_add(rel_start).ok_or_else(corrupt)?;
-        let t = e.offset.checked_add(rel_end).ok_or_else(corrupt)?;
-        Ok(data.slice(s..t))
-    };
-    Ok((
-        window(16, tr_base)?,
-        window(tr_base, names_base)?,
-        window(names_base, runs_base)?,
-        window(runs_base, e.len)?,
-    ))
+    if names_at != names_len || runs_at != runs_len {
+        return Err(corrupt());
+    }
+    Ok(InvertedIndex {
+        tokenizer,
+        tokens,
+        doc_tokens: doc_tokens.chunks_exact(4).map(|c| u32_at(c, 0)).collect(),
+    })
 }
 
 // ---------------------------------------------------------------------------
@@ -685,7 +779,6 @@ pub fn inspect(data: &[u8]) -> Result<SnapshotReport, PersistError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::values::RangeOp;
 
     fn sample() -> (Collection, InvertedIndex, TagIndex, ValueIndex) {
         let mut c = Collection::new();
@@ -708,71 +801,27 @@ mod tests {
     }
 
     #[test]
-    fn roundtrip_is_query_identical() {
+    fn reopened_equals_built_and_resaves_to_the_same_bytes() {
         let (c, inv, tags, vals, snap) = snapshot();
-        let opened = open_index(snap).unwrap();
-        assert!(opened.inverted.is_packed());
-        assert!(opened.tags.is_packed());
-        assert!(opened.values.is_packed());
+        let opened = open_index(&snap).unwrap();
 
         // Collection: same docs, same symbols/ids.
         assert_eq!(opened.collection.len(), c.len());
         for (i, name) in c.symbols().iter().enumerate() {
             assert_eq!(opened.collection.symbols().name(SymbolId(i as u32)), name);
         }
-
-        // Inverted: identical postings, doc stats, vocabulary.
-        assert_eq!(opened.inverted.vocabulary_size(), inv.vocabulary_size());
-        assert_eq!(opened.inverted.num_docs(), inv.num_docs());
-        for token in inv.dump_token_names() {
-            assert_eq!(
-                opened.inverted.postings(&token),
-                inv.postings(&token),
-                "{token}"
-            );
-            assert_eq!(opened.inverted.doc_freq(&token), inv.doc_freq(&token));
-            for d in 0..inv.num_docs() {
-                assert_eq!(
-                    opened.inverted.doc_postings(&token, DocId(d)),
-                    inv.doc_postings(&token, DocId(d))
-                );
-            }
-        }
-        assert_eq!(opened.inverted.doc_postings("good", DocId(9)).len(), 0);
-        assert!(opened.inverted.postings("absent").is_empty());
-        for d in 0..inv.num_docs() {
-            assert_eq!(opened.inverted.doc_len(DocId(d)), inv.doc_len(DocId(d)));
-        }
-
-        // Tags: identical element views over the whole symbol domain.
-        for s in 0..c.symbols().len() as u32 {
-            let sym = SymbolId(s);
-            assert_eq!(opened.tags.elements(sym), tags.elements(sym));
-            assert_eq!(opened.tags.count(sym), tags.count(sym));
-            for d in 0..c.len() as u32 {
-                assert_eq!(
-                    opened.tags.doc_elements(sym, DocId(d)),
-                    tags.doc_elements(sym, DocId(d))
-                );
-            }
-        }
-        assert_eq!(opened.tags.num_tags(), tags.num_tags());
-
-        // Values: identical range scans.
-        let price = c.tag("price").unwrap();
-        for op in [
-            RangeOp::Lt,
-            RangeOp::Le,
-            RangeOp::Gt,
-            RangeOp::Ge,
-            RangeOp::Eq,
-        ] {
-            assert_eq!(
-                opened.values.range(price, op, 900.0),
-                vals.range(price, op, 900.0)
-            );
-        }
-        assert_eq!(opened.values.count(price), vals.count(price));
+        // The decoded indexes are the built ones, structurally.
+        assert_eq!(opened.inverted, inv);
+        assert_eq!(opened.tags, tags);
+        assert_eq!(opened.values, vals);
+        // Byte fixed point: the scrubber's bit-identical repair relies on it.
+        let resaved = save_index(
+            &opened.collection,
+            &opened.inverted,
+            &opened.tags,
+            &opened.values,
+        );
+        assert_eq!(resaved, snap);
     }
 
     #[test]
@@ -781,7 +830,7 @@ mod tests {
         let inv = InvertedIndex::build(&c, Tokenizer::plain());
         let tags = TagIndex::build(&c);
         let vals = ValueIndex::build(&c);
-        let opened = open_index(save_index(&c, &inv, &tags, &vals)).unwrap();
+        let opened = open_index(&save_index(&c, &inv, &tags, &vals)).unwrap();
         assert!(opened.collection.is_empty());
         assert_eq!(opened.inverted.num_docs(), 0);
         assert!(opened.values.is_empty());
@@ -794,46 +843,10 @@ mod tests {
         let inv = InvertedIndex::build(&c, Tokenizer::stemming());
         let tags = TagIndex::build(&c);
         let vals = ValueIndex::build(&c);
-        let opened = open_index(save_index(&c, &inv, &tags, &vals)).unwrap();
+        let opened = open_index(&save_index(&c, &inv, &tags, &vals)).unwrap();
         assert!(opened.inverted.tokenizer().stemming);
         assert_eq!(opened.inverted.postings("car").len(), 1);
         assert_eq!(opened.inverted.analyze("Cars"), ["car"]);
-    }
-
-    #[test]
-    fn thawed_incremental_add_matches_full_rebuild() {
-        let (mut c, ..) = sample();
-        let snap = {
-            let inv = InvertedIndex::build(&c, Tokenizer::plain());
-            let tags = TagIndex::build(&c);
-            let vals = ValueIndex::build(&c);
-            save_index(&c, &inv, &tags, &vals)
-        };
-        let mut opened = open_index(snap).unwrap();
-        // Grow the collection after opening packed: every index thaws.
-        let d = c
-            .add_xml("<dealer><car><price>100</price><note>good</note></car></dealer>")
-            .unwrap();
-        let doc = c.doc(d).clone();
-        opened.collection.add_document(doc.clone());
-        opened.inverted.index_document(d, &doc);
-        opened.tags.index_document(d, &doc);
-        opened.values.index_document(d, &doc);
-        assert!(!opened.inverted.is_packed());
-        assert!(!opened.tags.is_packed());
-        assert!(!opened.values.is_packed());
-        let full_inv = InvertedIndex::build(&c, Tokenizer::plain());
-        let full_tags = TagIndex::build(&c);
-        let full_vals = ValueIndex::build(&c);
-        assert_eq!(opened.inverted.postings("good"), full_inv.postings("good"));
-        assert_eq!(opened.inverted.doc_freq("good"), full_inv.doc_freq("good"));
-        let car = c.tag("car").unwrap();
-        assert_eq!(opened.tags.elements(car), full_tags.elements(car));
-        let price = c.tag("price").unwrap();
-        assert_eq!(
-            opened.values.range(price, RangeOp::Le, 1e9),
-            full_vals.range(price, RangeOp::Le, 1e9)
-        );
     }
 
     #[test]
@@ -845,7 +858,7 @@ mod tests {
         for s in &report.sections {
             let mut bytes = snap.to_vec();
             bytes[s.offset as usize + (s.len as usize) / 2] ^= 0x40;
-            match open_index(Bytes::from(bytes)) {
+            match open_index(&bytes) {
                 Err(PersistError::SnapshotCorrupt { section }) => {
                     assert_eq!(section, s.name, "flip in {} misattributed", s.name)
                 }
@@ -856,7 +869,7 @@ mod tests {
         let mut bytes = snap.to_vec();
         bytes[HEADER_LEN + 9] ^= 0x01;
         assert!(matches!(
-            open_index(Bytes::from(bytes)),
+            open_index(&bytes),
             Err(PersistError::SnapshotCorrupt {
                 section: "directory"
             })
@@ -875,8 +888,7 @@ mod tests {
             snap.len() / 2,
             snap.len() - 1,
         ] {
-            let bytes = Bytes::copy_from_slice(&snap[..cut]);
-            assert!(open_index(bytes).is_err(), "cut at {cut} accepted");
+            assert!(open_index(&snap[..cut]).is_err(), "cut at {cut} accepted");
         }
     }
 
@@ -888,7 +900,7 @@ mod tests {
             let mut bytes = snap.to_vec();
             bytes[..8].copy_from_slice(magic);
             assert!(matches!(
-                open_index(Bytes::from(bytes)),
+                open_index(&bytes),
                 Err(PersistError::SnapshotVersion { found: f, expected: COLUMNAR_VERSION }) if f == found
             ));
         }
@@ -896,14 +908,14 @@ mod tests {
         let mut bytes = snap.to_vec();
         bytes[0] = b'X';
         assert!(matches!(
-            open_index(Bytes::from(bytes)),
+            open_index(&bytes),
             Err(PersistError::BadMagic)
         ));
         // Future version word.
         let mut bytes = snap.to_vec();
         bytes[8..12].copy_from_slice(&9u32.to_le_bytes());
         assert!(matches!(
-            open_index(Bytes::from(bytes)),
+            open_index(&bytes),
             Err(PersistError::SnapshotVersion {
                 found: 9,
                 expected: COLUMNAR_VERSION

@@ -7,23 +7,15 @@
 //! `(start, end)` region. This mirrors the paper's reliance on "inverted
 //! indices on keywords" (§6.4).
 //!
-//! Two backings live behind one API. The *heap* form (`token →
-//! Vec<Posting>`) is built from documents and supports incremental adds.
-//! The *packed* form is a zero-copy view over the `inv` section of a
-//! `PIMCOL4` snapshot: a name-sorted token directory of fixed
-//! [`TOKEN_ROW`]-byte rows plus delta-encoded varint posting runs grouped
-//! per `(token, document)`. Lookups binary-search the directory and decode
-//! only the runs they touch; nothing is rebuilt at load time. Accessors
-//! return [`PostingsRef`], which derefs to `[Posting]` either way.
+//! An index is produced exactly once — [`InvertedIndex::build`] scans a
+//! collection, [`crate::columnar::open_index`] decodes the `inv` section
+//! of a `PIMCOL4` snapshot into the same maps — and never mutated
+//! afterwards: a corpus grows by adding segments, not by appending here.
 
 use crate::store::{Collection, DocId};
-use crate::tags::u32_at;
 use crate::tokenize::Tokenizer;
-use crate::varint;
-use bytes::Bytes;
 use pimento_xml::{NodeId, NodeKind};
 use std::collections::HashMap;
-use std::ops::Deref;
 
 /// One occurrence of a token.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -39,253 +31,23 @@ pub struct Posting {
     pub text_node: NodeId,
 }
 
-/// Postings handed back by [`InvertedIndex`] lookups: a borrowed slice
-/// when the index is heap-backed, a freshly decoded vector when the
-/// postings came out of packed varint runs. Derefs to `[Posting]`, so
-/// callers index/iterate it like the slice the old API returned.
-#[derive(Debug, Clone)]
-pub struct PostingsRef<'a> {
-    repr: PostingsRepr<'a>,
+/// Everything the index knows about one token.
+#[derive(Debug, Default, PartialEq, Eq)]
+pub(crate) struct TokenEntry {
+    /// Number of documents containing the token.
+    pub(crate) doc_freq: u32,
+    /// Occurrences sorted by (doc, pos).
+    pub(crate) postings: Vec<Posting>,
 }
 
-#[derive(Debug, Clone)]
-enum PostingsRepr<'a> {
-    Borrowed(&'a [Posting]),
-    Owned(Vec<Posting>),
-}
-
-impl<'a> PostingsRef<'a> {
-    /// An empty postings list.
-    pub fn empty() -> Self {
-        PostingsRef {
-            repr: PostingsRepr::Borrowed(&[]),
-        }
-    }
-
-    pub(crate) fn borrowed(s: &'a [Posting]) -> Self {
-        PostingsRef {
-            repr: PostingsRepr::Borrowed(s),
-        }
-    }
-
-    pub(crate) fn owned(v: Vec<Posting>) -> Self {
-        PostingsRef {
-            repr: PostingsRepr::Owned(v),
-        }
-    }
-
-    /// Narrow to postings `lo..hi` without copying the borrowed case.
-    /// A range past the end yields the empty window.
-    pub fn sliced(self, lo: usize, hi: usize) -> PostingsRef<'a> {
-        match self.repr {
-            PostingsRepr::Borrowed(s) => PostingsRef::borrowed(s.get(lo..hi).unwrap_or(&[])),
-            PostingsRepr::Owned(mut v) => {
-                v.truncate(hi);
-                v.drain(..lo.min(v.len()));
-                PostingsRef::owned(v)
-            }
-        }
-    }
-}
-
-impl Deref for PostingsRef<'_> {
-    type Target = [Posting];
-    fn deref(&self) -> &[Posting] {
-        match &self.repr {
-            PostingsRepr::Borrowed(s) => s,
-            PostingsRepr::Owned(v) => v,
-        }
-    }
-}
-
-impl PartialEq for PostingsRef<'_> {
-    fn eq(&self, other: &Self) -> bool {
-        **self == **other
-    }
-}
-
-impl Eq for PostingsRef<'_> {}
-
-/// On-disk size of one packed token-directory row: `name_off`, `name_len`,
-/// `doc_freq`, `run_count`, `runs_off`, `total_postings` — six `u32`s.
-pub(crate) const TOKEN_ROW: usize = 24;
-
-/// On-disk size of one per-document run-table entry: `doc`, `payload_off`
-/// (relative to the token's varint payload base), `posting_count`.
-pub(crate) const RUN_ROW: usize = 12;
-
-/// Packed backing: zero-copy windows into the snapshot buffer.
-#[derive(Debug)]
-pub(crate) struct PackedInverted {
-    /// Per-document token counts (`u32` each).
-    doc_tokens: Bytes,
-    /// Name-sorted token directory, `TOKEN_ROW` bytes per token.
-    token_rows: Bytes,
-    /// Concatenated UTF-8 token names, addressed by the directory.
-    names: Bytes,
-    /// Per-token run blobs: `run_count` `RUN_ROW`-byte doc entries, then
-    /// the delta-encoded varint payload.
-    runs: Bytes,
-}
-
-/// Decoded view of one token-directory row.
-#[derive(Debug, Clone, Copy)]
-struct TokenRow {
-    name_off: usize,
-    name_len: usize,
-    doc_freq: u32,
-    run_count: usize,
-    runs_off: usize,
-    total_postings: usize,
-}
-
-impl PackedInverted {
-    fn token_count(&self) -> usize {
-        self.token_rows.len() / TOKEN_ROW
-    }
-
-    fn row(&self, i: usize) -> TokenRow {
-        let at = i * TOKEN_ROW;
-        TokenRow {
-            name_off: u32_at(&self.token_rows, at) as usize,
-            name_len: u32_at(&self.token_rows, at + 4) as usize,
-            doc_freq: u32_at(&self.token_rows, at + 8),
-            run_count: u32_at(&self.token_rows, at + 12) as usize,
-            runs_off: u32_at(&self.token_rows, at + 16) as usize,
-            total_postings: u32_at(&self.token_rows, at + 20) as usize,
-        }
-    }
-
-    fn name(&self, row: TokenRow) -> &[u8] {
-        // Name spans are validated against the heap when the snapshot
-        // opens; an out-of-window row reads as the empty name.
-        row.name_off
-            .checked_add(row.name_len)
-            .and_then(|end| self.names.get(row.name_off..end))
-            .unwrap_or(&[])
-    }
-
-    /// Binary search the name-sorted directory.
-    fn find(&self, token: &str) -> Option<TokenRow> {
-        let (mut lo, mut hi) = (0usize, self.token_count());
-        while lo < hi {
-            let mid = lo + (hi - lo) / 2;
-            let row = self.row(mid);
-            match self.name(row).cmp(token.as_bytes()) {
-                std::cmp::Ordering::Less => lo = mid + 1,
-                std::cmp::Ordering::Greater => hi = mid,
-                std::cmp::Ordering::Equal => return Some(row),
-            }
-        }
-        None
-    }
-
-    /// Decode one `(token, doc)` varint run. Bounds were validated at
-    /// open; a malformed payload (writer bug) yields a short/empty list
-    /// rather than a panic — this is a hot path.
-    fn decode_run(
-        &self,
-        payload_base: usize,
-        off: usize,
-        count: usize,
-        doc: DocId,
-        out: &mut Vec<Posting>,
-    ) {
-        let Some(mut buf) = self.runs.get(payload_base + off..) else {
-            debug_assert!(false, "run payload offset out of bounds");
-            return;
-        };
-        let (mut pos, mut label, mut text) = (0u32, 0u32, 0u32);
-        for i in 0..count {
-            let decoded = varint::get_varint(buf).and_then(|(dp, r)| {
-                varint::get_varint(r)
-                    .and_then(|(dl, r)| varint::get_varint(r).map(|(dt, r)| (dp, dl, dt, r)))
-            });
-            let Some((dp, dl, dt, rest)) = decoded else {
-                debug_assert!(false, "malformed varint run");
-                return;
-            };
-            buf = rest;
-            if i == 0 {
-                (pos, label, text) = (dp, dl, dt);
-            } else {
-                // Document order makes all three nondecreasing; saturate
-                // instead of wrapping if the payload lies.
-                pos = pos.saturating_add(dp);
-                label = label.saturating_add(dl);
-                text = text.saturating_add(dt);
-            }
-            out.push(Posting {
-                doc,
-                pos,
-                label,
-                text_node: NodeId(text),
-            });
-        }
-    }
-
-    /// All postings of `row`'s token, in `(doc, pos)` order.
-    fn postings_of(&self, row: TokenRow) -> Vec<Posting> {
-        let mut out = Vec::with_capacity(row.total_postings);
-        let payload_base = row.runs_off + row.run_count * RUN_ROW;
-        for r in 0..row.run_count {
-            let at = row.runs_off + r * RUN_ROW;
-            let doc = DocId(u32_at(&self.runs, at));
-            let off = u32_at(&self.runs, at + 4) as usize;
-            let count = u32_at(&self.runs, at + 8) as usize;
-            self.decode_run(payload_base, off, count, doc, &mut out);
-        }
-        out
-    }
-
-    /// Postings of `row`'s token within `doc` only (binary-searched run
-    /// table, single run decoded).
-    fn doc_postings_of(&self, row: TokenRow, doc: DocId) -> Vec<Posting> {
-        let run_at = |i: usize| u32_at(&self.runs, row.runs_off + i * RUN_ROW);
-        let (mut lo, mut hi) = (0usize, row.run_count);
-        while lo < hi {
-            let mid = lo + (hi - lo) / 2;
-            match run_at(mid).cmp(&doc.0) {
-                std::cmp::Ordering::Less => lo = mid + 1,
-                std::cmp::Ordering::Greater => hi = mid,
-                std::cmp::Ordering::Equal => {
-                    let at = row.runs_off + mid * RUN_ROW;
-                    let off = u32_at(&self.runs, at + 4) as usize;
-                    let count = u32_at(&self.runs, at + 8) as usize;
-                    let mut out = Vec::with_capacity(count);
-                    let payload_base = row.runs_off + row.run_count * RUN_ROW;
-                    self.decode_run(payload_base, off, count, doc, &mut out);
-                    return out;
-                }
-            }
-        }
-        Vec::new()
-    }
-}
-
-/// Heap backing: the mutable build-time form.
-#[derive(Debug, Default)]
-struct HeapInverted {
-    /// token → postings sorted by (doc, pos).
-    postings: HashMap<String, Vec<Posting>>,
-    /// Per-document token count.
-    doc_tokens: Vec<u32>,
-    /// token → number of documents containing it.
-    doc_freq: HashMap<String, u32>,
-}
-
-#[derive(Debug)]
-enum InvRepr {
-    Heap(HeapInverted),
-    Packed(PackedInverted),
-}
-
-/// Inverted index; build with [`InvertedIndex::build`] or open packed from
-/// a columnar snapshot.
-#[derive(Debug)]
+/// Inverted index; build with [`InvertedIndex::build`] or decode from a
+/// columnar snapshot.
+#[derive(Debug, PartialEq, Eq)]
 pub struct InvertedIndex {
-    tokenizer: Tokenizer,
-    repr: InvRepr,
+    pub(crate) tokenizer: Tokenizer,
+    pub(crate) tokens: HashMap<String, TokenEntry>,
+    /// Per-document token count.
+    pub(crate) doc_tokens: Vec<u32>,
 }
 
 impl InvertedIndex {
@@ -293,108 +55,35 @@ impl InvertedIndex {
     pub fn build(coll: &Collection, tokenizer: Tokenizer) -> Self {
         let mut index = InvertedIndex {
             tokenizer,
-            repr: InvRepr::Heap(HeapInverted {
-                postings: HashMap::new(),
-                doc_tokens: Vec::with_capacity(coll.len()),
-                doc_freq: HashMap::new(),
-            }),
+            tokens: HashMap::new(),
+            doc_tokens: Vec::with_capacity(coll.len()),
         };
+        // Documents arrive in id order and tokens in document order, which
+        // keeps every posting list `(doc, pos)`-sorted.
         for (doc_id, doc) in coll.iter() {
-            index.index_document(doc_id, doc);
-        }
-        index
-    }
-
-    /// Wrap pre-validated packed sections (the `inv` section of a columnar
-    /// snapshot); zero-copy slices of the snapshot buffer.
-    pub(crate) fn from_packed(
-        tokenizer: Tokenizer,
-        doc_tokens: Bytes,
-        token_rows: Bytes,
-        names: Bytes,
-        runs: Bytes,
-    ) -> Self {
-        InvertedIndex {
-            tokenizer,
-            repr: InvRepr::Packed(PackedInverted {
-                doc_tokens,
-                token_rows,
-                names,
-                runs,
-            }),
-        }
-    }
-
-    /// True when backed by packed snapshot sections.
-    pub fn is_packed(&self) -> bool {
-        matches!(self.repr, InvRepr::Packed(_))
-    }
-
-    /// Thaw a packed backing into heap maps so mutation can proceed.
-    fn ensure_heap(&mut self) {
-        if !self.is_packed() {
-            return;
-        }
-        let mut heap = HeapInverted::default();
-        if let InvRepr::Packed(p) = &self.repr {
-            heap.doc_tokens = (0..p.doc_tokens.len() / 4)
-                .map(|i| u32_at(&p.doc_tokens, i * 4))
-                .collect();
-            for i in 0..p.token_count() {
-                let row = p.row(i);
-                let name = String::from_utf8_lossy(p.name(row)).into_owned();
-                heap.doc_freq.insert(name.clone(), row.doc_freq);
-                heap.postings.insert(name, p.postings_of(row));
-            }
-        }
-        self.repr = InvRepr::Heap(heap);
-    }
-
-    /// Append one document's postings. `doc_id` must be the next id in
-    /// sequence (postings stay `(doc, pos)`-sorted because ids grow) —
-    /// this is what makes incremental collection growth cheap. A packed
-    /// index thaws to heap form first.
-    pub fn index_document(&mut self, doc_id: DocId, doc: &pimento_xml::Document) {
-        self.ensure_heap();
-        let tokenizer = self.tokenizer;
-        let InvRepr::Heap(heap) = &mut self.repr else {
-            return;
-        };
-        assert_eq!(
-            doc_id.0 as usize,
-            heap.doc_tokens.len(),
-            "documents must be indexed in id order"
-        );
-        let mut pos = 0u32;
-        let mut doc_terms: Vec<String> = Vec::new();
-        for node_id in doc.node_ids() {
-            let node = doc.node(node_id);
-            if let NodeKind::Text(t) = &node.kind {
+            let mut pos = 0u32;
+            for node_id in doc.node_ids() {
+                let node = doc.node(node_id);
+                let NodeKind::Text(t) = &node.kind else {
+                    continue;
+                };
                 for token in tokenizer.tokenize(t) {
-                    doc_terms.push(token.clone());
-                    let entry = heap.postings.entry(token).or_default();
-                    entry.push(Posting {
+                    let entry = index.tokens.entry(token).or_default();
+                    if entry.postings.last().is_none_or(|p| p.doc != doc_id) {
+                        entry.doc_freq += 1;
+                    }
+                    entry.postings.push(Posting {
                         doc: doc_id,
                         pos,
                         label: node.start,
                         text_node: node_id,
                     });
-                    debug_assert!(
-                        entry.len() < 2
-                            || (entry[entry.len() - 2].doc, entry[entry.len() - 2].pos)
-                                < (doc_id, pos)
-                    );
                     pos += 1;
                 }
             }
+            index.doc_tokens.push(pos);
         }
-        heap.doc_tokens.push(pos);
-        // Document frequencies: +1 for every distinct term of this doc.
-        doc_terms.sort_unstable();
-        doc_terms.dedup();
-        for t in doc_terms {
-            *heap.doc_freq.entry(t).or_insert(0) += 1;
-        }
+        index
     }
 
     /// The tokenizer this index was built with (queries must use the same).
@@ -403,66 +92,40 @@ impl InvertedIndex {
     }
 
     /// All postings of `token` (already normalized), sorted by (doc, pos).
-    pub fn postings(&self, token: &str) -> PostingsRef<'_> {
-        match &self.repr {
-            InvRepr::Heap(h) => {
-                PostingsRef::borrowed(h.postings.get(token).map(Vec::as_slice).unwrap_or(&[]))
-            }
-            InvRepr::Packed(p) => match p.find(token) {
-                Some(row) => PostingsRef::owned(p.postings_of(row)),
-                None => PostingsRef::empty(),
-            },
-        }
+    pub fn postings(&self, token: &str) -> &[Posting] {
+        self.tokens
+            .get(token)
+            .map(|e| e.postings.as_slice())
+            .unwrap_or(&[])
     }
 
-    /// Postings of `token` within document `doc`. Heap-backed this is a
-    /// sub-slice of the global list; packed it decodes exactly one
-    /// `(token, doc)` run.
-    pub fn doc_postings(&self, token: &str, doc: DocId) -> PostingsRef<'_> {
-        match &self.repr {
-            InvRepr::Heap(h) => {
-                let all = h.postings.get(token).map(Vec::as_slice).unwrap_or(&[]);
-                let lo = all.partition_point(|p| p.doc < doc);
-                let hi = all.partition_point(|p| p.doc <= doc);
-                PostingsRef::borrowed(all.get(lo..hi).unwrap_or(&[]))
-            }
-            InvRepr::Packed(p) => match p.find(token) {
-                Some(row) => PostingsRef::owned(p.doc_postings_of(row, doc)),
-                None => PostingsRef::empty(),
-            },
-        }
+    /// Postings of `token` within document `doc`: a sub-slice of the
+    /// global list.
+    pub fn doc_postings(&self, token: &str, doc: DocId) -> &[Posting] {
+        let all = self.postings(token);
+        let lo = all.partition_point(|p| p.doc < doc);
+        let hi = all.partition_point(|p| p.doc <= doc);
+        all.get(lo..hi).unwrap_or(&[])
     }
 
     /// Number of documents containing `token`.
     pub fn doc_freq(&self, token: &str) -> u32 {
-        match &self.repr {
-            InvRepr::Heap(h) => h.doc_freq.get(token).copied().unwrap_or(0),
-            InvRepr::Packed(p) => p.find(token).map(|r| r.doc_freq).unwrap_or(0),
-        }
+        self.tokens.get(token).map(|e| e.doc_freq).unwrap_or(0)
     }
 
     /// Number of documents indexed.
     pub fn num_docs(&self) -> u32 {
-        match &self.repr {
-            InvRepr::Heap(h) => h.doc_tokens.len() as u32,
-            InvRepr::Packed(p) => (p.doc_tokens.len() / 4) as u32,
-        }
+        self.doc_tokens.len() as u32
     }
 
-    /// Token count of a document.
+    /// Token count of a document (0 for an id outside the index).
     pub fn doc_len(&self, doc: DocId) -> u32 {
-        match &self.repr {
-            InvRepr::Heap(h) => h.doc_tokens[doc.0 as usize],
-            InvRepr::Packed(p) => u32_at(&p.doc_tokens, doc.0 as usize * 4),
-        }
+        self.doc_tokens.get(doc.0 as usize).copied().unwrap_or(0)
     }
 
     /// Number of distinct tokens in the index.
     pub fn vocabulary_size(&self) -> usize {
-        match &self.repr {
-            InvRepr::Heap(h) => h.postings.len(),
-            InvRepr::Packed(p) => p.token_count(),
-        }
+        self.tokens.len()
     }
 
     /// Normalize a raw query keyword/phrase into index tokens.
@@ -476,28 +139,13 @@ impl InvertedIndex {
     /// monolithic corpus statistics exactly (segments partition the
     /// documents, so per-token frequencies are disjoint integer counts).
     pub fn token_doc_freqs(&self) -> Vec<(String, u32)> {
-        self.dump_token_names()
-            .into_iter()
-            .map(|name| {
-                let df = self.doc_freq(&name);
-                (name, df)
-            })
-            .collect()
-    }
-
-    /// All distinct tokens in name (byte) order — the snapshot writer's
-    /// directory order, uniform over both backings.
-    pub(crate) fn dump_token_names(&self) -> Vec<String> {
-        match &self.repr {
-            InvRepr::Heap(h) => {
-                let mut names: Vec<String> = h.postings.keys().cloned().collect();
-                names.sort_unstable();
-                names
-            }
-            InvRepr::Packed(p) => (0..p.token_count())
-                .map(|i| String::from_utf8_lossy(p.name(p.row(i))).into_owned())
-                .collect(),
-        }
+        let mut out: Vec<(String, u32)> = self
+            .tokens
+            .iter()
+            .map(|(name, e)| (name.clone(), e.doc_freq))
+            .collect();
+        out.sort_unstable();
+        out
     }
 }
 
@@ -573,24 +221,9 @@ mod tests {
     }
 
     #[test]
-    fn postings_ref_slicing_and_equality() {
-        let (_, idx) = index(&["<a>one two one two one</a>"]);
-        let one = idx.postings("one");
-        assert_eq!(one.len(), 3);
-        let window = one.clone().sliced(1, 3);
-        assert_eq!(window.len(), 2);
-        assert_eq!(window[0], one[1]);
-        assert_eq!(idx.postings("one"), idx.postings("one"));
-        assert_ne!(idx.postings("one"), idx.postings("two"));
-        // Owned slicing keeps the same contents as borrowed slicing.
-        let owned = PostingsRef::owned(one.to_vec()).sliced(1, 3);
-        assert_eq!(owned, window);
-        assert!(PostingsRef::empty().is_empty());
-    }
-
-    #[test]
-    fn dump_token_names_is_sorted() {
-        let (_, idx) = index(&["<a>zeta alpha mid</a>"]);
-        assert_eq!(idx.dump_token_names(), ["alpha", "mid", "zeta"]);
+    fn token_doc_freqs_are_name_sorted() {
+        let (_, idx) = index(&["<a>zeta alpha mid</a>", "<a>mid</a>"]);
+        let expected = [("alpha", 1), ("mid", 2), ("zeta", 1)].map(|(t, n)| (t.to_string(), n));
+        assert_eq!(idx.token_doc_freqs(), expected);
     }
 }

@@ -23,7 +23,7 @@
 //! let inv = InvertedIndex::build(&coll, Tokenizer::plain());
 //! let tags = TagIndex::build(&coll);
 //! let car = coll.tag("car").unwrap();
-//! let elem = tags.elements(car).at(0);
+//! let elem = tags.elements(car)[0];
 //! assert!(ft_contains(&inv, &elem, &inv.analyze("good condition")));
 //! let score = Scorer::new(&inv).ft_score(&inv, &elem, &inv.analyze("good condition"));
 //! assert!(score > 0.0 && score < 1.0);
@@ -53,7 +53,7 @@ pub use columnar::{
     COLUMNAR_VERSION,
 };
 pub use fields::{content_value, field_value, field_value_sym, numeric_field, FieldValue};
-pub use inverted::{InvertedIndex, Posting, PostingsRef};
+pub use inverted::{InvertedIndex, Posting};
 pub use parallel::{build_collection_parallel, effective_workers, resolve_threads};
 pub use persist::{crc32, PersistError};
 pub use phrase::{
@@ -62,12 +62,12 @@ pub use phrase::{
 };
 pub use score::Scorer;
 pub use segment::{
-    global_doc_freqs, split_ranges, ManifestEntry, ShardManifest, MANIFEST_FILE, MANIFEST_HEADER,
+    global_doc_freqs, split_ranges, ManifestEntry, ShardManifest, MANIFEST_FILE,
     MANIFEST_HEADER_V2,
 };
 pub use stats::CorpusStats;
 pub use store::{Collection, DocId, ElemRef};
-pub use tags::{ElemEntry, ElemsView, TagIndex};
+pub use tags::{ElemEntry, TagIndex};
 pub use tokenize::{stem, Tokenizer};
 pub use tombstone::{TombstoneSet, TOMBSTONE_HEADER};
 pub use values::{RangeOp, ValueIndex};

@@ -27,9 +27,10 @@ pub enum PersistError {
     BadMagic,
     /// Input ended early.
     Truncated,
-    /// A CRC mismatch (bit corruption), naming the failing region: a v4
-    /// section (`"directory"`, `"meta"`, `"symtab"`, `"docs"`, `"tags"`,
-    /// `"vals"`, `"inv"`).
+    /// A v4 section (`"directory"`, `"meta"`, `"symtab"`, `"docs"`,
+    /// `"tags"`, `"vals"`, `"inv"`) failed its CRC (bit corruption) or,
+    /// checksummed, is structurally malformed (spans, counts, offsets,
+    /// varint runs or ids that the decoder refuses).
     SnapshotCorrupt {
         /// The section whose integrity check failed.
         section: &'static str,
@@ -61,7 +62,7 @@ impl fmt::Display for PersistError {
             PersistError::SnapshotCorrupt { section } => {
                 write!(
                     f,
-                    "snapshot failed its CRC32 integrity check in section `{section}` (bit corruption)"
+                    "snapshot section `{section}` failed its integrity check (CRC mismatch or malformed structure)"
                 )
             }
             PersistError::BadString => write!(f, "snapshot contains invalid UTF-8"),

@@ -1,7 +1,7 @@
 //! Phrase matching: finding occurrences of multi-token phrases and testing
 //! `ftcontains(element, "phrase")` against region labels.
 
-use crate::inverted::{InvertedIndex, Posting, PostingsRef};
+use crate::inverted::{InvertedIndex, Posting};
 use crate::store::DocId;
 use crate::tags::ElemEntry;
 
@@ -20,11 +20,7 @@ pub fn phrase_occurrences(index: &InvertedIndex, doc: DocId, tokens: &[String]) 
         [single] => index.doc_postings(single, doc).to_vec(),
         [first, rest @ ..] => {
             let firsts = index.doc_postings(first, doc);
-            // Fetch each continuation token's postings once, outside the
-            // candidate loop — on a packed index every doc_postings call
-            // decodes a varint run, so this turns O(candidates × tokens)
-            // decodes into O(tokens).
-            let rest_lists: Vec<PostingsRef<'_>> = rest
+            let rest_lists: Vec<&[Posting]> = rest
                 .iter()
                 .map(|tok| index.doc_postings(tok, doc))
                 .collect();
@@ -52,12 +48,12 @@ pub fn postings_in_element<'a>(
     index: &'a InvertedIndex,
     elem: &ElemEntry,
     token: &str,
-) -> PostingsRef<'a> {
+) -> &'a [Posting] {
     let in_doc = index.doc_postings(token, elem.doc);
     debug_assert!(in_doc.is_sorted_by_key(|p| p.label));
     let lo = in_doc.partition_point(|p| p.label <= elem.start);
     let hi = in_doc.partition_point(|p| p.label < elem.end);
-    in_doc.sliced(lo, hi)
+    in_doc.get(lo..hi).unwrap_or(&[])
 }
 
 /// Count occurrences of `tokens` strictly inside element `elem`
@@ -77,9 +73,7 @@ pub fn occurrences_in_element(
         return Vec::new();
     };
     let firsts = postings_in_element(index, elem, first);
-    // One postings fetch per continuation token (not per candidate): on a
-    // packed index each fetch decodes a varint run.
-    let rest_lists: Vec<PostingsRef<'_>> = rest
+    let rest_lists: Vec<&[Posting]> = rest
         .iter()
         .map(|tok| index.doc_postings(tok, elem.doc))
         .collect();
@@ -163,22 +157,22 @@ mod tests {
         let car = c.tag("car").unwrap();
         let cars = tags.elements(car);
         let good = toks(&inv, "good condition");
-        assert!(ft_contains(&inv, &cars.at(0), &good));
-        assert!(!ft_contains(&inv, &cars.at(1), &good));
+        assert!(ft_contains(&inv, &cars[0], &good));
+        assert!(!ft_contains(&inv, &cars[1], &good));
         let low = toks(&inv, "low mileage");
-        assert!(!ft_contains(&inv, &cars.at(0), &low));
-        assert!(ft_contains(&inv, &cars.at(1), &low));
+        assert!(!ft_contains(&inv, &cars[0], &low));
+        assert!(ft_contains(&inv, &cars[1], &low));
     }
 
     #[test]
     fn count_in_element_counts_tf() {
         let (c, inv, tags) = setup("<a><b>red red red</b><c>red</c></a>");
         let b = c.tag("b").unwrap();
-        let elem = tags.elements(b).at(0);
+        let elem = tags.elements(b)[0];
         assert_eq!(count_in_element(&inv, &elem, &toks(&inv, "red")), 3);
         let a = c.tag("a").unwrap();
         assert_eq!(
-            count_in_element(&inv, &tags.elements(a).at(0), &toks(&inv, "red")),
+            count_in_element(&inv, &tags.elements(a)[0], &toks(&inv, "red")),
             4
         );
     }
@@ -187,7 +181,7 @@ mod tests {
     fn phrase_does_not_cross_text_node_boundary_with_markup() {
         let (c, inv, tags) = setup("<a><b>good</b><b>condition</b></a>");
         let a = c.tag("a").unwrap();
-        let elem = tags.elements(a).at(0);
+        let elem = tags.elements(a)[0];
         // positions are adjacent globally (0,1) so this matches: markup
         // between text runs does not break adjacency in our encoding.
         assert!(ft_contains(&inv, &elem, &toks(&inv, "good condition")));
@@ -197,7 +191,7 @@ mod tests {
     fn empty_phrase_never_matches() {
         let (c, inv, tags) = setup("<a>x</a>");
         let a = c.tag("a").unwrap();
-        assert!(!ft_contains(&inv, &tags.elements(a).at(0), &[]));
+        assert!(!ft_contains(&inv, &tags.elements(a)[0], &[]));
     }
 
     #[test]
@@ -206,12 +200,12 @@ mod tests {
         let a = c.tag("a").unwrap();
         assert!(ft_contains(
             &inv,
-            &tags.elements(a).at(0),
+            &tags.elements(a)[0],
             &toks(&inv, "united states")
         ));
         assert!(ft_contains(
             &inv,
-            &tags.elements(a).at(0),
+            &tags.elements(a)[0],
             &toks(&inv, "UNITED STATES")
         ));
     }
@@ -316,7 +310,7 @@ mod ft_all_tests {
     }
 
     fn elem(c: &Collection, tags: &TagIndex, tag: &str) -> ElemEntry {
-        tags.elements(c.tag(tag).unwrap()).at(0)
+        tags.elements(c.tag(tag).unwrap())[0]
     }
 
     #[test]

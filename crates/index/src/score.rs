@@ -133,7 +133,7 @@ mod tests {
         let (c, inv, tags, s) = setup(&["<a>hello world</a>"]);
         let a = c.tag("a").unwrap();
         assert_eq!(
-            s.ft_score(&inv, &tags.elements(a).at(0), &inv.analyze("absent")),
+            s.ft_score(&inv, &tags.elements(a)[0], &inv.analyze("absent")),
             0.0
         );
     }
@@ -144,8 +144,8 @@ mod tests {
         let b = c.tag("b").unwrap();
         let cc = c.tag("c").unwrap();
         let kw = inv.analyze("red");
-        let s_b = s.ft_score(&inv, &tags.elements(b).at(0), &kw);
-        let s_c = s.ft_score(&inv, &tags.elements(cc).at(0), &kw);
+        let s_b = s.ft_score(&inv, &tags.elements(b)[0], &kw);
+        let s_c = s.ft_score(&inv, &tags.elements(cc)[0], &kw);
         assert!(s_b > 0.0);
         assert!(s_c > s_b);
         assert!(s_c < Scorer::MAX_PREDICATE_SCORE);
@@ -160,7 +160,7 @@ mod tests {
             "<a>common</a>",
         ]);
         let a = c.tag("a").unwrap();
-        let first = &tags.elements(a).at(0);
+        let first = &tags.elements(a)[0];
         let rare = s.ft_score(&inv, first, &inv.analyze("rare"));
         let common = s.ft_score(&inv, first, &inv.analyze("common"));
         assert!(rare > common, "rare={rare} common={common}");
@@ -179,7 +179,7 @@ mod tests {
     fn k1_controls_saturation() {
         let (c, inv, tags, _) = setup(&["<a>red red</a>"]);
         let a = c.tag("a").unwrap();
-        let e = &tags.elements(a).at(0);
+        let e = &tags.elements(a)[0];
         let kw = inv.analyze("red");
         let fast = Scorer::new(&inv).with_k1(0.1).ft_score(&inv, e, &kw);
         let slow = Scorer::new(&inv).with_k1(10.0).ft_score(&inv, e, &kw);

@@ -30,12 +30,9 @@ use std::ops::Range;
 /// File name of the manifest inside a sharded snapshot directory.
 pub const MANIFEST_FILE: &str = "MANIFEST";
 
-/// Header line identifying a v1 sharded-snapshot manifest.
-pub const MANIFEST_HEADER: &str = "pimento-shards v1";
-
-/// Header line identifying a v2 manifest: adds a corpus `generation`
-/// line and optional per-segment tombstone sidecar files (the live
-/// ingest write path, DESIGN.md §16).
+/// Header line of a manifest: the v2 format, with a corpus `generation`
+/// line, optional per-segment tombstone sidecar files (the live ingest
+/// write path, DESIGN.md §16) and a `crc` trailer.
 pub const MANIFEST_HEADER_V2: &str = "pimento-shards v2";
 
 /// Split `num_docs` documents into at most `shards` contiguous, disjoint,
@@ -83,21 +80,21 @@ pub struct ManifestEntry {
     pub doc_base: u32,
     /// Number of documents in the segment.
     pub docs: u32,
-    /// Tombstone sidecar file name (v2 manifests), when the segment has
-    /// deleted documents.
+    /// Tombstone sidecar file name, when the segment has deleted
+    /// documents.
     pub tombstones: Option<String>,
 }
 
 /// The manifest of a sharded snapshot directory: the segment files in
-/// doc-range order, with their doc-id bases and counts, plus (v2) the
-/// corpus generation the directory captures.
+/// doc-range order, with their doc-id bases and counts, plus the corpus
+/// generation the directory captures.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct ShardManifest {
     /// Segments in doc-range order (`doc_base` strictly increasing from 0,
     /// ranges contiguous).
     pub segments: Vec<ManifestEntry>,
-    /// Corpus generation at the time the manifest was written (0 for v1
-    /// manifests, which predate the generation protocol).
+    /// Corpus generation at the time the manifest was written (0 for a
+    /// freshly built corpus).
     pub generation: u64,
 }
 
@@ -139,22 +136,14 @@ impl ShardManifest {
         format!("{file}.g{generation:06}.tomb")
     }
 
-    /// Render the manifest text. A manifest with generation 0 and no
-    /// tombstones renders in the v1 format (one `<file> <doc_base>
-    /// <docs>` line per segment) for back-compatibility; otherwise the
-    /// v2 format adds a `generation <n>` line, an optional fourth
-    /// per-segment field naming the tombstone sidecar, and a final
-    /// `crc <hex>` trailer over everything above it — without the
-    /// trailer a torn (prefix-truncated) manifest could parse as a
-    /// valid manifest with fewer segments, which is exactly the silent
-    /// third state the crash harness exists to rule out.
+    /// Render the manifest text: the header, a `generation <n>` line, one
+    /// `<file> <doc_base> <docs> [<tombstone file>]` line per segment, and
+    /// a final `crc <hex>` trailer over everything above it — without the
+    /// trailer a torn (prefix-truncated) manifest could parse as a valid
+    /// manifest with fewer segments, which is exactly the silent third
+    /// state the crash harness exists to rule out.
     pub fn render(&self) -> String {
-        let v2 = self.generation > 0 || self.segments.iter().any(|s| s.tombstones.is_some());
-        let mut out = String::from(if v2 { MANIFEST_HEADER_V2 } else { MANIFEST_HEADER });
-        out.push('\n');
-        if v2 {
-            out.push_str(&format!("generation {}\n", self.generation));
-        }
+        let mut out = format!("{MANIFEST_HEADER_V2}\ngeneration {}\n", self.generation);
         for seg in &self.segments {
             out.push_str(&format!("{} {} {}", seg.file, seg.doc_base, seg.docs));
             if let Some(t) = &seg.tombstones {
@@ -162,62 +151,53 @@ impl ShardManifest {
             }
             out.push('\n');
         }
-        if v2 {
-            let crc = crate::persist::crc32(out.as_bytes());
-            out.push_str(&format!("crc {crc:08x}\n"));
-        }
+        let crc = crate::persist::crc32(out.as_bytes());
+        out.push_str(&format!("crc {crc:08x}\n"));
         out
     }
 
-    /// Parse and validate manifest text (v1 or v2). Beyond the line
-    /// grammar this checks the structural invariants the scatter-gather
-    /// executor relies on: at least one segment, doc ranges contiguous
-    /// from 0 (so no duplicate or overlapping ranges can slip through),
-    /// every segment non-empty, no file listed twice, and file names
-    /// free of path separators (a manifest must not escape its own
-    /// directory).
+    /// Parse and validate manifest text. Beyond the line grammar this
+    /// checks the structural invariants the scatter-gather executor
+    /// relies on: at least one segment, doc ranges contiguous from 0 (so
+    /// no duplicate or overlapping ranges can slip through), every
+    /// segment non-empty, no file listed twice, and file names free of
+    /// path separators (a manifest must not escape its own directory).
     pub fn parse(text: &str) -> Result<ShardManifest, PersistError> {
-        // A v2 manifest must end with a `crc <hex>` trailer covering
+        match text.lines().next().map(str::trim) {
+            Some(MANIFEST_HEADER_V2) => {}
+            Some(h) if h.starts_with("pimento-shards ") => {
+                return Err(PersistError::BadManifest("unsupported manifest version"))
+            }
+            _ => return Err(PersistError::BadManifest("missing header")),
+        }
+        // The manifest must end with a `crc <hex>` trailer covering
         // everything above it. Verify (and strip) it before the line
         // grammar: a torn prefix that cuts cleanly at a line boundary
         // would otherwise parse as a valid, smaller manifest.
-        let mut body = text;
-        if text.lines().next().map(str::trim) == Some(MANIFEST_HEADER_V2) {
-            let trimmed = text.trim_end();
-            let covered_len = trimmed
-                .rfind('\n')
-                .map(|i| i + 1)
-                .ok_or(PersistError::BadManifest("missing crc trailer"))?;
-            let stored = trimmed
-                .get(covered_len..)
-                .map(str::trim)
-                .and_then(|l| l.strip_prefix("crc "))
-                .and_then(|v| u32::from_str_radix(v.trim(), 16).ok())
-                .ok_or(PersistError::BadManifest("missing crc trailer"))?;
-            let covered = text
-                .get(..covered_len)
-                .ok_or(PersistError::BadManifest("missing crc trailer"))?;
-            if crate::persist::crc32(covered.as_bytes()) != stored {
-                return Err(PersistError::BadManifest("manifest checksum mismatch"));
-            }
-            body = covered;
+        let trimmed = text.trim_end();
+        let covered_len = trimmed
+            .rfind('\n')
+            .map(|i| i + 1)
+            .ok_or(PersistError::BadManifest("missing crc trailer"))?;
+        let stored = trimmed
+            .get(covered_len..)
+            .map(str::trim)
+            .and_then(|l| l.strip_prefix("crc "))
+            .and_then(|v| u32::from_str_radix(v.trim(), 16).ok())
+            .ok_or(PersistError::BadManifest("missing crc trailer"))?;
+        let covered = text
+            .get(..covered_len)
+            .ok_or(PersistError::BadManifest("missing crc trailer"))?;
+        if crate::persist::crc32(covered.as_bytes()) != stored {
+            return Err(PersistError::BadManifest("manifest checksum mismatch"));
         }
-        let mut lines = body.lines().peekable();
-        let header = lines.next().map(str::trim);
-        let v2 = match header {
-            Some(h) if h == MANIFEST_HEADER => false,
-            Some(h) if h == MANIFEST_HEADER_V2 => true,
-            _ => return Err(PersistError::BadManifest("missing header")),
-        };
-        let mut generation = 0u64;
-        if v2 {
-            generation = lines
-                .next()
-                .map(str::trim)
-                .and_then(|l| l.strip_prefix("generation "))
-                .and_then(|v| v.trim().parse().ok())
-                .ok_or(PersistError::BadManifest("missing generation line"))?;
-        }
+        let mut lines = covered.lines().skip(1);
+        let generation = lines
+            .next()
+            .map(str::trim)
+            .and_then(|l| l.strip_prefix("generation "))
+            .and_then(|v| v.trim().parse().ok())
+            .ok_or(PersistError::BadManifest("missing generation line"))?;
         let mut segments: Vec<ManifestEntry> = Vec::new();
         let mut next_base = 0u32;
         for line in lines {
@@ -237,14 +217,10 @@ impl ShardManifest {
                 .next()
                 .and_then(|v| v.parse().ok())
                 .ok_or(PersistError::BadManifest("bad doc count"))?;
-            let tombstones = match fields.next() {
-                Some(t) if v2 => {
-                    check_file_name(t)?;
-                    Some(t.to_string())
-                }
-                Some(_) => return Err(PersistError::BadManifest("trailing fields")),
-                None => None,
-            };
+            let tombstones = fields.next().map(str::to_string);
+            if let Some(t) = &tombstones {
+                check_file_name(t)?;
+            }
             if fields.next().is_some() {
                 return Err(PersistError::BadManifest("trailing fields"));
             }
@@ -360,11 +336,33 @@ mod tests {
             ],
             generation: 0,
         };
-        assert!(m.render().starts_with(MANIFEST_HEADER), "v1 back-compat");
-        let back = ShardManifest::parse(&m.render()).unwrap();
+        let text = m.render();
+        assert!(text.starts_with(MANIFEST_HEADER_V2), "{text}");
+        let back = ShardManifest::parse(&text).unwrap();
         assert_eq!(back, m);
         assert_eq!(back.num_docs(), 5);
         assert_eq!(back.generation, 0);
+        // Generation 0 is checksummed like every other: a torn manifest cut
+        // at any line boundary must not parse as a smaller corpus.
+        for (i, _) in text.match_indices('\n') {
+            let prefix = &text[..=i];
+            if prefix.len() < text.len() {
+                assert!(ShardManifest::parse(prefix).is_err(), "prefix {i} accepted");
+            }
+        }
+    }
+
+    #[test]
+    fn v1_manifest_is_an_unsupported_version() {
+        for text in [
+            "pimento-shards v1\nseg.snap 0 3\n".to_string(),
+            with_crc("pimento-shards v1\nseg.snap 0 3\n"),
+        ] {
+            assert_eq!(
+                ShardManifest::parse(&text),
+                Err(PersistError::BadManifest("unsupported manifest version"))
+            );
+        }
     }
 
     #[test]
@@ -401,32 +399,29 @@ mod tests {
         let bad = [
             "",
             "not-a-manifest\nsegment-000.v4.snap 0 3\n",
-            "pimento-shards v1\n",
-            "pimento-shards v1\nseg.snap zero 3\n",
-            "pimento-shards v1\nseg.snap 0 none\n",
-            "pimento-shards v1\nseg.snap 0 3 extra\n",
-            "pimento-shards v1\nseg.snap 1 3\n",
-            "pimento-shards v1\na.snap 0 3\nb.snap 5 1\n",
-            "pimento-shards v1\nseg.snap 0 0\n",
-            "pimento-shards v1\n../evil.snap 0 3\n",
-            "pimento-shards v1\nsub/evil.snap 0 3\n",
-            "pimento-shards v1\nMANIFEST 0 3\n",
+            "pimento-shards v2\ngeneration 0\n",
+            "pimento-shards v2\ngeneration 0\nseg.snap zero 3\n",
+            "pimento-shards v2\ngeneration 0\nseg.snap 0 none\n",
+            "pimento-shards v2\ngeneration 0\nseg.snap 1 3\n",
+            "pimento-shards v2\ngeneration 0\na.snap 0 3\nb.snap 5 1\n",
+            "pimento-shards v2\ngeneration 0\nseg.snap 0 0\n",
+            "pimento-shards v2\ngeneration 0\n../evil.snap 0 3\n",
+            "pimento-shards v2\ngeneration 0\nsub/evil.snap 0 3\n",
+            "pimento-shards v2\ngeneration 0\nMANIFEST 0 3\n",
             "pimento-shards v2\na.snap 0 3\n",
             "pimento-shards v2\ngeneration x\na.snap 0 3\n",
             "pimento-shards v2\ngeneration 1\na.snap 0 3 ../t\n",
             "pimento-shards v2\ngeneration 1\na.snap 0 3 t extra\n",
         ];
         for text in bad {
-            let texts = [text.to_string(), with_crc(text)];
-            for text in &texts {
-                assert!(
-                    matches!(
-                        ShardManifest::parse(text),
-                        Err(PersistError::BadManifest(_))
-                    ),
-                    "{text:?}"
-                );
-            }
+            let text = with_crc(text);
+            assert!(
+                matches!(
+                    ShardManifest::parse(&text),
+                    Err(PersistError::BadManifest(_))
+                ),
+                "{text:?}"
+            );
         }
     }
 
@@ -463,9 +458,9 @@ mod tests {
     fn duplicate_and_overlapping_entries_rejected() {
         // Same file listed twice (ranges contiguous, so only the
         // duplicate-file check can catch it).
-        let dup = "pimento-shards v1\na.snap 0 3\na.snap 3 2\n";
+        let dup = with_crc("pimento-shards v2\ngeneration 0\na.snap 0 3\na.snap 3 2\n");
         assert!(matches!(
-            ShardManifest::parse(dup),
+            ShardManifest::parse(&dup),
             Err(PersistError::BadManifest("duplicate file in manifest"))
         ));
         // A tombstone sidecar colliding with a segment file.
@@ -481,16 +476,21 @@ mod tests {
             Err(PersistError::BadManifest("duplicate file in manifest"))
         ));
         // Overlapping ranges: second segment starts inside the first.
-        let overlap = "pimento-shards v1\na.snap 0 3\nb.snap 2 2\n";
+        let overlap = with_crc("pimento-shards v2\ngeneration 0\na.snap 0 3\nb.snap 2 2\n");
         assert!(matches!(
-            ShardManifest::parse(overlap),
+            ShardManifest::parse(&overlap),
             Err(PersistError::BadManifest(
                 "doc ranges overlap or are not contiguous"
             ))
         ));
         // Duplicate range: both segments claim base 0.
-        let same = "pimento-shards v1\na.snap 0 3\nb.snap 0 3\n";
-        assert!(ShardManifest::parse(same).is_err());
+        let same = with_crc("pimento-shards v2\ngeneration 0\na.snap 0 3\nb.snap 0 3\n");
+        assert!(matches!(
+            ShardManifest::parse(&same),
+            Err(PersistError::BadManifest(
+                "doc ranges overlap or are not contiguous"
+            ))
+        ));
     }
 
     proptest! {

@@ -1,17 +1,13 @@
 //! Per-tag element index: "an index per distinct tag" (paper §6.4).
 //!
-//! The index has two backings behind one API. [`TagIndex::build`] produces
-//! the *heap* form (`tag → Vec<ElemEntry>`), which incremental ingest
-//! appends to. Opening a `PIMCOL4` columnar snapshot produces the *packed*
-//! form: the per-tag directory and the flat 18-byte entry rows stay inside
-//! the snapshot's shared byte buffer, and accessors decode entries on the
-//! fly — nothing is rebuilt at load time. [`ElemsView`] is the common
-//! return type: a borrowed window over either backing that iterates
-//! [`ElemEntry`] values and supports the binary searches the structural
-//! joins rely on.
+//! [`TagIndex`] maps each tag to its elements in `(doc, start)` order —
+//! the input streams of the structural joins, which binary-search them by
+//! document and region. It is produced exactly once, by
+//! [`TagIndex::build`] or by [`crate::columnar::open_index`] decoding the
+//! `tags` section of a `PIMCOL4` snapshot into the same map, and never
+//! mutated afterwards.
 
 use crate::store::{Collection, DocId, ElemRef};
-use bytes::Bytes;
 use pimento_xml::{NodeId, NodeKind, SymbolId};
 use std::collections::HashMap;
 
@@ -32,6 +28,17 @@ pub struct ElemEntry {
 }
 
 impl ElemEntry {
+    /// The entry of element node `node_id` (`node`) of document `doc`.
+    pub(crate) fn of_node(doc: DocId, node_id: NodeId, node: &pimento_xml::Node) -> Self {
+        ElemEntry {
+            doc,
+            node: node_id,
+            start: node.start,
+            end: node.end,
+            level: node.level,
+        }
+    }
+
     /// Collection-wide address of this element.
     pub fn elem_ref(&self) -> ElemRef {
         ElemRef {
@@ -51,355 +58,58 @@ impl ElemEntry {
     }
 }
 
-/// On-disk size of one packed [`ElemEntry`] row (four `u32`s + one `u16`,
-/// little-endian, unpadded).
-pub(crate) const ELEM_ROW: usize = 18;
-
-/// Little-endian field readers over packed rows. Bounds are validated when
-/// the snapshot opens, and the readers are total on top of that: a read
-/// past the window — impossible on a validated snapshot, asserted in debug
-/// builds — yields zero instead of a hot-path panic. `forbid(unsafe_code)`
-/// holds throughout: "zero-copy" means no rebuild, not pointer casting.
-pub(crate) fn u16_at(b: &[u8], off: usize) -> u16 {
-    let mut raw = [0u8; 2];
-    match off.checked_add(2).and_then(|end| b.get(off..end)) {
-        Some(src) => raw.copy_from_slice(src),
-        None => debug_assert!(false, "u16_at past the validated window"),
-    }
-    u16::from_le_bytes(raw)
-}
-
-pub(crate) fn u32_at(b: &[u8], off: usize) -> u32 {
-    let mut raw = [0u8; 4];
-    match off.checked_add(4).and_then(|end| b.get(off..end)) {
-        Some(src) => raw.copy_from_slice(src),
-        None => debug_assert!(false, "u32_at past the validated window"),
-    }
-    u32::from_le_bytes(raw)
-}
-
-pub(crate) fn u64_at(b: &[u8], off: usize) -> u64 {
-    let mut raw = [0u8; 8];
-    match off.checked_add(8).and_then(|end| b.get(off..end)) {
-        Some(src) => raw.copy_from_slice(src),
-        None => debug_assert!(false, "u64_at past the validated window"),
-    }
-    u64::from_le_bytes(raw)
-}
-
-/// Append `e` to `out` in packed row form.
-pub(crate) fn put_elem_row(out: &mut Vec<u8>, e: &ElemEntry) {
-    out.extend_from_slice(&e.doc.0.to_le_bytes());
-    out.extend_from_slice(&e.node.0.to_le_bytes());
-    out.extend_from_slice(&e.start.to_le_bytes());
-    out.extend_from_slice(&e.end.to_le_bytes());
-    out.extend_from_slice(&e.level.to_le_bytes());
-}
-
-/// Decode the row starting at byte offset `off`.
-pub(crate) fn elem_row_at(rows: &[u8], off: usize) -> ElemEntry {
-    ElemEntry {
-        doc: DocId(u32_at(rows, off)),
-        node: NodeId(u32_at(rows, off + 4)),
-        start: u32_at(rows, off + 8),
-        end: u32_at(rows, off + 12),
-        level: u16_at(rows, off + 16),
-    }
-}
-
-#[derive(Debug, Clone, Copy)]
-enum ViewRepr<'a> {
-    /// Heap backing: a plain entry slice.
-    Slice(&'a [ElemEntry]),
-    /// Packed backing: `ELEM_ROW`-byte rows, decoded on access.
-    Packed(&'a [u8]),
-}
-
-/// A borrowed, ordered window of [`ElemEntry`]s — the uniform result of
-/// every [`TagIndex`] lookup, independent of backing. Entries are yielded
-/// *by value* (packed rows are decoded on access); equality compares
-/// contents, so heap- and snapshot-backed indexes over the same data
-/// compare equal.
-#[derive(Debug, Clone, Copy)]
-pub struct ElemsView<'a> {
-    repr: ViewRepr<'a>,
-}
-
-impl<'a> ElemsView<'a> {
-    /// An empty view (unknown tag, empty region).
-    pub fn empty() -> Self {
-        ElemsView {
-            repr: ViewRepr::Slice(&[]),
-        }
-    }
-
-    pub(crate) fn from_slice(entries: &'a [ElemEntry]) -> Self {
-        ElemsView {
-            repr: ViewRepr::Slice(entries),
-        }
-    }
-
-    pub(crate) fn from_rows(rows: &'a [u8]) -> Self {
-        debug_assert_eq!(rows.len() % ELEM_ROW, 0);
-        ElemsView {
-            repr: ViewRepr::Packed(rows),
-        }
-    }
-
-    /// Number of entries.
-    pub fn len(&self) -> usize {
-        match self.repr {
-            ViewRepr::Slice(s) => s.len(),
-            ViewRepr::Packed(b) => b.len() / ELEM_ROW,
-        }
-    }
-
-    /// Whether the view has no entries.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Entry at `i`; panics when out of range (mirrors slice indexing).
-    pub fn at(&self, i: usize) -> ElemEntry {
-        self.get(i).expect("ElemView index out of range")
-    }
-
-    /// Entry at `i`, or `None` past the end.
-    pub fn get(&self, i: usize) -> Option<ElemEntry> {
-        match self.repr {
-            ViewRepr::Slice(s) => s.get(i).copied(),
-            ViewRepr::Packed(b) => {
-                let at = i.checked_mul(ELEM_ROW)?;
-                (at.checked_add(ELEM_ROW)? <= b.len()).then(|| elem_row_at(b, at))
-            }
-        }
-    }
-
-    /// First entry, if any.
-    pub fn first(&self) -> Option<ElemEntry> {
-        self.get(0)
-    }
-
-    /// Iterate the entries in order.
-    pub fn iter(&self) -> impl Iterator<Item = ElemEntry> + 'a {
-        let v = *self;
-        (0..v.len()).filter_map(move |i| v.get(i))
-    }
-
-    /// Materialize the view.
-    pub fn to_vec(&self) -> Vec<ElemEntry> {
-        match self.repr {
-            ViewRepr::Slice(s) => s.to_vec(),
-            ViewRepr::Packed(_) => self.iter().collect(),
-        }
-    }
-
-    /// Index of the first entry for which `pred` is false — the same
-    /// contract as `slice::partition_point` (entries must be partitioned
-    /// by `pred`, which every caller's sort order guarantees).
-    pub fn partition_point(&self, mut pred: impl FnMut(&ElemEntry) -> bool) -> usize {
-        let (mut lo, mut hi) = (0usize, self.len());
-        while lo < hi {
-            let mid = lo + (hi - lo) / 2;
-            match self.get(mid) {
-                Some(e) if pred(&e) => lo = mid + 1,
-                _ => hi = mid,
-            }
-        }
-        lo
-    }
-
-    /// Sub-view over entry indexes `lo..hi`.
-    pub fn slice(&self, lo: usize, hi: usize) -> ElemsView<'a> {
-        match self.repr {
-            ViewRepr::Slice(s) => ElemsView {
-                repr: ViewRepr::Slice(&s[lo..hi]),
-            },
-            ViewRepr::Packed(b) => ElemsView {
-                repr: ViewRepr::Packed(&b[lo * ELEM_ROW..hi * ELEM_ROW]),
-            },
-        }
-    }
-}
-
-impl PartialEq for ElemsView<'_> {
-    fn eq(&self, other: &Self) -> bool {
-        self.len() == other.len() && self.iter().zip(other.iter()).all(|(a, b)| a == b)
-    }
-}
-
-impl Eq for ElemsView<'_> {}
-
-impl<'a> IntoIterator for ElemsView<'a> {
-    type Item = ElemEntry;
-    type IntoIter = Box<dyn Iterator<Item = ElemEntry> + 'a>;
-    fn into_iter(self) -> Self::IntoIter {
-        Box::new(self.iter())
-    }
-}
-
-/// Packed backing: zero-copy windows into the snapshot buffer.
-#[derive(Debug)]
-pub(crate) struct PackedTags {
-    /// Per-symbol directory: `sym_domain` rows of `(start_row: u32,
-    /// row_count: u32)` indexed directly by `SymbolId`.
-    dir: Bytes,
-    /// `ELEM_ROW`-byte entry rows, `(doc, start)`-sorted per symbol.
-    rows: Bytes,
-}
-
-impl PackedTags {
-    fn span(&self, tag: SymbolId) -> Option<(usize, usize)> {
-        let at = tag.0 as usize * 8;
-        if at + 8 > self.dir.len() {
-            return None;
-        }
-        let start = u32_at(&self.dir, at) as usize;
-        let count = u32_at(&self.dir, at + 4) as usize;
-        Some((start, count))
-    }
-}
-
-#[derive(Debug)]
-enum TagsRepr {
-    Heap(HashMap<SymbolId, Vec<ElemEntry>>),
-    Packed(PackedTags),
-}
-
-/// tag → all elements with that tag, sorted by `(doc, start)`.
-#[derive(Debug)]
+/// tag → all elements with that tag, sorted by `(doc, start)`. Tags with
+/// no elements have no entry.
+#[derive(Debug, Default, PartialEq, Eq)]
 pub struct TagIndex {
-    repr: TagsRepr,
-}
-
-impl Default for TagIndex {
-    fn default() -> Self {
-        TagIndex {
-            repr: TagsRepr::Heap(HashMap::new()),
-        }
-    }
+    pub(crate) by_tag: HashMap<SymbolId, Vec<ElemEntry>>,
 }
 
 impl TagIndex {
     /// Scan every document of `coll` and index its elements.
     pub fn build(coll: &Collection) -> Self {
         let mut index = TagIndex::default();
+        // Documents arrive in id order and nodes in document order, which
+        // keeps every per-tag list `(doc, start)`-sorted.
         for (doc_id, doc) in coll.iter() {
-            index.index_document(doc_id, doc);
+            for node_id in doc.node_ids() {
+                let node = doc.node(node_id);
+                if let NodeKind::Element { tag, .. } = &node.kind {
+                    let entry = ElemEntry::of_node(doc_id, node_id, node);
+                    index.by_tag.entry(*tag).or_default().push(entry);
+                }
+            }
         }
         index
     }
 
-    /// Wrap pre-validated packed sections (the `tags` section of a
-    /// columnar snapshot). `dir` and `rows` are zero-copy slices of the
-    /// snapshot buffer; bounds were checked by the opener.
-    pub(crate) fn from_packed(dir: Bytes, rows: Bytes) -> Self {
-        TagIndex {
-            repr: TagsRepr::Packed(PackedTags { dir, rows }),
-        }
-    }
-
-    /// True when backed by packed snapshot sections (no heap lists).
-    pub fn is_packed(&self) -> bool {
-        matches!(self.repr, TagsRepr::Packed(_))
-    }
-
-    /// Convert a packed backing into heap lists so mutation can proceed.
-    /// No-op on an already-heap index.
-    fn ensure_heap(&mut self) {
-        if self.is_packed() {
-            let syms = match &self.repr {
-                TagsRepr::Packed(p) => p.dir.len() / 8,
-                TagsRepr::Heap(_) => 0,
-            };
-            let mut by_tag: HashMap<SymbolId, Vec<ElemEntry>> = HashMap::new();
-            for s in 0..syms {
-                let sym = SymbolId(s as u32);
-                let entries = self.elements(sym).to_vec();
-                if !entries.is_empty() {
-                    by_tag.insert(sym, entries);
-                }
-            }
-            self.repr = TagsRepr::Heap(by_tag);
-        }
-    }
-
-    /// Append one document's elements. `doc_id` must be larger than every
-    /// previously indexed id, which keeps the per-tag lists
-    /// `(doc, start)`-sorted. A packed index thaws to heap form first
-    /// (one-time cost on the first incremental add after a snapshot open).
-    pub fn index_document(&mut self, doc_id: DocId, doc: &pimento_xml::Document) {
-        self.ensure_heap();
-        let TagsRepr::Heap(by_tag) = &mut self.repr else {
-            // ensure_heap always leaves a heap repr behind.
-            return;
-        };
-        for node_id in doc.node_ids() {
-            let node = doc.node(node_id);
-            if let NodeKind::Element { tag, .. } = &node.kind {
-                let list = by_tag.entry(*tag).or_default();
-                debug_assert!(list
-                    .last()
-                    .is_none_or(|l| (l.doc, l.start) < (doc_id, node.start)));
-                list.push(ElemEntry {
-                    doc: doc_id,
-                    node: node_id,
-                    start: node.start,
-                    end: node.end,
-                    level: node.level,
-                });
-            }
-        }
-    }
-
     /// All elements with tag `tag`, sorted by `(doc, start)`.
-    pub fn elements(&self, tag: SymbolId) -> ElemsView<'_> {
-        match &self.repr {
-            TagsRepr::Heap(m) => {
-                ElemsView::from_slice(m.get(&tag).map(Vec::as_slice).unwrap_or(&[]))
-            }
-            TagsRepr::Packed(p) => match p.span(tag) {
-                Some((start, count)) if count > 0 => {
-                    ElemsView::from_rows(&p.rows[start * ELEM_ROW..(start + count) * ELEM_ROW])
-                }
-                _ => ElemsView::empty(),
-            },
-        }
+    pub fn elements(&self, tag: SymbolId) -> &[ElemEntry] {
+        self.by_tag.get(&tag).map(Vec::as_slice).unwrap_or(&[])
     }
 
     /// Elements with tag `tag` inside document `doc`.
-    pub fn doc_elements(&self, tag: SymbolId, doc: DocId) -> ElemsView<'_> {
+    pub fn doc_elements(&self, tag: SymbolId, doc: DocId) -> &[ElemEntry] {
         let all = self.elements(tag);
         let lo = all.partition_point(|e| e.doc < doc);
         let hi = all.partition_point(|e| e.doc <= doc);
-        all.slice(lo, hi)
+        all.get(lo..hi).unwrap_or(&[])
     }
 
     /// Elements with tag `tag` whose region lies strictly inside
     /// `(doc, start, end)` — the descendants step of a structural join.
-    pub fn elements_within(
-        &self,
-        tag: SymbolId,
-        doc: DocId,
-        start: u32,
-        end: u32,
-    ) -> ElemsView<'_> {
+    pub fn elements_within(&self, tag: SymbolId, doc: DocId, start: u32, end: u32) -> &[ElemEntry] {
         let in_doc = self.doc_elements(tag, doc);
         let lo = in_doc.partition_point(|e| e.start <= start);
         let hi = in_doc.partition_point(|e| e.start < end);
         // Entries in [lo, hi) start inside the region; starting inside a
         // well-nested region implies ending inside it.
-        in_doc.slice(lo, hi)
+        in_doc.get(lo..hi).unwrap_or(&[])
     }
 
     /// Number of distinct tags.
     pub fn num_tags(&self) -> usize {
-        match &self.repr {
-            TagsRepr::Heap(m) => m.len(),
-            TagsRepr::Packed(p) => (0..p.dir.len() / 8)
-                .filter(|&s| u32_at(&p.dir, s * 8 + 4) > 0)
-                .count(),
-        }
+        self.by_tag.len()
     }
 
     /// Total element count for `tag` (0 when absent).
@@ -443,11 +153,11 @@ mod tests {
         let (c, t) = setup();
         let car = c.tag("car").unwrap();
         let price = c.tag("price").unwrap();
-        let first_car = t.doc_elements(car, DocId(0)).at(0);
+        let first_car = t.doc_elements(car, DocId(0))[0];
         let prices = t.elements_within(price, DocId(0), first_car.start, first_car.end);
         assert_eq!(prices.len(), 1);
-        assert!(first_car.is_ancestor_of(&prices.at(0)));
-        assert!(first_car.is_parent_of(&prices.at(0)));
+        assert!(first_car.is_ancestor_of(&prices[0]));
+        assert!(first_car.is_parent_of(&prices[0]));
     }
 
     #[test]
@@ -455,13 +165,13 @@ mod tests {
         let (c, t) = setup();
         let dealer = c.tag("dealer").unwrap();
         let price = c.tag("price").unwrap();
-        let d = t.doc_elements(dealer, DocId(0)).at(0);
-        let p = t.doc_elements(price, DocId(0)).at(0);
+        let d = t.doc_elements(dealer, DocId(0))[0];
+        let p = t.doc_elements(price, DocId(0))[0];
         assert!(d.is_ancestor_of(&p));
         assert!(!d.is_parent_of(&p)); // two levels apart
         assert!(!p.is_ancestor_of(&d));
         // cross-document never related
-        let d1 = t.doc_elements(dealer, DocId(1)).at(0);
+        let d1 = t.doc_elements(dealer, DocId(1))[0];
         assert!(!d1.is_ancestor_of(&p));
     }
 
@@ -469,52 +179,5 @@ mod tests {
     fn unknown_tag_is_empty() {
         let (_, t) = setup();
         assert!(t.elements(SymbolId(999)).is_empty());
-    }
-
-    #[test]
-    fn view_access_and_equality() {
-        let (c, t) = setup();
-        let car = c.tag("car").unwrap();
-        let view = t.elements(car);
-        assert_eq!(view.len(), 3);
-        assert_eq!(view.get(2), Some(view.at(2)));
-        assert_eq!(view.get(3), None);
-        assert_eq!(view.first(), Some(view.at(0)));
-        assert_eq!(view.to_vec().len(), 3);
-        assert_eq!(view, t.elements(car));
-        assert_ne!(view, t.elements(c.tag("price").unwrap()));
-        let collected: Vec<ElemEntry> = view.into_iter().collect();
-        assert_eq!(collected, view.to_vec());
-        assert!(ElemsView::empty().first().is_none());
-    }
-
-    #[test]
-    fn packed_rows_roundtrip() {
-        let e = ElemEntry {
-            doc: DocId(7),
-            node: NodeId(9),
-            start: 3,
-            end: 44,
-            level: 2,
-        };
-        let mut rows = Vec::new();
-        put_elem_row(&mut rows, &e);
-        put_elem_row(
-            &mut rows,
-            &ElemEntry {
-                doc: DocId(8),
-                node: NodeId(0),
-                start: 1,
-                end: 2,
-                level: 1,
-            },
-        );
-        assert_eq!(rows.len(), 2 * ELEM_ROW);
-        let view = ElemsView::from_rows(&rows);
-        assert_eq!(view.at(0), e);
-        assert_eq!(view.at(1).doc, DocId(8));
-        // Packed and slice views over the same entries compare equal.
-        let entries = view.to_vec();
-        assert_eq!(view, ElemsView::from_slice(&entries));
     }
 }

@@ -7,86 +7,22 @@
 //! slice. The structural-join pre-filter consumes it to seed pattern nodes
 //! that carry numeric constraints.
 //!
-//! Like [`crate::tags::TagIndex`], the index is either *heap*-backed
-//! (built from documents, mutable) or *packed* — a zero-copy view over the
-//! `vals` section of a `PIMCOL4` snapshot, where each entry is a fixed
-//! [`VAL_ROW`]-byte row (`f64` bit pattern + packed element row) and the
-//! binary searches decode values on access.
+//! Like [`crate::tags::TagIndex`], the index is produced exactly once —
+//! [`ValueIndex::build`], or [`crate::columnar::open_index`] decoding the
+//! `vals` section of a `PIMCOL4` snapshot into the same map — and never
+//! mutated afterwards.
 
 use crate::fields::FieldValue;
-use crate::store::{Collection, DocId};
-use crate::tags::{elem_row_at, put_elem_row, u64_at, ElemEntry, ELEM_ROW};
-use bytes::Bytes;
+use crate::store::Collection;
+use crate::tags::ElemEntry;
 use pimento_xml::{NodeKind, SymbolId};
 use std::collections::HashMap;
 
-/// On-disk size of one packed value row: the `f64` bit pattern
-/// (little-endian `u64`) followed by the element row.
-pub(crate) const VAL_ROW: usize = 8 + ELEM_ROW;
-
-/// Append `(v, e)` to `out` in packed row form.
-pub(crate) fn put_val_row(out: &mut Vec<u8>, v: f64, e: &ElemEntry) {
-    out.extend_from_slice(&v.to_bits().to_le_bytes());
-    put_elem_row(out, e);
-}
-
-fn val_row_at(rows: &[u8], i: usize) -> (f64, ElemEntry) {
-    let off = i * VAL_ROW;
-    (
-        f64::from_bits(u64_at(rows, off)),
-        elem_row_at(rows, off + 8),
-    )
-}
-
-#[derive(Debug)]
-struct PackedValues {
-    /// Per-symbol directory: `(start_row: u32, row_count: u32)` pairs
-    /// indexed by `SymbolId`.
-    dir: Bytes,
-    /// `VAL_ROW`-byte rows, value-sorted per symbol.
-    rows: Bytes,
-}
-
-impl PackedValues {
-    fn span(&self, tag: SymbolId) -> Option<(usize, usize)> {
-        let at = tag.0 as usize * 8;
-        if at + 8 > self.dir.len() {
-            return None;
-        }
-        let start = crate::tags::u32_at(&self.dir, at) as usize;
-        let count = crate::tags::u32_at(&self.dir, at + 4) as usize;
-        Some((start, count))
-    }
-
-    /// The packed rows for `tag`, or an empty slice.
-    fn tag_rows(&self, tag: SymbolId) -> &[u8] {
-        match self.span(tag) {
-            Some((start, count)) if count > 0 => {
-                &self.rows[start * VAL_ROW..(start + count) * VAL_ROW]
-            }
-            _ => &[],
-        }
-    }
-}
-
-#[derive(Debug)]
-enum ValsRepr {
-    Heap(HashMap<SymbolId, Vec<(f64, ElemEntry)>>),
-    Packed(PackedValues),
-}
-
-/// Per-tag numeric entries sorted by value.
-#[derive(Debug)]
+/// Per-tag numeric entries sorted by value (ties in document order). Tags
+/// with no numeric leaf have no entry; NaN is never indexed.
+#[derive(Debug, Default, PartialEq)]
 pub struct ValueIndex {
-    repr: ValsRepr,
-}
-
-impl Default for ValueIndex {
-    fn default() -> Self {
-        ValueIndex {
-            repr: ValsRepr::Heap(HashMap::new()),
-        }
-    }
+    pub(crate) by_tag: HashMap<SymbolId, Vec<(f64, ElemEntry)>>,
 }
 
 /// Comparison operators the range scan answers.
@@ -109,187 +45,60 @@ impl ValueIndex {
     pub fn build(coll: &Collection) -> Self {
         let mut index = ValueIndex::default();
         for (doc_id, doc) in coll.iter() {
-            index.collect_document(doc_id, doc);
-        }
-        index.sort_all();
-        index
-    }
-
-    /// Wrap pre-validated packed sections (the `vals` section of a
-    /// columnar snapshot); zero-copy slices of the snapshot buffer.
-    pub(crate) fn from_packed(dir: Bytes, rows: Bytes) -> Self {
-        ValueIndex {
-            repr: ValsRepr::Packed(PackedValues { dir, rows }),
-        }
-    }
-
-    /// True when backed by packed snapshot sections.
-    pub fn is_packed(&self) -> bool {
-        matches!(self.repr, ValsRepr::Packed(_))
-    }
-
-    /// Thaw a packed backing into heap lists so mutation can proceed.
-    fn ensure_heap(&mut self) {
-        if self.is_packed() {
-            let syms = match &self.repr {
-                ValsRepr::Packed(p) => p.dir.len() / 8,
-                ValsRepr::Heap(_) => 0,
-            };
-            let mut by_tag: HashMap<SymbolId, Vec<(f64, ElemEntry)>> = HashMap::new();
-            for s in 0..syms {
-                let sym = SymbolId(s as u32);
-                let entries = self.dump_tag(sym);
-                if !entries.is_empty() {
-                    by_tag.insert(sym, entries);
+            for node_id in doc.node_ids() {
+                let node = doc.node(node_id);
+                let NodeKind::Element { tag, .. } = &node.kind else {
+                    continue;
+                };
+                // Leaf field: exactly one child, and it is a text node.
+                let [only_child] = node.children.as_slice() else {
+                    continue;
+                };
+                let Some(text) = doc.node(*only_child).text() else {
+                    continue;
+                };
+                let FieldValue::Num(v) = FieldValue::parse(text) else {
+                    continue;
+                };
+                if v.is_nan() {
+                    continue;
                 }
-            }
-            self.repr = ValsRepr::Heap(by_tag);
-        }
-    }
-
-    /// Append one document; the touched tags re-sort internally so single
-    /// document adds stay cheap. A packed index thaws to heap form first.
-    pub fn index_document(&mut self, doc_id: DocId, doc: &pimento_xml::Document) {
-        let touched = self.collect_document(doc_id, doc);
-        let ValsRepr::Heap(by_tag) = &mut self.repr else {
-            return;
-        };
-        for tag in touched {
-            if let Some(list) = by_tag.get_mut(&tag) {
-                list.sort_by(|a, b| a.0.total_cmp(&b.0));
+                let entry = ElemEntry::of_node(doc_id, node_id, node);
+                index.by_tag.entry(*tag).or_default().push((v, entry));
             }
         }
-    }
-
-    fn collect_document(&mut self, doc_id: DocId, doc: &pimento_xml::Document) -> Vec<SymbolId> {
-        self.ensure_heap();
-        let mut touched = Vec::new();
-        let ValsRepr::Heap(by_tag) = &mut self.repr else {
-            return touched;
-        };
-        for node_id in doc.node_ids() {
-            let node = doc.node(node_id);
-            let NodeKind::Element { tag, .. } = &node.kind else {
-                continue;
-            };
-            // Leaf field: exactly one child, and it is a text node.
-            let [only_child] = node.children.as_slice() else {
-                continue;
-            };
-            let Some(text) = doc.node(*only_child).text() else {
-                continue;
-            };
-            let FieldValue::Num(v) = FieldValue::parse(text) else {
-                continue;
-            };
-            if v.is_nan() {
-                continue;
-            }
-            by_tag.entry(*tag).or_default().push((
-                v,
-                ElemEntry {
-                    doc: doc_id,
-                    node: node_id,
-                    start: node.start,
-                    end: node.end,
-                    level: node.level,
-                },
-            ));
-            touched.push(*tag);
-        }
-        touched
-    }
-
-    fn sort_all(&mut self) {
-        let ValsRepr::Heap(by_tag) = &mut self.repr else {
-            return;
-        };
-        for list in by_tag.values_mut() {
+        for list in index.by_tag.values_mut() {
             list.sort_by(|a, b| a.0.total_cmp(&b.0));
         }
+        index
     }
 
     /// Elements with tag `tag` whose numeric content satisfies `op c`,
     /// sorted by value. Returns owned entries (the matching slice is
     /// usually small).
     pub fn range(&self, tag: SymbolId, op: RangeOp, c: f64) -> Vec<ElemEntry> {
-        match &self.repr {
-            ValsRepr::Heap(by_tag) => {
-                let Some(list) = by_tag.get(&tag) else {
-                    return Vec::new();
-                };
-                let lo = list.partition_point(|(v, _)| *v < c);
-                let hi = list.partition_point(|(v, _)| *v <= c);
-                let slice = match op {
-                    RangeOp::Lt => &list[..lo],
-                    RangeOp::Le => &list[..hi],
-                    RangeOp::Gt => &list[hi..],
-                    RangeOp::Ge => &list[lo..],
-                    RangeOp::Eq => &list[lo..hi],
-                };
-                slice.iter().map(|(_, e)| *e).collect()
-            }
-            ValsRepr::Packed(p) => {
-                let rows = p.tag_rows(tag);
-                let n = rows.len() / VAL_ROW;
-                let value_at = |i: usize| f64::from_bits(u64_at(rows, i * VAL_ROW));
-                let lo = partition_rows(n, |i| value_at(i) < c);
-                let hi = partition_rows(n, |i| value_at(i) <= c);
-                let (a, b) = match op {
-                    RangeOp::Lt => (0, lo),
-                    RangeOp::Le => (0, hi),
-                    RangeOp::Gt => (hi, n),
-                    RangeOp::Ge => (lo, n),
-                    RangeOp::Eq => (lo, hi),
-                };
-                (a..b).map(|i| val_row_at(rows, i).1).collect()
-            }
-        }
+        let list = self.by_tag.get(&tag).map(Vec::as_slice).unwrap_or(&[]);
+        let lo = list.partition_point(|(v, _)| *v < c);
+        let hi = list.partition_point(|(v, _)| *v <= c);
+        let slice = match op {
+            RangeOp::Lt => &list[..lo],
+            RangeOp::Le => &list[..hi],
+            RangeOp::Gt => &list[hi..],
+            RangeOp::Ge => &list[lo..],
+            RangeOp::Eq => &list[lo..hi],
+        };
+        slice.iter().map(|(_, e)| *e).collect()
     }
 
     /// Number of indexed entries for `tag`.
     pub fn count(&self, tag: SymbolId) -> usize {
-        match &self.repr {
-            ValsRepr::Heap(by_tag) => by_tag.get(&tag).map(Vec::len).unwrap_or(0),
-            ValsRepr::Packed(p) => p.tag_rows(tag).len() / VAL_ROW,
-        }
+        self.by_tag.get(&tag).map(Vec::len).unwrap_or(0)
     }
 
     /// Is anything indexed at all?
     pub fn is_empty(&self) -> bool {
-        match &self.repr {
-            ValsRepr::Heap(by_tag) => by_tag.values().all(Vec::is_empty),
-            ValsRepr::Packed(p) => p.rows.is_empty(),
-        }
+        self.by_tag.is_empty()
     }
-
-    /// All `(value, entry)` pairs for `tag` in value order — the snapshot
-    /// writer's dump path, uniform over both backings.
-    pub(crate) fn dump_tag(&self, tag: SymbolId) -> Vec<(f64, ElemEntry)> {
-        match &self.repr {
-            ValsRepr::Heap(by_tag) => by_tag.get(&tag).cloned().unwrap_or_default(),
-            ValsRepr::Packed(p) => {
-                let rows = p.tag_rows(tag);
-                (0..rows.len() / VAL_ROW)
-                    .map(|i| val_row_at(rows, i))
-                    .collect()
-            }
-        }
-    }
-}
-
-/// `partition_point` over row indexes `0..n`.
-fn partition_rows(n: usize, mut pred: impl FnMut(usize) -> bool) -> usize {
-    let (mut lo, mut hi) = (0usize, n);
-    while lo < hi {
-        let mid = lo + (hi - lo) / 2;
-        if pred(mid) {
-            lo = mid + 1;
-        } else {
-            hi = mid;
-        }
-    }
-    lo
 }
 
 #[cfg(test)]
@@ -334,22 +143,6 @@ mod tests {
     }
 
     #[test]
-    fn incremental_add_matches_rebuild() {
-        let mut c = Collection::new();
-        c.add_xml("<a><p>10</p></a>").unwrap();
-        let mut v = ValueIndex::build(&c);
-        let d1 = c.add_xml("<a><p>5</p><p>20</p></a>").unwrap();
-        v.index_document(d1, c.doc(d1));
-        let full = ValueIndex::build(&c);
-        let p = c.tag("p").unwrap();
-        assert_eq!(
-            v.range(p, RangeOp::Le, 100.0),
-            full.range(p, RangeOp::Le, 100.0)
-        );
-        assert_eq!(v.range(p, RangeOp::Lt, 10.0).len(), 1);
-    }
-
-    #[test]
     fn unknown_tag_empty() {
         let (_, v) = setup();
         assert_eq!(v.range(SymbolId(999), RangeOp::Lt, 1.0).len(), 0);
@@ -366,46 +159,5 @@ mod tests {
         let mileage = c.tag("mileage").unwrap();
         assert_eq!(v.range(price, RangeOp::Eq, 500.0).len(), 1);
         assert_eq!(v.range(mileage, RangeOp::Eq, 50_000.0).len(), 1);
-    }
-
-    #[test]
-    fn packed_rows_match_heap_range() {
-        let (c, v) = setup();
-        let price = c.tag("price").unwrap();
-        // Pack the dumped entries into rows and rebuild a packed index
-        // with a single-symbol-domain directory.
-        let domain = 8; // more syms than exist; extra dir slots stay empty
-        let mut dir = Vec::new();
-        let mut rows = Vec::new();
-        let mut start = 0u32;
-        for s in 0..domain {
-            let entries = v.dump_tag(SymbolId(s));
-            dir.extend_from_slice(&start.to_le_bytes());
-            dir.extend_from_slice(&(entries.len() as u32).to_le_bytes());
-            for (val, e) in &entries {
-                put_val_row(&mut rows, *val, e);
-            }
-            start += entries.len() as u32;
-        }
-        let packed = ValueIndex::from_packed(Bytes::from(dir), Bytes::from(rows));
-        assert!(packed.is_packed());
-        assert_eq!(packed.count(price), 3);
-        for op in [
-            RangeOp::Lt,
-            RangeOp::Le,
-            RangeOp::Gt,
-            RangeOp::Ge,
-            RangeOp::Eq,
-        ] {
-            assert_eq!(packed.range(price, op, 1500.0), v.range(price, op, 1500.0));
-        }
-        assert_eq!(packed.dump_tag(price), v.dump_tag(price));
-        assert!(!packed.is_empty());
-        // Thaw on incremental add keeps results identical.
-        let mut thawed = ValueIndex::from_packed(Bytes::copy_from_slice(&[0; 64]), Bytes::new());
-        let d = c.doc(DocId(0));
-        thawed.index_document(DocId(0), d);
-        assert!(!thawed.is_packed());
-        assert_eq!(thawed.count(price), 3);
     }
 }

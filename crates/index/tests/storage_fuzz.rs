@@ -22,6 +22,22 @@ fn sample_manifest() -> String {
     full
 }
 
+/// What `snapshot build --shards` and every bootstrap publish write:
+/// generation 0, no tombstones — checksummed like any other manifest.
+fn bootstrap_manifest() -> String {
+    let entry = |i: usize, doc_base, docs| pimento_index::ManifestEntry {
+        file: ShardManifest::segment_file_name(i),
+        doc_base,
+        docs,
+        tombstones: None,
+    };
+    ShardManifest {
+        segments: vec![entry(0, 0, 3), entry(1, 3, 2)],
+        generation: 0,
+    }
+    .render()
+}
+
 /// A canonical tombstone sidecar with its crc trailer.
 fn sample_tombstones() -> String {
     let mut set = TombstoneSet::new();
@@ -105,12 +121,13 @@ proptest! {
     /// not just at a line boundary) is rejected or bit-meaning-identical.
     #[test]
     fn truncations_never_change_meaning(cut_manifest in 0usize..200, cut_tomb in 0usize..100) {
-        let manifest = sample_manifest();
-        let original = ShardManifest::parse(&manifest).unwrap();
-        let cut = cut_manifest % manifest.len();
-        if let Ok(parsed) = ShardManifest::parse(&manifest[..cut]) {
-            prop_assert_eq!(parsed.segments, original.segments);
-            prop_assert_eq!(parsed.generation, original.generation);
+        for manifest in [sample_manifest(), bootstrap_manifest()] {
+            let original = ShardManifest::parse(&manifest).unwrap();
+            let cut = cut_manifest % manifest.len();
+            if let Ok(parsed) = ShardManifest::parse(&manifest[..cut]) {
+                prop_assert_eq!(parsed.segments, original.segments);
+                prop_assert_eq!(parsed.generation, original.generation);
+            }
         }
 
         let tomb = sample_tombstones();

@@ -2,10 +2,11 @@
 //! (`unchecked-offset` rule, DESIGN.md §14).
 //!
 //! The v4 snapshot opener slices sections out of an untrusted byte
-//! buffer using directory-supplied offsets and lengths. Inside the
-//! decoder functions of `columnar.rs` / `varint.rs` — everything
-//! reachable from `open_index` / `inspect` /
-//! `get_varint` / `get_delta_run` — raw `+`/`*` arithmetic on
+//! buffer using directory-supplied offsets and lengths, and decodes
+//! every row, span and varint run of them. Inside the decoder functions
+//! of `columnar.rs` / `varint.rs` — everything reachable from
+//! `open_index` / `inspect` / `get_varint` / `get_delta_run`, which
+//! includes the per-section decoders — raw `+`/`*` arithmetic on
 //! offset-like values and direct `[…]` indexing are banned: a corrupted
 //! directory must route through `checked_add`/`checked_mul`/`.get(…)`
 //! into the typed `SnapshotCorrupt` error, never wrap around or panic.

@@ -1,7 +1,7 @@
 //! Panic-reachability analysis (`panic-path` rule, DESIGN.md §14).
 //!
 //! From the declared hot-path roots — the per-answer algebra operators,
-//! the packed index decoders, and the serve request dispatch — every
+//! the snapshot decoders, and the serve request dispatch — every
 //! transitively reachable function must be panic-free: no `panic!`-family
 //! macro, no `.unwrap()` / one-arg `.expect(…)`, no slice-index sugar.
 //! Each finding is anchored at the panic *site* and carries the full
@@ -30,8 +30,10 @@ const ROOTS: &[(&str, &[&str], RootFns)] = &[
     ("algebra", &["ops"], RootFns::All),
     ("algebra", &["rank"], RootFns::All),
     ("algebra", &["topk"], RootFns::All),
-    // Packed index accessors: the columnar/varint *decoders* (the writers
-    // run at build time and may assert) and the phrase scan.
+    // The columnar/varint *decoders* — `open_index` reaches every
+    // section decoder (`decode_rowed`, `decode_inv`, `decode_run`, the
+    // `*_at` readers) through the call graph; the writers run at build
+    // time and may assert — and the phrase scan.
     (
         "index",
         &["columnar"],

@@ -30,7 +30,7 @@ fn serve_usage() -> ! {
          \x20        [--shards N] [--queue-capacity N] [--cache-capacity N] [--query-threads N]\n\
          \x20        [--timeout-ms N] [--conn-timeout-ms N] [--profile-dir DIR]\n\
          --snapshot PATH  open a binary index snapshot instead of parsing XML\n\
-         \x20                (columnar v4, opened zero-copy; older formats are refused;\n\
+         \x20                (columnar v4, validated and decoded at startup; older formats are refused;\n\
          \x20                a directory opens as a sharded snapshot — see `snapshot build --shards`)\n\
          --shards N       lay the corpus out as N doc-range segments, each one lane\n\
          \x20                task per query (ignored if a sharded snapshot directory\n\

@@ -683,7 +683,7 @@ fn snapshot_backed_server_is_bit_identical_and_reports_format() {
     let expected = serial_fingerprint(&engine, &UserProfile::new(), CARS_QUERY, 10);
 
     // Reopen the same corpus through a columnar (v4) snapshot and serve
-    // from the packed views.
+    // from the decoded indexes.
     let snapshot = engine.save_snapshot();
     let reopened = Arc::new(Engine::from_snapshot(&snapshot).expect("v4 snapshot opens"));
     let cfg = ServeConfig {

@@ -34,8 +34,9 @@ cargo clippy -p pimento-serve --features fault-injection --all-targets -- -D war
 echo "==> serve gate: loadgen --smoke (start server, search, clean shutdown)"
 cargo run -q -p pimento-bench --release --bin loadgen -- --smoke
 
-echo "==> snapshot gate: persistence + columnar round-trip tests"
+echo "==> snapshot gate: columnar round-trip (reopened == built, byte fixed point), manifest grammar"
 cargo test -q -p pimento-index
+echo "==> snapshot gate: reopened parity (hits + ExecStats, 4 strategies x 2 rank orders, file + sharded dir), forged sections refused at open"
 cargo test -q -p pimento-suite --test snapshot_equivalence
 
 echo "==> snapshot gate: build + inspect a fresh v4 fixture; a v3 file is refused"

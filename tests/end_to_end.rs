@@ -443,8 +443,8 @@ fn engine_is_shareable_across_threads() {
 }
 
 #[test]
-fn engine_add_xml_extends_a_live_engine() {
-    let mut e = Engine::from_xml_docs(&[
+fn with_ingested_extends_a_live_engine() {
+    let e = Engine::from_xml_docs(&[
         "<dealer><car><d>good condition</d><price>100</price></car></dealer>",
     ])
     .unwrap();
@@ -456,14 +456,15 @@ fn engine_add_xml_extends_a_live_engine() {
             .len(),
         1
     );
-    e.add_xml("<dealer><car><d>also good condition</d><price>300</price></car></dealer>")
+    let e = e
+        .with_ingested(&["<dealer><car><d>also good condition</d><price>300</price></car></dealer>"])
         .unwrap();
     let res = e
         .search(q, &UserProfile::new(), &SearchOptions::top(10))
         .unwrap();
     assert_eq!(res.hits.len(), 2);
-    // The value index also grew: the range-seeded structural join sees
-    // both prices.
+    // The delta segment carries its own value index: the range-seeded
+    // structural join sees both prices.
     let cheap = e
         .search(
             "//car/price[. < 500]",
@@ -472,7 +473,7 @@ fn engine_add_xml_extends_a_live_engine() {
         )
         .unwrap();
     assert_eq!(cheap.hits.len(), 2);
-    // Snapshots taken after the incremental add round-trip everything.
+    // Snapshots taken after the add round-trip everything.
     let restored = Engine::from_snapshot(&e.save_snapshot()).unwrap();
     assert_eq!(
         restored

@@ -118,7 +118,7 @@ proptest! {
     /// The snapshot decoder never panics on arbitrary bytes.
     #[test]
     fn snapshot_decoder_never_panics(bytes in proptest::collection::vec(any::<u8>(), 0..400)) {
-        let _ = open_index(bytes.into());
+        let _ = open_index(&bytes);
     }
 
     /// Random mutations of a valid snapshot never panic the decoder.
@@ -133,6 +133,6 @@ proptest! {
             let idx = pos % bytes.len();
             bytes[idx] ^= val;
         }
-        let _ = open_index(bytes.into());
+        let _ = open_index(&bytes);
     }
 }

@@ -1,11 +1,15 @@
-//! ISSUE 6 acceptance: a columnar (v4) snapshot reopened from bytes is
-//! **bit-identical** to the engine that wrote it — same answer elements,
-//! same `S`/`K` score bits — across every plan strategy, on both the
-//! paper's running example and an XMark-style corpus — and the
-//! version/corruption matrix must keep producing typed errors, with every
-//! pre-columnar format (v1–v3) refused by magic.
+//! A columnar (v4) snapshot reopened from bytes — one file or a sharded
+//! directory — **is** the engine that wrote it: structurally equal indexes,
+//! the same answer elements with the same `S`/`K` score bits, and the same
+//! work counters, across every plan strategy and both rank orders, on the
+//! paper's running example and an XMark-style corpus. The
+//! version/corruption matrix keeps producing typed errors: every
+//! pre-columnar format (v1–v3) is refused by magic, and a section that is
+//! checksummed but malformed is refused at open, naming the section.
 
-use pimento::profile::{parse_profile, PrefRelRegistry, UserProfile};
+use pimento::index::{open_index, save_index, PersistError};
+use pimento::profile::{parse_profile, PrefRelRegistry, RankOrder, UserProfile};
+use pimento::algebra::ExecStats;
 use pimento::{Engine, PlanStrategy, SearchOptions};
 
 const FIG2_RULES: &str = include_str!("../profiles/fig2.rules");
@@ -17,51 +21,78 @@ const STRATEGIES: [PlanStrategy; 4] = [
     PlanStrategy::Push,
 ];
 
-/// (doc, node, S-bits, K-bits) per hit: equality means the float path is
-/// identical, not merely close.
+/// (doc, node, S-bits, K-bits) per hit — equality means the float path is
+/// identical, not merely close — plus the work the plan did to get there.
 fn fingerprint(
     engine: &Engine,
     profile: &UserProfile,
     query: &str,
     strategy: PlanStrategy,
-) -> Vec<(u32, u32, u64, u64)> {
+) -> (Vec<(u32, u32, u64, u64)>, ExecStats) {
     let opts = SearchOptions {
         strategy,
         ..SearchOptions::top(10)
     };
     let results = engine.search(query, profile, &opts).expect("search");
-    results
+    let hits = results
         .hits
         .iter()
         .map(|h| (h.elem.doc.0, h.elem.node.0, h.s.to_bits(), h.k.to_bits()))
-        .collect()
+        .collect();
+    (hits, results.stats)
+}
+
+/// Save `built` as a sharded directory and reopen it.
+fn through_sharded_dir(built: &Engine, tag: &str) -> Engine {
+    let dir = std::env::temp_dir().join(format!("pimento-snap-equiv-{tag}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    built.save_sharded_snapshot(&dir).expect("sharded save");
+    let reopened = Engine::from_sharded_dir(&dir).expect("sharded dir opens");
+    let _ = std::fs::remove_dir_all(&dir);
+    reopened
+}
+
+/// Every segment of `engine`, written and reopened, is structurally the
+/// segment that was written, and re-serializes to the same bytes.
+fn assert_segments_roundtrip(engine: &Engine, what: &str) {
+    for (i, seg) in engine.segments().iter().enumerate() {
+        let db = seg.db();
+        let bytes = engine.segment_bytes(i).expect("segment bytes");
+        let opened = open_index(&bytes).expect("segment opens");
+        assert_eq!(opened.inverted, db.inverted, "{what}: segment {i} inverted");
+        assert_eq!(opened.tags, db.tags, "{what}: segment {i} tags");
+        assert_eq!(opened.values, db.values, "{what}: segment {i} values");
+        let resaved = save_index(
+            &opened.collection,
+            &opened.inverted,
+            &opened.tags,
+            &opened.values,
+        );
+        assert_eq!(resaved, bytes, "{what}: segment {i} is not a byte fixed point");
+    }
 }
 
 fn assert_equivalent(original: &Engine, corpus: &str, queries: &[&str], profile: &UserProfile) {
-    let v4 = original.save_snapshot();
-    let from_v4 = Engine::from_snapshot(&v4).expect("v4 opens");
-    assert_eq!(from_v4.snapshot_format(), Some(4));
-    // The v4 open path must be backed by packed views, not a heap rebuild.
-    assert!(
-        from_v4.db().tags.is_packed(),
-        "{corpus}: v4 tags not packed"
-    );
-    assert!(
-        from_v4.db().values.is_packed(),
-        "{corpus}: v4 values not packed"
-    );
-    assert!(
-        from_v4.db().inverted.is_packed(),
-        "{corpus}: v4 inverted not packed"
-    );
-    for query in queries {
-        for strategy in STRATEGIES {
-            let want = fingerprint(original, profile, query, strategy);
-            let got4 = fingerprint(&from_v4, profile, query, strategy);
-            assert_eq!(
-                want, got4,
-                "{corpus}: v4 mismatch for {query} under {strategy:?}"
-            );
+    let from_file = Engine::from_snapshot(&original.save_snapshot()).expect("v4 opens");
+    assert_eq!(from_file.snapshot_format(), Some(4));
+    let sharded = original.reshard(3).expect("reshard");
+    let pairs = [
+        ("single file", original, &from_file),
+        ("1-segment dir", original, &through_sharded_dir(original, "mono")),
+        ("3-segment dir", &sharded, &through_sharded_dir(&sharded, "sharded")),
+    ];
+    for order in [RankOrder::Kvs, RankOrder::Vks] {
+        let profile = profile.clone().with_rank_order(order);
+        for query in queries {
+            for strategy in STRATEGIES {
+                for (layout, built, reopened) in &pairs {
+                    assert_eq!(
+                        fingerprint(built, &profile, query, strategy),
+                        fingerprint(reopened, &profile, query, strategy),
+                        "{corpus}, {layout}: mismatch for {query} under {strategy:?}, {order:?}"
+                    );
+                }
+            }
         }
     }
 }
@@ -154,4 +185,125 @@ fn version_and_corruption_matrix() {
         bad_report.sections.iter().any(|s| !s.crc_ok),
         "{bad_report:?}"
     );
+}
+
+#[test]
+fn every_way_of_producing_a_segment_roundtrips_structurally() {
+    let docs: Vec<String> = (0..4)
+        .map(|i| pimento_datagen::generate_dealer(i, 12))
+        .collect();
+    let built = Engine::from_xml_docs(&docs).expect("corpus parses");
+    assert_segments_roundtrip(&built, "built");
+    let grown = built
+        .with_ingested(&[pimento_datagen::generate_dealer(9, 12)])
+        .expect("ingest");
+    assert_segments_roundtrip(&grown, "with_ingested delta");
+    let (tombstoned, _) = grown.with_deletes(&[1, 4]).expect("delete");
+    assert_segments_roundtrip(&tombstoned, "tombstoned");
+    assert_segments_roundtrip(&tombstoned.compacted(2).expect("compact"), "compacted");
+}
+
+/// Let `patch` edit section `name` in place, then re-seal the section
+/// and directory CRCs, so only the structural checks of the opener stand
+/// between the forgery and the query path.
+fn forge(snapshot: &[u8], name: &str, patch: impl Fn(&mut [u8])) -> Vec<u8> {
+    let report = pimento::index::inspect(snapshot).expect("inspect");
+    let (row, found) = report
+        .sections
+        .iter()
+        .enumerate()
+        .find(|(_, s)| s.name == name)
+        .expect("section exists");
+    let section = found.offset as usize..(found.offset + found.len) as usize;
+    let mut bytes = snapshot.to_vec();
+    patch(&mut bytes[section.clone()]);
+    // Header 24 bytes (directory CRC at 16), 32-byte directory rows
+    // (section CRC at +24): see the layout in `pimento_index::columnar`.
+    let dir = 24..24 + 32 * report.sections.len();
+    let crc_at = dir.start + 32 * row + 24;
+    let crc = pimento::index::crc32(&bytes[section]);
+    bytes[crc_at..crc_at + 4].copy_from_slice(&crc.to_le_bytes());
+    let dir_crc = pimento::index::crc32(&bytes[dir]);
+    bytes[16..20].copy_from_slice(&dir_crc.to_le_bytes());
+    bytes
+}
+
+#[test]
+fn checksummed_but_malformed_sections_are_refused_at_open() {
+    let docs: Vec<String> = (0..2)
+        .map(|i| pimento_datagen::generate_dealer(i, 6))
+        .collect();
+    let engine = Engine::from_xml_docs(&docs).expect("corpus parses");
+    let good = engine.save_snapshot();
+    let get = |b: &[u8], at: usize| u32::from_le_bytes(b[at..at + 4].try_into().unwrap());
+    let put = |b: &mut [u8], at: usize, v: u32| b[at..at + 4].copy_from_slice(&v.to_le_bytes());
+    // inv: 16-byte header (docs, tokens, names length, runs length), the
+    // per-doc token counts, then 24-byte token rows (name offset, name
+    // length, doc freq, run count, runs offset, total postings).
+    let token0 = |b: &[u8]| 16 + 4 * get(b, 0) as usize;
+    // tags/vals: 8-byte header (symbol domain, total rows), an 8-byte span
+    // per symbol, then the rows; the node id sits 4 bytes into an element
+    // row, which a value row prefixes with 8 value bytes.
+    let row0 = |b: &[u8]| 8 + 8 * get(b, 0) as usize;
+    let forgeries = [
+        (
+            "inv",
+            "truncated varint run",
+            forge(&good, "inv", |b| *b.last_mut().unwrap() = 0x80),
+        ),
+        (
+            "inv",
+            "name span outside the names window",
+            forge(&good, "inv", |b| put(b, token0(b) + 4, u32::MAX)),
+        ),
+        (
+            "inv",
+            "run counts disagreeing with total_postings",
+            forge(&good, "inv", |b| {
+                let at = token0(b) + 20;
+                put(b, at, get(b, at) + 1)
+            }),
+        ),
+        (
+            "inv",
+            "two tokens claiming the same run blob",
+            forge(&good, "inv", |b| {
+                let at = token0(b) + 16;
+                put(b, at + 24, get(b, at))
+            }),
+        ),
+        (
+            "tags",
+            "element row addressing a node outside its document",
+            forge(&good, "tags", |b| put(b, row0(b) + 4, u32::MAX)),
+        ),
+        (
+            "vals",
+            "value row addressing a node outside its document",
+            forge(&good, "vals", |b| put(b, row0(b) + 8 + 4, u32::MAX)),
+        ),
+    ];
+    for (section, what, bytes) in &forgeries {
+        let corrupt = PersistError::SnapshotCorrupt { section };
+        // The forgery is sealed: every CRC verdict is good.
+        let report = pimento::index::inspect(bytes).expect("inspect");
+        assert!(report.directory_ok && report.sections.iter().all(|s| s.crc_ok), "{what}");
+        assert_eq!(open_index(bytes).err(), Some(corrupt.clone()), "{what}");
+        assert!(
+            matches!(Engine::from_snapshot(bytes), Err(pimento::Error::Snapshot(e)) if e == corrupt),
+            "{what}: from_snapshot"
+        );
+        // The same file as the one segment of a sharded directory.
+        let dir = std::env::temp_dir().join(format!("pimento-forged-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        engine.save_sharded_snapshot(&dir).expect("sharded save");
+        std::fs::write(dir.join(pimento::index::ShardManifest::segment_file_name(0)), bytes)
+            .expect("overwrite segment");
+        let reopened = Engine::from_sharded_dir(&dir);
+        let _ = std::fs::remove_dir_all(&dir);
+        assert!(
+            matches!(reopened, Err(pimento::Error::Snapshot(e)) if e == corrupt),
+            "{what}: from_sharded_dir"
+        );
+    }
 }

@@ -145,7 +145,7 @@ proptest! {
         for tag in TAGS {
             let Some(sym) = coll.tag(tag) else { continue };
             for e in tags.elements(sym) {
-                let by_index = pimento::index::ft_contains(&inv, &e, std::slice::from_ref(&word));
+                let by_index = pimento::index::ft_contains(&inv, e, std::slice::from_ref(&word));
                 let by_scan = doc
                     .text_content(e.node)
                     .to_lowercase()
@@ -190,7 +190,7 @@ proptest! {
         let inv = InvertedIndex::build(&coll, Tokenizer::plain());
         let (tags, vals) = (TagIndex::build(&coll), ValueIndex::build(&coll));
         let once = save_index(&coll, &inv, &tags, &vals);
-        let opened = open_index(once.clone()).expect("opens");
+        let opened = open_index(&once).expect("opens");
         let twice = save_index(&opened.collection, &opened.inverted, &opened.tags, &opened.values);
         prop_assert_eq!(once, twice);
     }

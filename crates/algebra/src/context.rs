@@ -1,13 +1,18 @@
 //! Execution context: the indexes every operator reads, plus run counters.
+//!
+//! A [`Database`] is one segment's indexes and its tombstones — facts
+//! about its own documents only. It holds no scorer and no corpus-wide
+//! statistic: those are summed over the segments when a query is compiled
+//! and stay in the compiled [`crate::Matcher`], so a database is the same
+//! object in every corpus generation that contains it.
 
 use pimento_index::{
-    Collection, DocId, InvertedIndex, Scorer, TagIndex, Tokenizer, TombstoneSet, ValueIndex,
+    Collection, DocId, InvertedIndex, PersistError, TagIndex, Tokenizer, TombstoneSet, ValueIndex,
 };
 use std::sync::Arc;
 
 /// The four index structures of one indexed collection, always built and
-/// shared together. Segment republication (a live ingest publishing a new
-/// generation) clones the `Arc` around this block instead of reindexing.
+/// shared together.
 #[derive(Debug)]
 pub struct Indexes {
     /// The document store.
@@ -23,17 +28,14 @@ pub struct Indexes {
 /// The indexed collection a plan executes against (paper §6.4: "we rely on
 /// inverted indices on keywords and on an index per distinct tag").
 ///
-/// The index structures sit behind an `Arc` so a `Database` clone is
-/// cheap: the live ingest path republishes every existing segment with a
-/// refreshed corpus-stats [`Scorer`] (and possibly a new [`TombstoneSet`])
-/// on each generation without touching the indexes themselves. `Deref`
-/// exposes the index fields, so operators keep reading `db.coll`,
+/// The index structures sit behind an `Arc`, which makes
+/// [`Database::with_tombstones`] — the one way a published database is
+/// ever re-issued — a pointer copy.
+/// `Deref` exposes the index fields, so operators keep reading `db.coll`,
 /// `db.inverted`, `db.tags`, and `db.values` directly.
 #[derive(Debug, Clone)]
 pub struct Database {
     indexes: Arc<Indexes>,
-    /// Keyword-predicate scorer.
-    pub scorer: Scorer,
     /// Deleted local doc ids, when any (see [`Database::is_deleted`]).
     tombstones: Option<Arc<TombstoneSet>>,
 }
@@ -52,17 +54,7 @@ impl Database {
         let inverted = InvertedIndex::build(&coll, tokenizer);
         let tags = TagIndex::build(&coll);
         let values = ValueIndex::build(&coll);
-        let scorer = Scorer::new(&inverted);
-        Database {
-            indexes: Arc::new(Indexes {
-                coll,
-                inverted,
-                tags,
-                values,
-            }),
-            scorer,
-            tombstones: None,
-        }
+        Self::from_parts(coll, inverted, tags, values)
     }
 
     /// Index with the plain (non-stemming) tokenizer.
@@ -70,17 +62,20 @@ impl Database {
         Self::index(coll, Tokenizer::plain())
     }
 
-    /// Assemble a database from already-constructed parts — the columnar
-    /// snapshot open path, where the indexes were decoded from the file
-    /// instead of rebuilt from the documents. Only the scorer (a handful
-    /// of corpus aggregates) is computed here.
-    pub fn from_parts(
+    /// Validate and decode one v4 columnar file (DESIGN.md §13): the
+    /// indexes come out of the file instead of being rebuilt from the
+    /// documents, and equal the ones [`Database::index`] builds.
+    pub fn open(data: &[u8]) -> Result<Self, PersistError> {
+        let o = pimento_index::open_index(data)?;
+        Ok(Self::from_parts(o.collection, o.inverted, o.tags, o.values))
+    }
+
+    fn from_parts(
         coll: Collection,
         inverted: InvertedIndex,
         tags: TagIndex,
         values: ValueIndex,
     ) -> Self {
-        let scorer = Scorer::new(&inverted);
         Database {
             indexes: Arc::new(Indexes {
                 coll,
@@ -88,26 +83,14 @@ impl Database {
                 tags,
                 values,
             }),
-            scorer,
             tombstones: None,
         }
     }
 
-    /// The same indexes under a different scorer — the cheap segment
-    /// republication step (an `Arc` clone, no reindexing).
-    pub fn with_scorer(&self, scorer: Scorer) -> Database {
-        Database {
-            indexes: Arc::clone(&self.indexes),
-            scorer,
-            tombstones: self.tombstones.clone(),
-        }
-    }
-
-    /// The same indexes and scorer under a different tombstone set.
+    /// The same indexes under a different tombstone set.
     pub fn with_tombstones(&self, tombstones: Option<Arc<TombstoneSet>>) -> Database {
         Database {
             indexes: Arc::clone(&self.indexes),
-            scorer: self.scorer.clone(),
             tombstones,
         }
     }

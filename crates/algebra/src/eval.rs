@@ -11,7 +11,9 @@
 //! [`Matcher::eval_pred_near`].
 
 use crate::context::Database;
-use pimento_index::{content_value, count_in_element, ElemEntry, ElemRef, FieldValue};
+use pimento_index::{
+    content_value, count_in_element, score, ElemEntry, ElemRef, FieldValue, InvertedIndex,
+};
 use pimento_profile::PersonalizedQuery;
 use pimento_tpq::{Axis, Predicate, RelOp, TagTest, TpqNodeId, Value};
 use pimento_xml::nav;
@@ -57,14 +59,14 @@ pub enum PreparedKind {
     Phrase {
         /// The analyzed tokens.
         tokens: Vec<String>,
-        /// `Scorer::nidf` of the tokens.
+        /// [`score::nidf`] of the tokens.
         nidf: f64,
     },
     /// `ftall`: every term present, optional window/order.
     All {
         /// Per-term analyzed tokens.
         terms: Vec<Vec<String>>,
-        /// `Scorer::nidf` per term, parallel to `terms`.
+        /// [`score::nidf`] per term, parallel to `terms`.
         nidfs: Vec<f64>,
         /// Maximum token span.
         window: Option<u32>,
@@ -73,11 +75,11 @@ pub enum PreparedKind {
     },
 }
 
-/// `Scorer::ft_score` with the phrase's `nidf` supplied; `None` when the
+/// [`score::ft_score`] with the phrase's `nidf` supplied; `None` when the
 /// phrase does not occur in `elem`.
 fn phrase_score(db: &Database, elem: &ElemEntry, tokens: &[String], nidf: f64) -> Option<f64> {
     let tf = count_in_element(&db.inverted, elem, tokens);
-    (tf > 0).then(|| db.scorer.tf_component(tf) * nidf)
+    (tf > 0).then(|| score::tf_component(tf) * nidf)
 }
 
 impl PreparedPhrase {
@@ -159,8 +161,14 @@ pub struct Matcher {
 }
 
 impl Matcher {
-    /// Analyze `pq` against the database's tokenizer and scorer.
-    pub fn new(db: &Database, pq: PersonalizedQuery) -> Self {
+    /// Compile `pq`: tokenize its keyword predicates and resolve its tag
+    /// tests against `db` (any segment carrying the whole corpus symbol
+    /// table), and fix every predicate's `nidf` — hence its exact score
+    /// ceiling — from statistics summed over `corpus`, the inverted index
+    /// of every segment the matcher will run against. The sums are taken
+    /// here, once per compile; the matcher keeps only the resulting
+    /// weights, which is what makes it valid for every segment.
+    pub fn new(db: &Database, pq: PersonalizedQuery, corpus: &[&InvertedIndex]) -> Self {
         let mut kw_tokens = HashMap::new();
         for id in pq.tpq.node_ids() {
             for (i, p) in pq.tpq.node(id).predicates.iter().enumerate() {
@@ -168,7 +176,7 @@ impl Matcher {
                 let prepared = match p {
                     Predicate::FtContains { phrase } => {
                         let tokens = db.inverted.analyze(phrase);
-                        let nidf = db.scorer.nidf(&db.inverted, &tokens);
+                        let nidf = score::nidf(corpus, &tokens);
                         PreparedPhrase {
                             node: id,
                             idx: i,
@@ -186,7 +194,7 @@ impl Matcher {
                             terms.iter().map(|t| db.inverted.analyze(t)).collect();
                         let nidfs: Vec<f64> = term_tokens
                             .iter()
-                            .map(|t| db.scorer.nidf(&db.inverted, t))
+                            .map(|t| score::nidf(corpus, t))
                             .collect();
                         let bound =
                             weight * nidfs.iter().sum::<f64>() / term_tokens.len().max(1) as f64;
@@ -565,6 +573,7 @@ mod tests {
         Matcher::new(
             db,
             PersonalizedQuery::unpersonalized(parse_tpq(query).unwrap()),
+            &[&db.inverted],
         )
     }
 
@@ -670,7 +679,7 @@ mod tests {
             .tpq
             .add_child(pq.tpq.root(), pimento_tpq::Axis::Child, "nonexistent");
         pq.optional_nodes.insert(extra);
-        let m = Matcher::new(&db, pq);
+        let m = Matcher::new(&db, pq, &[&db.inverted]);
         assert_eq!(candidates(&db, &m).len(), 2);
     }
 
@@ -682,7 +691,7 @@ mod tests {
         let d = pq.tpq.find_by_tag("description").unwrap();
         pq.tpq.add_predicate(d, Predicate::ft("low mileage"));
         pq.optional_preds.insert((d, 1));
-        let m = Matcher::new(&db, pq);
+        let m = Matcher::new(&db, pq, &[&db.inverted]);
         let found = candidates(&db, &m);
         assert_eq!(found.len(), 2, "optional predicate does not filter");
         // Evaluate the optional predicate near each answer.
@@ -705,7 +714,7 @@ mod tests {
         let mut pq = PersonalizedQuery::unpersonalized(q);
         pq.tpq.add_predicate(pq.tpq.root(), Predicate::ft("alpha"));
         pq.optional_preds.insert((pq.tpq.root(), 0));
-        let m = Matcher::new(&db, pq);
+        let m = Matcher::new(&db, pq, &[&db.inverted]);
         let b = db.coll.tag("b").unwrap();
         let elem = db.tags.elements(b)[0];
         let opt = m.optional_keywords();
@@ -716,7 +725,7 @@ mod tests {
         let mut pq2 = PersonalizedQuery::unpersonalized(q2);
         pq2.tpq.add_predicate(pq2.tpq.root(), Predicate::ft("beta"));
         pq2.optional_preds.insert((pq2.tpq.root(), 0));
-        let m2 = Matcher::new(&db, pq2);
+        let m2 = Matcher::new(&db, pq2, &[&db.inverted]);
         let opt2 = m2.optional_keywords();
         assert!(m2.eval_pred_near(&db, &opt2[0], &elem, &mut probes) > 0.0);
     }

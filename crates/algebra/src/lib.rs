@@ -18,7 +18,9 @@
 //! coll.add_xml("<cars><car><d>red NYC</d></car><car><d>blue</d></car></cars>").unwrap();
 //! let db = Database::index_plain(coll);
 //! let query = parse_tpq("//car").unwrap();
-//! let matcher = Arc::new(Matcher::new(&db, PersonalizedQuery::unpersonalized(query)));
+//! // One database is the whole corpus here, so its index is the statistics source.
+//! let pq = PersonalizedQuery::unpersonalized(query);
+//! let matcher = Arc::new(Matcher::new(&db, pq, &[&db.inverted]));
 //! let rank = RankContext::new(vec![], RankOrder::Kvs);
 //! let kors = vec![KeywordOrderingRule::new("nyc", "car", "NYC")];
 //! let plan = build_plan(&db, matcher, &kors, rank, PlanSpec::new(1, PlanStrategy::Push));
@@ -157,7 +159,8 @@ mod oracle_tests {
             } else {
                 parse_tpq("//item").unwrap()
             };
-            let matcher = Arc::new(Matcher::new(&db, PersonalizedQuery::unpersonalized(query)));
+            let pq = PersonalizedQuery::unpersonalized(query);
+            let matcher = Arc::new(Matcher::new(&db, pq, &[&db.inverted]));
             let kors: Vec<KeywordOrderingRule> = WORDS[..n_kors]
                 .iter()
                 .enumerate()

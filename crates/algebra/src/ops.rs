@@ -384,6 +384,7 @@ mod tests {
         let m = Arc::new(Matcher::new(
             db,
             PersonalizedQuery::unpersonalized(parse_tpq(q).unwrap()),
+            &[&db.inverted],
         ));
         Box::new(QueryEval::new(m))
     }
@@ -471,7 +472,7 @@ mod tests {
         pq.tpq
             .add_predicate(pq.tpq.root(), pimento_tpq::Predicate::ft("Phoenix"));
         pq.optional_preds.insert((pq.tpq.root(), 0));
-        let m = Arc::new(Matcher::new(&db, pq));
+        let m = Arc::new(Matcher::new(&db, pq, &[&db.inverted]));
         let base: BoxedOp = Box::new(QueryEval::new(Arc::clone(&m)));
         let phrase = m.optional_keywords().remove(0);
         let op = Box::new(SrPredJoin::new(base, m, phrase));
@@ -514,6 +515,7 @@ mod op_edge_tests {
         let m = Arc::new(Matcher::new(
             &db,
             PersonalizedQuery::unpersonalized(parse_tpq("//missing").unwrap()),
+            &[&db.inverted],
         ));
         let rank = RankContext::new(vec![], RankOrder::Kvs);
         let op: BoxedOp = Box::new(Sort::new(Box::new(QueryEval::new(m)), rank));
@@ -526,6 +528,7 @@ mod op_edge_tests {
         let m = Arc::new(Matcher::new(
             &db,
             PersonalizedQuery::unpersonalized(parse_tpq("//a/*").unwrap()),
+            &[&db.inverted],
         ));
         let base: BoxedOp = Box::new(QueryEval::new(m));
         let kor = KeywordOrderingRule::new("any", "*", "NYC");
@@ -546,6 +549,7 @@ mod op_edge_tests {
         let m = Arc::new(Matcher::new(
             &db,
             PersonalizedQuery::unpersonalized(parse_tpq("//car").unwrap()),
+            &[&db.inverted],
         ));
         let op: BoxedOp = Box::new(VorFetch::new(Box::new(QueryEval::new(m)), &db, &rank));
         let out = drain(op, &db);

@@ -764,7 +764,8 @@ mod tests {
     fn all_strategies_agree_on_topk() {
         let db = db();
         let q = parse_tpq(r#"//person[ftcontains(./business, "Yes")]"#).unwrap();
-        let matcher = Arc::new(Matcher::new(&db, PersonalizedQuery::unpersonalized(q)));
+        let pq = PersonalizedQuery::unpersonalized(q);
+        let matcher = Arc::new(Matcher::new(&db, pq, &[&db.inverted]));
         let rank = RankContext::new(
             vec![ValueOrderingRule::prefer_value(
                 "pi5", "person", "age", "33",
@@ -794,7 +795,8 @@ mod tests {
     fn push_prunes_more_than_naive() {
         let db = db();
         let q = parse_tpq("//person").unwrap();
-        let matcher = Arc::new(Matcher::new(&db, PersonalizedQuery::unpersonalized(q)));
+        let pq = PersonalizedQuery::unpersonalized(q);
+        let matcher = Arc::new(Matcher::new(&db, pq, &[&db.inverted]));
         let rank = RankContext::new(vec![], RankOrder::Kvs);
         let naive = build_plan(
             &db,
@@ -820,7 +822,8 @@ mod tests {
     fn kor_order_affects_plan_shape_not_results() {
         let db = db();
         let q = parse_tpq("//person").unwrap();
-        let matcher = Arc::new(Matcher::new(&db, PersonalizedQuery::unpersonalized(q)));
+        let pq = PersonalizedQuery::unpersonalized(q);
+        let matcher = Arc::new(Matcher::new(&db, pq, &[&db.inverted]));
         let rank = RankContext::new(vec![], RankOrder::Kvs);
         let mut weighted = kors();
         weighted[3] = KeywordOrderingRule::weighted("pi4", "person", "Phoenix", 5.0);
@@ -852,7 +855,8 @@ mod tests {
     fn eval_modes_agree() {
         let db = db();
         let q = parse_tpq(r#"//person[ftcontains(., "College")]"#).unwrap();
-        let matcher = Arc::new(Matcher::new(&db, PersonalizedQuery::unpersonalized(q)));
+        let pq = PersonalizedQuery::unpersonalized(q);
+        let matcher = Arc::new(Matcher::new(&db, pq, &[&db.inverted]));
         let rank = RankContext::new(vec![], RankOrder::Kvs);
         let mut outs = Vec::new();
         for mode in [EvalMode::IndexedNestedLoop, EvalMode::StructuralJoin] {
@@ -871,7 +875,8 @@ mod tests {
     fn explain_mentions_operators() {
         let db = db();
         let q = parse_tpq("//person").unwrap();
-        let matcher = Arc::new(Matcher::new(&db, PersonalizedQuery::unpersonalized(q)));
+        let pq = PersonalizedQuery::unpersonalized(q);
+        let matcher = Arc::new(Matcher::new(&db, pq, &[&db.inverted]));
         let rank = RankContext::new(vec![], RankOrder::Kvs);
         let plan = build_plan(
             &db,
@@ -890,7 +895,8 @@ mod tests {
     fn empty_kors_and_vors_degenerates_cleanly() {
         let db = db();
         let q = parse_tpq(r#"//person[ftcontains(., "College")]"#).unwrap();
-        let matcher = Arc::new(Matcher::new(&db, PersonalizedQuery::unpersonalized(q)));
+        let pq = PersonalizedQuery::unpersonalized(q);
+        let matcher = Arc::new(Matcher::new(&db, pq, &[&db.inverted]));
         let rank = RankContext::new(vec![], RankOrder::Kvs);
         for strategy in PlanStrategy::all() {
             let plan = build_plan(
@@ -957,6 +963,7 @@ mod choose_tests {
         let m = Arc::new(Matcher::new(
             &db,
             PersonalizedQuery::unpersonalized(parse_tpq(q).unwrap()),
+            &[&db.inverted],
         ));
         (db, m)
     }

@@ -304,6 +304,7 @@ mod tests {
         Arc::new(Matcher::new(
             db,
             PersonalizedQuery::unpersonalized(parse_tpq(q).unwrap()),
+            &[&db.inverted],
         ))
     }
 
@@ -454,6 +455,7 @@ mod value_seed_tests {
         let m = Arc::new(Matcher::new(
             &db,
             PersonalizedQuery::unpersonalized(parse_tpq("//car/price[. < 1000]").unwrap()),
+            &[&db.inverted],
         ));
         let pre = prefilter_candidates(&db, &m);
         assert_eq!(pre.len(), 2, "range scan keeps only prices below 1000");
@@ -478,6 +480,7 @@ mod value_seed_tests {
         let m = Arc::new(Matcher::new(
             &db,
             PersonalizedQuery::unpersonalized(parse_tpq("//car/price[. < 1000]").unwrap()),
+            &[&db.inverted],
         ));
         let pre = prefilter_candidates(&db, &m);
         let mut probes = 0;

@@ -103,6 +103,7 @@ mod tests {
         let m = std::sync::Arc::new(Matcher::new(
             &db,
             PersonalizedQuery::unpersonalized(parse_tpq("//b").unwrap()),
+            &[&db.inverted],
         ));
         let registry = new_registry();
         let mut op = traced(Box::new(QueryEval::new(m)), "scan", &registry);

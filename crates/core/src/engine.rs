@@ -8,8 +8,8 @@ use pimento_algebra::{build_plan, Answer, Database, Matcher, PlanSpec, RankConte
 use pimento_index::ft_contains;
 use pimento_faults::vfs::Vfs;
 use pimento_index::{
-    global_doc_freqs, split_ranges, Collection, DocId, ManifestEntry, Scorer, ShardManifest,
-    Tokenizer, TombstoneSet, MANIFEST_FILE,
+    split_ranges, Collection, DocId, InvertedIndex, ManifestEntry, ShardManifest, Tokenizer,
+    TombstoneSet, MANIFEST_FILE,
 };
 use pimento_profile::{PersonalizedQuery, UserProfile};
 use pimento_tpq::{minimized, parse_tpq, simplify_predicates, Tpq};
@@ -19,11 +19,15 @@ use std::sync::Arc;
 
 /// The search engine: an indexed corpus plus query-time machinery.
 ///
-/// The corpus lives in one or more doc-range [`Segment`]s. Every
-/// constructor builds the monolithic case — exactly one segment with doc
-/// base 0 — and [`Engine::reshard`] splits it into `n` self-contained
-/// segments. One executor runs every layout, a segment being one lane
-/// task (see [`crate::segment`] / DESIGN.md §8, §15).
+/// The corpus lives in one or more doc-range [`Segment`]s: building from
+/// XML or a snapshot file yields one segment with doc base 0,
+/// [`Engine::reshard`] splits it into `n`, and every published write
+/// derives the next engine from this one. Segments are immutable and know
+/// nothing of the corpus around them — corpus-wide scoring statistics are
+/// summed over them when a query is prepared ([`Engine::prepare`]) — so
+/// engines of successive generations share the segments they have in
+/// common. One executor runs every layout, a segment being one lane task
+/// (see [`crate::segment`] / DESIGN.md §8, §15).
 #[derive(Debug)]
 pub struct Engine {
     /// Doc-range segments in corpus order. Invariant: never empty, bases
@@ -39,29 +43,15 @@ pub struct Engine {
 }
 
 impl Engine {
-    /// Wrap one monolithic database as a single segment with doc base 0.
-    fn monolithic(db: Database, snapshot_format: Option<u32>) -> Self {
+    /// An engine over `segments` (in corpus order, never empty), at
+    /// generation 0.
+    fn over(segments: Vec<Arc<Segment>>, snapshot_format: Option<u32>) -> Self {
+        debug_assert!(!segments.is_empty(), "engine needs at least one segment");
         Engine {
-            segments: vec![Arc::new(Segment::new(db, 0))],
-            snapshot_format,
-            generation: 0,
-        }
-    }
-
-    /// Assemble an engine from pre-built segments (the reshard and
-    /// sharded-snapshot-load paths); rejects an empty segment list.
-    fn from_segments(
-        segments: Vec<Arc<Segment>>,
-        snapshot_format: Option<u32>,
-    ) -> Result<Self, Error> {
-        if segments.is_empty() {
-            return Err(Error::Shard("engine needs at least one segment"));
-        }
-        Ok(Engine {
             segments,
             snapshot_format,
             generation: 0,
-        })
+        }
     }
 
     /// The same engine stamped with `generation` (builder-style; used by
@@ -77,20 +67,13 @@ impl Engine {
         self.generation
     }
 
-    /// The first segment — the whole corpus in the monolithic case. All
-    /// search paths go through this fallible accessor so the serving path
-    /// stays panic-free even if the non-empty invariant were ever broken.
-    fn seg0(&self) -> Result<&Arc<Segment>, Error> {
-        self.segments
-            .first()
-            .ok_or(Error::Shard("engine has no segments"))
-    }
-
     /// The newest (last) segment. Its collection carries the corpus
     /// symbol table *including* symbols interned by delta segments —
     /// symbol-table extension is append-only, so the newest table is a
     /// superset of every older segment's and ids agree on the shared
-    /// prefix. Matchers compile against this segment.
+    /// prefix. Matchers compile against this segment. Fallible so the
+    /// serving path stays panic-free even if the non-empty invariant
+    /// were ever broken.
     fn seg_newest(&self) -> Result<&Arc<Segment>, Error> {
         self.segments
             .last()
@@ -99,12 +82,12 @@ impl Engine {
 
     /// Index an existing collection (plain tokenizer).
     pub fn new(coll: Collection) -> Self {
-        Engine::monolithic(Database::index_plain(coll), None)
+        Engine::with_tokenizer(coll, Tokenizer::plain())
     }
 
     /// Index with an explicit tokenizer (e.g. stemming, §7.1).
     pub fn with_tokenizer(coll: Collection, tokenizer: Tokenizer) -> Self {
-        Engine::monolithic(Database::index(coll, tokenizer), None)
+        Engine::build_sharded(coll, tokenizer, &[])
     }
 
     /// Convenience: parse and index XML documents.
@@ -128,19 +111,21 @@ impl Engine {
     /// Serialize the engine to a columnar (v4) binary snapshot: documents
     /// plus the already-built indexes, laid out so that
     /// [`Engine::from_snapshot`] decodes them instead of rebuilding them
-    /// from the documents. A sharded engine flattens back to one monolithic
-    /// snapshot; use [`Engine::save_sharded_snapshot`] to keep the
-    /// per-segment layout.
+    /// from the documents. The file holds the *live* corpus as one
+    /// segment: a sharded engine flattens and tombstoned documents are
+    /// left out (exactly what [`Engine::compacted`]`(1)` holds), so a
+    /// reopened engine never serves a deleted document. Use
+    /// [`Engine::save_sharded_snapshot`] to keep the per-segment layout
+    /// and the tombstones.
     pub fn save_snapshot(&self) -> bytes::Bytes {
-        if self.segments.len() > 1 {
+        let rebuilt;
+        let db = if self.segments.len() > 1 || self.deleted_docs() > 0 {
             let tokenizer = self.db().inverted.tokenizer();
-            let Ok(full) = self.collapse_collection(false) else {
-                return bytes::Bytes::new();
-            };
-            let db = Database::index(full, tokenizer);
-            return pimento_index::save_index(&db.coll, &db.inverted, &db.tags, &db.values);
-        }
-        let db = self.db();
+            rebuilt = Database::index(self.collapse_collection(true), tokenizer);
+            &rebuilt
+        } else {
+            self.db()
+        };
         pimento_index::save_index(&db.coll, &db.inverted, &db.tags, &db.values)
     }
 
@@ -224,9 +209,9 @@ impl Engine {
 
     /// Reopen a sharded snapshot directory written by
     /// [`Engine::save_sharded_snapshot`]: each segment file is validated
-    /// and decoded, and corpus-wide scoring statistics are recomputed by
-    /// exact integer summation across segments — so search results are
-    /// bit-identical to the engine that was saved.
+    /// and decoded, and that is all — segments carry no corpus-wide
+    /// state, so search results are bit-identical to the engine that was
+    /// saved.
     pub fn from_sharded_dir(dir: &Path) -> Result<Self, Error> {
         Self::from_sharded_dir_vfs(&pimento_faults::vfs::StdVfs, dir)
     }
@@ -238,70 +223,35 @@ impl Engine {
     ///
     /// [`SimVfs`]: pimento_faults::vfs
     pub fn from_sharded_dir_vfs(vfs: &dyn Vfs, dir: &Path) -> Result<Self, Error> {
-        let manifest_path = dir.join(MANIFEST_FILE);
-        let raw = vfs
-            .read(&manifest_path)
-            .map_err(|e| crate::error::classify_io(&manifest_path, &e))?;
-        let text = String::from_utf8(raw).map_err(|_| {
+        let read = |name: &str| {
+            let path = dir.join(name);
+            vfs.read(&path)
+                .map_err(|e| crate::error::classify_io(&path, &e))
+        };
+        let text = String::from_utf8(read(MANIFEST_FILE)?).map_err(|_| {
             Error::Snapshot(pimento_index::PersistError::BadManifest(
                 "manifest is not UTF-8",
             ))
         })?;
         let manifest = ShardManifest::parse(&text)?;
-        let mut dbs = Vec::with_capacity(manifest.segments.len());
+        let mut segments = Vec::with_capacity(manifest.segments.len());
         for entry in &manifest.segments {
-            let path = dir.join(&entry.file);
-            let data = vfs
-                .read(&path)
-                .map_err(|e| crate::error::classify_io(&path, &e))?;
-            let opened = pimento_index::open_index(&data)?;
-            let mut db = Database::from_parts(
-                opened.collection,
-                opened.inverted,
-                opened.tags,
-                opened.values,
-            );
+            let mut db = Database::open(&read(&entry.file)?)?;
             if db.coll.len() as u32 != entry.docs {
                 return Err(Error::Snapshot(pimento_index::PersistError::BadManifest(
                     "segment document count disagrees with its file",
                 )));
             }
             if let Some(t) = &entry.tombstones {
-                let tpath = dir.join(t);
-                let traw = vfs
-                    .read(&tpath)
-                    .map_err(|e| crate::error::classify_io(&tpath, &e))?;
-                let ttext = String::from_utf8(traw).map_err(|_| {
-                    Error::Snapshot(pimento_index::PersistError::BadManifest(
-                        "tombstone sidecar is not UTF-8",
-                    ))
-                })?;
-                let tombs = TombstoneSet::parse(&ttext)?;
-                if tombs.iter().any(|d| d.0 >= entry.docs) {
-                    return Err(Error::Snapshot(pimento_index::PersistError::BadManifest(
-                        "tombstone doc id outside its segment",
-                    )));
-                }
+                let tombs = entry.parse_tombstones(&read(t)?)?;
                 db = db.with_tombstones(Some(Arc::new(tombs)));
             }
-            dbs.push(db);
+            segments.push(Arc::new(Segment::new(db, entry.doc_base)));
         }
-        if dbs.len() > 1 {
-            let num_docs = manifest.num_docs();
-            let df = Arc::new(global_doc_freqs(
-                &dbs.iter().map(|d| &d.inverted).collect::<Vec<_>>(),
-            ));
-            for db in &mut dbs {
-                db.scorer = Scorer::with_corpus_stats(num_docs, Arc::clone(&df));
-            }
-        }
-        let segments = dbs
-            .into_iter()
-            .zip(&manifest.segments)
-            .map(|(db, entry)| Arc::new(Segment::new(db, entry.doc_base)))
-            .collect();
-        Ok(Engine::from_segments(segments, Some(pimento_index::COLUMNAR_VERSION))?
-            .at_generation(manifest.generation))
+        Ok(
+            Engine::over(segments, Some(pimento_index::COLUMNAR_VERSION))
+                .at_generation(manifest.generation),
+        )
     }
 
     /// Reopen an engine from a columnar (v4) snapshot: every section is
@@ -311,15 +261,8 @@ impl Engine {
     /// an earlier format (`PIMCOL1`–`PIMCOL3`) is rejected by magic with
     /// the typed `SnapshotVersion` error; nothing of it is decoded.
     pub fn from_snapshot(data: &[u8]) -> Result<Self, Error> {
-        let opened = pimento_index::open_index(data)?;
-        let db = Database::from_parts(
-            opened.collection,
-            opened.inverted,
-            opened.tags,
-            opened.values,
-        );
-        Ok(Engine::monolithic(
-            db,
+        Ok(Engine::over(
+            vec![Arc::new(Segment::new(Database::open(data)?, 0))],
             Some(pimento_index::COLUMNAR_VERSION),
         ))
     }
@@ -379,8 +322,12 @@ impl Engine {
     /// a superset of every older segment's copy with identical ids on
     /// the shared prefix. `live_only` skips tombstoned documents (the
     /// merge-compaction input).
-    fn collapse_collection(&self, live_only: bool) -> Result<Collection, Error> {
-        let symbols = self.seg_newest()?.db().coll.symbols().clone();
+    fn collapse_collection(&self, live_only: bool) -> Collection {
+        let symbols = self
+            .segments
+            .last()
+            .map(|seg| seg.db().coll.symbols().clone())
+            .unwrap_or_default();
         let mut docs = Vec::with_capacity(self.num_docs());
         for seg in &self.segments {
             let db = seg.db();
@@ -391,14 +338,14 @@ impl Engine {
                 docs.push(doc.clone());
             }
         }
-        Ok(Collection::from_parts(symbols, docs))
+        Collection::from_parts(symbols, docs)
     }
 
     /// Rebuild this engine's corpus as `shards` doc-range segments (the
     /// sharded builder). Each segment is indexed independently over its
-    /// slice but carries the full corpus symbol table and a corpus-stats
-    /// scorer, so prepared plans remain valid across segments and
-    /// scatter-gather results are bit-identical to the monolithic scan.
+    /// slice but carries the full corpus symbol table, so prepared plans
+    /// remain valid across segments and scatter-gather results are
+    /// bit-identical to the monolithic scan.
     /// `shards <= 1` (or a corpus of at most one document) rebuilds the
     /// monolithic engine.
     pub fn reshard(&self, shards: usize) -> Result<Engine, Error> {
@@ -429,42 +376,28 @@ impl Engine {
     }
 
     fn reshard_ranges(&self, ranges: Vec<Range<usize>>) -> Result<Engine, Error> {
-        let tokenizer = self.seg0()?.db().inverted.tokenizer();
-        let full = self.collapse_collection(false)?;
-        Self::build_sharded(full, tokenizer, ranges)
+        let tokenizer = self.seg_newest()?.db().inverted.tokenizer();
+        Ok(Self::build_sharded(
+            self.collapse_collection(false),
+            tokenizer,
+            &ranges,
+        ))
     }
 
-    /// Index `full` as one segment per range (monolithic when `ranges`
-    /// has at most one) with corpus-global scoring statistics — the
-    /// common tail of [`Engine::reshard`] and [`Engine::compacted`].
-    fn build_sharded(
-        full: Collection,
-        tokenizer: Tokenizer,
-        ranges: Vec<Range<usize>>,
-    ) -> Result<Engine, Error> {
-        if ranges.len() <= 1 {
-            return Ok(Engine::monolithic(Database::index(full, tokenizer), None));
-        }
-        let mut dbs: Vec<Database> = ranges
-            .iter()
-            .map(|r| Database::index(full.subset(r.clone()), tokenizer))
-            .collect();
-        // Corpus-wide scoring statistics by exact integer summation: the
-        // ranges partition the corpus, so every `idf` input equals what
-        // the monolithic index reports.
-        let num_docs = full.len() as u32;
-        let df = Arc::new(global_doc_freqs(
-            &dbs.iter().map(|d| &d.inverted).collect::<Vec<_>>(),
-        ));
-        for db in &mut dbs {
-            db.scorer = Scorer::with_corpus_stats(num_docs, Arc::clone(&df));
-        }
-        let segments = dbs
-            .into_iter()
-            .zip(&ranges)
-            .map(|(db, r)| Arc::new(Segment::new(db, r.start as u32)))
-            .collect();
-        Engine::from_segments(segments, None)
+    /// Index `full` as one segment per range, or whole as one segment
+    /// when `ranges` has at most one — where every engine that indexes
+    /// documents is made.
+    fn build_sharded(full: Collection, tokenizer: Tokenizer, ranges: &[Range<usize>]) -> Engine {
+        let segment = |coll, base| Arc::new(Segment::new(Database::index(coll, tokenizer), base));
+        let segments = if ranges.len() <= 1 {
+            vec![segment(full, 0)]
+        } else {
+            ranges
+                .iter()
+                .map(|r| segment(full.subset(r.clone()), r.start as u32))
+                .collect()
+        };
+        Engine::over(segments, None)
     }
 
     // ------------------------------------------------------------------
@@ -478,42 +411,24 @@ impl Engine {
     ///
     /// The delta's collection starts from the newest segment's symbol
     /// table (append-only extension: existing ids keep their meaning,
-    /// new tags intern past the old ceiling), and *every* segment —
-    /// existing ones by a cheap `Arc` republication, the delta by
-    /// construction — gets a scorer over the grown corpus statistics, so
-    /// scatter-gather results stay bit-identical to a monolithic rebuild
-    /// of the whole corpus.
+    /// new tags intern past the old ceiling). Indexing the batch is the
+    /// whole cost: the existing segments are shared with this engine, not
+    /// touched, and the grown corpus statistics are summed when the next
+    /// query is prepared — which keeps scatter-gather results
+    /// bit-identical to a monolithic rebuild of the whole corpus.
     pub fn with_ingested<S: AsRef<str>>(&self, docs: &[S]) -> Result<Engine, Error> {
         if docs.is_empty() {
             return Err(Error::Ingest("empty document batch".to_string()));
         }
-        let newest = self.seg_newest()?;
-        let tokenizer = newest.db().inverted.tokenizer();
-        let mut delta_coll = Collection::from_parts(newest.db().coll.symbols().clone(), Vec::new());
+        let newest = self.seg_newest()?.db();
+        let mut delta = Collection::from_parts(newest.coll.symbols().clone(), Vec::new());
         for doc in docs {
-            delta_coll.add_xml(doc.as_ref())?;
+            delta.add_xml(doc.as_ref())?;
         }
-        let delta_db = Database::index(delta_coll, tokenizer);
-        let num_docs = (self.num_docs() + docs.len()) as u32;
-        let mut inverteds: Vec<_> = self.segments.iter().map(|s| &s.db().inverted).collect();
-        inverteds.push(&delta_db.inverted);
-        let df = Arc::new(global_doc_freqs(&inverteds));
-        let scorer = Scorer::with_corpus_stats(num_docs, Arc::clone(&df));
-        let mut segments: Vec<Arc<Segment>> = self
-            .segments
-            .iter()
-            .map(|seg| {
-                Arc::new(Segment::new(
-                    seg.db().with_scorer(scorer.clone()),
-                    seg.doc_base(),
-                ))
-            })
-            .collect();
-        segments.push(Arc::new(Segment::new(
-            delta_db.with_scorer(scorer),
-            self.num_docs() as u32,
-        )));
-        Ok(Engine::from_segments(segments, None)?.at_generation(self.generation + 1))
+        let delta = Database::index(delta, newest.inverted.tokenizer());
+        let mut segments = self.segments.clone();
+        segments.push(Arc::new(Segment::new(delta, self.num_docs() as u32)));
+        Ok(Engine::over(segments, None).at_generation(self.generation + 1))
     }
 
     /// A new engine with the given corpus-global doc ids tombstoned, at
@@ -572,7 +487,7 @@ impl Engine {
             })
             .collect();
         Ok((
-            Engine::from_segments(segments, None)?.at_generation(self.generation + 1),
+            Engine::over(segments, None).at_generation(self.generation + 1),
             newly,
         ))
     }
@@ -582,15 +497,15 @@ impl Engine {
     /// the ids a monolithic rebuild would assign) as `shards` doc-range
     /// segments, at generation `generation() + 1`.
     pub fn compacted(&self, shards: usize) -> Result<Engine, Error> {
-        let tokenizer = self.seg0()?.db().inverted.tokenizer();
-        let live = self.collapse_collection(true)?;
+        let tokenizer = self.seg_newest()?.db().inverted.tokenizer();
+        let live = self.collapse_collection(true);
         if live.is_empty() {
             return Err(Error::Ingest(
                 "compaction would empty the corpus entirely".to_string(),
             ));
         }
         let ranges = split_ranges(live.len(), shards);
-        Ok(Self::build_sharded(live, tokenizer, ranges)?.at_generation(self.generation + 1))
+        Ok(Self::build_sharded(live, tokenizer, &ranges).at_generation(self.generation + 1))
     }
 
     /// Number of tombstoned (deleted but not yet merged away) documents.
@@ -677,14 +592,18 @@ impl Engine {
                 "enforce_scoping succeeded but Profile::verify reports an SR conflict cycle:\n{report}"
             );
         }
-        // The matcher compiles against the *newest* segment's database,
-        // but it is valid for *every* segment: symbol ids are
+        // The matcher resolves names against the *newest* segment's
+        // database, but it is valid for *every* segment: symbol ids are
         // corpus-global (the newest table is the append-only superset of
-        // every older segment's copy) and scoring bounds read the
-        // corpus-stats scorer — which is why prepared-plan cache keys
-        // need no shard component, only the corpus generation.
+        // every older segment's copy), and each keyword predicate's
+        // `nidf` and score ceiling come from document counts summed over
+        // all segment indexes, here and nowhere else — which is why
+        // prepared-plan cache keys need no shard component, only the
+        // corpus generation.
+        let corpus: Vec<&InvertedIndex> =
+            self.segments.iter().map(|s| &s.db().inverted).collect();
         Ok(PreparedSearch {
-            matcher: Arc::new(Matcher::new(self.seg_newest()?.db(), pq)),
+            matcher: Arc::new(Matcher::new(self.seg_newest()?.db(), pq, &corpus)),
             kors: profile.kors.clone(),
             rank: RankContext::new(profile.vors.clone(), profile.rank_order),
             profile: profile.clone(),
@@ -849,10 +768,12 @@ impl Engine {
     ) -> Result<SearchResults, Error> {
         use pimento_algebra::{ExecStats, VorFetch};
         use pimento_algebra::{BoxedOp, QueryEval};
-        let tpq = pimento_tpq::parse_tpq(query)?;
-        let pq = profile.enforce_scoping(&tpq)?;
-        let matcher = Arc::new(Matcher::new(self.seg_newest()?.db(), pq));
-        let rank = RankContext::new(profile.vors.clone(), profile.rank_order);
+        let PreparedSearch {
+            matcher,
+            kors,
+            rank,
+            ..
+        } = self.prepare(query, profile)?;
         // Materialize all personalized answers (no pruning — winnow needs
         // the full dominance picture) from every segment, then layer-0
         // filter the union. Winnow is a set operation over the complete
@@ -870,7 +791,7 @@ impl Engine {
                     phrase,
                 ));
             }
-            for kor in profile.kors.clone() {
+            for kor in kors.iter().cloned() {
                 op = Box::new(pimento_algebra::KorJoin::new(op, db, kor));
             }
             if !rank.vors.is_empty() {
@@ -1401,6 +1322,39 @@ mod mutate_tests {
         assert_eq!(a, b, "scores survive compaction bit-for-bit");
     }
 
+    /// A publish adds a segment and nothing else: the grown engine holds
+    /// the parent's segments themselves, not republished copies.
+    #[test]
+    fn with_ingested_shares_the_parents_segments() {
+        let base: Vec<String> = (0..4).map(dealer).collect();
+        let parent = Engine::from_xml_docs(&base).unwrap().reshard(2).unwrap();
+        let child = parent.with_ingested(&[dealer(4), dealer(5)]).unwrap();
+        assert_eq!(child.shard_count(), parent.shard_count() + 1);
+        for (kept, old) in child.segments().iter().zip(parent.segments()) {
+            assert!(Arc::ptr_eq(kept, old));
+        }
+        let delta = &child.segments()[parent.shard_count()];
+        assert_eq!((delta.doc_base(), delta.doc_count()), (4, 2));
+    }
+
+    /// A flat snapshot holds the live corpus — what `compacted(1)` holds —
+    /// whether the tombstones sit on one segment or on several.
+    #[test]
+    fn snapshot_of_an_engine_with_deletes_omits_the_deleted() {
+        let docs: Vec<String> = (0..5).map(dealer).collect();
+        let one = Engine::from_xml_docs(&docs).unwrap();
+        let many = one.with_ingested(&[dealer(5)]).unwrap();
+        for engine in [one, many] {
+            let (deleted, _) = engine.with_deletes(&[1, 4]).unwrap();
+            let reopened = Engine::from_snapshot(&deleted.save_snapshot()).unwrap();
+            let compacted = deleted.compacted(1).unwrap();
+            assert_eq!(reopened.num_docs(), deleted.live_docs());
+            assert_eq!(reopened.deleted_docs(), 0);
+            assert_eq!(bits(&reopened, Q), bits(&compacted, Q));
+            assert!(!bits(&reopened, Q).is_empty());
+        }
+    }
+
     #[test]
     fn sharded_v2_roundtrip_preserves_tombstones_and_generation() {
         let docs: Vec<String> = (0..4).map(dealer).collect();
@@ -1423,5 +1377,58 @@ mod mutate_tests {
         assert_eq!(reopened.deleted_docs(), 1);
         assert_eq!(bits(&reopened, Q), bits(&engine, Q));
         let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+#[cfg(test)]
+mod corpus_stats_tests {
+    //! Scoring statistics are summed over segment indexes at prepare
+    //! (`pimento_index::score`): over any doc-range partition the sums
+    //! must be the integers — and `nidf` the bits — of the one index over
+    //! the whole corpus.
+    use super::*;
+    use pimento_index::score;
+    use proptest::prelude::*;
+
+    const WORDS: [&str; 8] = [
+        "good", "condition", "low", "mileage", "red", "nyc", "classic", "bid",
+    ];
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        #[test]
+        fn summed_statistics_equal_the_monolithic_index(
+            docs in proptest::collection::vec(proptest::collection::vec(0usize..8, 0..7), 1..12),
+            cuts in proptest::collection::vec(0usize..12, 0..6),
+        ) {
+            let xmls: Vec<String> = docs
+                .iter()
+                .map(|words| {
+                    let text: Vec<&str> = words.iter().map(|&w| WORDS[w]).collect();
+                    format!("<d>{}</d>", text.join(" "))
+                })
+                .collect();
+            let mono = Engine::from_xml_docs(&xmls).unwrap();
+            let sharded = mono.reshard_at(&cuts).unwrap();
+            let whole = [&mono.db().inverted];
+            let parts: Vec<&InvertedIndex> =
+                sharded.segments().iter().map(|s| &s.db().inverted).collect();
+            for word in WORDS.iter().chain(&["unseen"]) {
+                prop_assert_eq!(
+                    score::doc_freq(&parts, word),
+                    mono.db().inverted.doc_freq(word),
+                    "df of {} over {} segments", word, parts.len()
+                );
+                let phrase = [word.to_string(), WORDS[0].to_string()];
+                for tokens in [&phrase[..1], &phrase[..]] {
+                    prop_assert_eq!(
+                        score::nidf(&parts, tokens).to_bits(),
+                        score::nidf(&whole, tokens).to_bits(),
+                        "nidf of {:?} over {} segments", tokens, parts.len()
+                    );
+                }
+            }
+        }
     }
 }

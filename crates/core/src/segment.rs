@@ -4,8 +4,9 @@
 //! self-contained [`Database`] (tag/value/inverted indexes plus a full
 //! copy of the corpus symbol table) over a contiguous document range,
 //! plus the global doc id of its first document. A prepared plan is
-//! segment-agnostic — symbol ids and scoring statistics are corpus-global
-//! by construction — so [`execute_lanes`], the one query executor, cuts a
+//! segment-agnostic — symbol ids are corpus-global by construction, and
+//! the corpus-wide scoring statistics were summed into the compiled
+//! matcher at prepare — so [`execute_lanes`], the one query executor, cuts a
 //! request into tasks (one per segment; a segment's candidate list split
 //! into contiguous chunks when there are more lanes than segments), runs
 //! the *same* compiled matcher/spec in every task, remaps answers to
@@ -38,8 +39,7 @@ pub struct Segment {
 
 impl Segment {
     /// Wrap an indexed doc-range slice. `db`'s collection must carry the
-    /// full corpus symbol table, and — when the segment is one of many —
-    /// a corpus-stats scorer, so compiled plans stay segment-agnostic.
+    /// full corpus symbol table, so compiled plans stay segment-agnostic.
     pub(crate) fn new(db: Database, doc_base: u32) -> Self {
         Segment { db, doc_base }
     }
@@ -121,9 +121,6 @@ fn plan_tasks<'a>(
     spec: PlanSpec,
     lanes: usize,
 ) -> (Vec<Task<'a>>, usize) {
-    // Trace registries are single-threaded (ROADMAP item 1 removes
-    // `algebra::trace`); scheduling never affects results either way.
-    let lanes = if spec.trace { 1 } else { lanes };
     let mut tasks = Vec::new();
     if lanes <= segments.len() {
         tasks.extend(segments.iter().enumerate().map(|(segment, seg)| Task {
@@ -360,9 +357,11 @@ mod tests {
 
     fn matcher(segments: &[Arc<Segment>], query: &str) -> Arc<Matcher> {
         let q = parse_tpq(query).unwrap();
+        let db = segments[0].db();
         Arc::new(Matcher::new(
-            segments[0].db(),
+            db,
             PersonalizedQuery::unpersonalized(q),
+            &[&db.inverted],
         ))
     }
 

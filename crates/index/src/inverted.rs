@@ -132,21 +132,6 @@ impl InvertedIndex {
     pub fn analyze(&self, phrase: &str) -> Vec<String> {
         self.tokenizer.tokenize(phrase)
     }
-
-    /// Every distinct token paired with its document frequency, in name
-    /// (byte) order. This is the aggregation input for sharded engines:
-    /// summing these tables across doc-range segments reproduces the
-    /// monolithic corpus statistics exactly (segments partition the
-    /// documents, so per-token frequencies are disjoint integer counts).
-    pub fn token_doc_freqs(&self) -> Vec<(String, u32)> {
-        let mut out: Vec<(String, u32)> = self
-            .tokens
-            .iter()
-            .map(|(name, e)| (name.clone(), e.doc_freq))
-            .collect();
-        out.sort_unstable();
-        out
-    }
 }
 
 #[cfg(test)]
@@ -218,12 +203,5 @@ mod tests {
         let idx = InvertedIndex::build(&c, Tokenizer::stemming());
         assert_eq!(idx.postings("car").len(), 1);
         assert_eq!(idx.analyze("Cars"), ["car"]);
-    }
-
-    #[test]
-    fn token_doc_freqs_are_name_sorted() {
-        let (_, idx) = index(&["<a>zeta alpha mid</a>", "<a>mid</a>"]);
-        let expected = [("alpha", 1), ("mid", 2), ("zeta", 1)].map(|(t, n)| (t.to_string(), n));
-        assert_eq!(idx.token_doc_freqs(), expected);
     }
 }

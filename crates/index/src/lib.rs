@@ -11,12 +11,12 @@
 //! * [`tags::TagIndex`] — per-tag element lists sorted by `(doc, start)`,
 //!   the input streams of the structural joins,
 //! * [`phrase`] — phrase adjacency + containment,
-//! * [`score::Scorer`] — per-predicate scores normalized to [0, 1] so
-//!   top-k pruning bounds are exact,
+//! * [`score`] — per-predicate scores normalized to [0, 1] so top-k
+//!   pruning bounds are exact,
 //! * [`fields`] — `x.attr` resolution for value-based ordering rules.
 //!
 //! ```
-//! use pimento_index::{Collection, InvertedIndex, TagIndex, Tokenizer, Scorer, ft_contains};
+//! use pimento_index::{score, Collection, InvertedIndex, TagIndex, Tokenizer, ft_contains};
 //!
 //! let mut coll = Collection::new();
 //! coll.add_xml("<car><description>good condition</description></car>").unwrap();
@@ -25,8 +25,9 @@
 //! let car = coll.tag("car").unwrap();
 //! let elem = tags.elements(car)[0];
 //! assert!(ft_contains(&inv, &elem, &inv.analyze("good condition")));
-//! let score = Scorer::new(&inv).ft_score(&inv, &elem, &inv.analyze("good condition"));
-//! assert!(score > 0.0 && score < 1.0);
+//! // One index is the whole corpus here, so it is also the statistics source.
+//! let s = score::ft_score(&[&inv], &inv, &elem, &inv.analyze("good condition"));
+//! assert!(s > 0.0 && s < 1.0);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -60,10 +61,8 @@ pub use phrase::{
     count_in_element, ft_all, ft_contains, occurrences_in_element, phrase_occurrences,
     postings_in_element,
 };
-pub use score::Scorer;
 pub use segment::{
-    global_doc_freqs, split_ranges, ManifestEntry, ShardManifest, MANIFEST_FILE,
-    MANIFEST_HEADER_V2,
+    split_ranges, ManifestEntry, ShardManifest, MANIFEST_FILE, MANIFEST_HEADER_V2,
 };
 pub use stats::CorpusStats;
 pub use store::{Collection, DocId, ElemRef};

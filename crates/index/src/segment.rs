@@ -1,5 +1,5 @@
-//! Sharded-corpus building blocks: doc-range splitting, corpus-wide
-//! statistics aggregation, and the sharded-snapshot manifest.
+//! Sharded-corpus building blocks: doc-range splitting and the
+//! sharded-snapshot manifest.
 //!
 //! A sharded engine slices its collection into contiguous document
 //! ranges ("segments"), each indexed independently. Three invariants make
@@ -12,19 +12,23 @@
 //! 2. **Symbol ids are corpus-global** — every segment carries a full copy
 //!    of the corpus symbol table ([`crate::Collection::subset`]), so one
 //!    compiled plan is valid against every segment.
-//! 3. **Scoring statistics are corpus-global** — [`global_doc_freqs`] sums
-//!    exact per-token document counts across segments; a
-//!    [`crate::Scorer::with_corpus_stats`] scorer then feeds `idf` the same
-//!    integers the monolithic index would.
+//! 3. **Scoring statistics are summed at prepare** — a segment carries
+//!    none. [`crate::score::nidf`] adds document counts and per-token
+//!    document frequencies over the segment indexes when a query is
+//!    compiled, which feeds `idf` the same integers the monolithic index
+//!    would; a segment is therefore the same object in every corpus
+//!    generation that contains it.
 //!
 //! On disk, a sharded snapshot is a directory: one v4 columnar file per
 //! segment plus a [`ShardManifest`] listing each file with its doc-id
 //! base, decoded by [`ShardManifest::parse`] (a `panic-path` lint root —
-//! malformed manifests surface as [`PersistError`], never a panic).
+//! malformed manifests surface as [`PersistError`], never a panic). What
+//! makes a listed tombstone sidecar acceptable is defined here too
+//! ([`ManifestEntry::parse_tombstones`]), once, for the loader, the
+//! scrubber and `pimento snapshot inspect`.
 
-use crate::inverted::InvertedIndex;
 use crate::persist::PersistError;
-use std::collections::HashMap;
+use crate::tombstone::TombstoneSet;
 use std::ops::Range;
 
 /// File name of the manifest inside a sharded snapshot directory.
@@ -57,19 +61,6 @@ pub fn split_ranges(num_docs: usize, shards: usize) -> Vec<Range<usize>> {
     out
 }
 
-/// Sum per-token document frequencies across segment indexes. Because the
-/// segments partition the corpus, each document is counted exactly once
-/// and the sums equal the monolithic index's `doc_freq` for every token.
-pub fn global_doc_freqs(indexes: &[&InvertedIndex]) -> HashMap<String, u32> {
-    let mut df = HashMap::new();
-    for index in indexes {
-        for (token, freq) in index.token_doc_freqs() {
-            *df.entry(token).or_insert(0) += freq;
-        }
-    }
-    df
-}
-
 /// One segment entry in a [`ShardManifest`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ManifestEntry {
@@ -83,6 +74,24 @@ pub struct ManifestEntry {
     /// Tombstone sidecar file name, when the segment has deleted
     /// documents.
     pub tombstones: Option<String>,
+}
+
+impl ManifestEntry {
+    /// Decode the bytes of this entry's tombstone sidecar: UTF-8, the
+    /// sidecar grammar, and every id inside the segment (`< docs`). The
+    /// one definition of an acceptable sidecar — a directory the scrubber
+    /// or `snapshot inspect` passes is one a restart will open.
+    pub fn parse_tombstones(&self, raw: &[u8]) -> Result<TombstoneSet, PersistError> {
+        let text = std::str::from_utf8(raw)
+            .map_err(|_| PersistError::BadManifest("tombstone sidecar is not UTF-8"))?;
+        let tombs = TombstoneSet::parse(text)?;
+        if tombs.iter().any(|d| d.0 >= self.docs) {
+            return Err(PersistError::BadManifest(
+                "tombstone doc id outside its segment",
+            ));
+        }
+        Ok(tombs)
+    }
 }
 
 /// The manifest of a sharded snapshot directory: the segment files in
@@ -272,8 +281,6 @@ impl ShardManifest {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::store::Collection;
-    use crate::tokenize::Tokenizer;
     use proptest::prelude::*;
 
     #[test]
@@ -290,31 +297,6 @@ mod tests {
         }
         assert!(split_ranges(0, 4).is_empty());
         assert_eq!(split_ranges(5, 0), vec![0..5]);
-    }
-
-    #[test]
-    fn global_doc_freqs_sum_to_monolithic() {
-        let xmls = [
-            "<a>x y</a>",
-            "<a>x</a>",
-            "<a>y z</a>",
-            "<a>z z z</a>",
-            "<a>q</a>",
-        ];
-        let mut full = Collection::new();
-        for x in &xmls {
-            full.add_xml(x).unwrap();
-        }
-        let mono = InvertedIndex::build(&full, Tokenizer::plain());
-        let head = full.subset(0..2);
-        let tail = full.subset(2..5);
-        let ih = InvertedIndex::build(&head, Tokenizer::plain());
-        let it = InvertedIndex::build(&tail, Tokenizer::plain());
-        let df = global_doc_freqs(&[&ih, &it]);
-        for (token, freq) in mono.token_doc_freqs() {
-            assert_eq!(df.get(&token).copied(), Some(freq), "{token}");
-        }
-        assert_eq!(df.len(), mono.vocabulary_size());
     }
 
     #[test]
@@ -392,6 +374,37 @@ mod tests {
         assert_eq!(back, m);
         assert_eq!(back.generation, 7);
         assert_eq!(back.num_docs(), 5);
+    }
+
+    /// A sidecar is acceptable only if it decodes *and* fits its entry:
+    /// the id-range half is what a bare `TombstoneSet::parse` cannot see.
+    #[test]
+    fn sidecar_must_be_utf8_parse_and_fit_its_segment() {
+        let entry = ManifestEntry {
+            file: ShardManifest::segment_file_name(0),
+            doc_base: 0,
+            docs: 3,
+            tombstones: Some("t".to_string()),
+        };
+        let mut inside = TombstoneSet::new();
+        inside.insert(crate::DocId(2));
+        assert_eq!(
+            entry.parse_tombstones(inside.render().as_bytes()),
+            Ok(inside.clone())
+        );
+        let mut outside = inside;
+        outside.insert(crate::DocId(3));
+        assert_eq!(
+            entry.parse_tombstones(outside.render().as_bytes()),
+            Err(PersistError::BadManifest(
+                "tombstone doc id outside its segment"
+            ))
+        );
+        assert_eq!(
+            entry.parse_tombstones(&[0xff, 0xfe]),
+            Err(PersistError::BadManifest("tombstone sidecar is not UTF-8"))
+        );
+        assert!(entry.parse_tombstones(b"pimento-tombstones v1\n").is_err());
     }
 
     #[test]

@@ -22,6 +22,7 @@
 use pimento::{Engine, Error};
 use pimento_faults::vfs::{self, StdVfs, Vfs};
 use pimento_index::segment::{ShardManifest, MANIFEST_FILE};
+use std::ops::Range;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -137,7 +138,7 @@ impl SegmentStore {
     }
 
     /// Durably persist `engine` under the given per-segment `files`.
-    /// Only the segments listed in `write_segments` have their columnar
+    /// Only the segments in the `write_segments` range have their columnar
     /// files written (the rest are already on disk under the same
     /// names); tombstone sidecars and the manifest are always
     /// rewritten. Write order is the commit protocol: segment files,
@@ -147,10 +148,10 @@ impl SegmentStore {
         &self,
         engine: &Engine,
         files: &[String],
-        write_segments: &[usize],
+        write_segments: Range<usize>,
     ) -> Result<ShardManifest, Error> {
         let manifest = engine.manifest_for(files)?;
-        for &i in write_segments {
+        for i in write_segments {
             let entry = manifest
                 .segments
                 .get(i)
@@ -225,7 +226,7 @@ mod tests {
         assert!(!store.has_manifest());
         let eng = engine(4).at_generation(3);
         let files = vec![ShardManifest::generation_file_name(3, 0)];
-        let manifest = store.publish(&eng, &files, &[0]).unwrap();
+        let manifest = store.publish(&eng, &files, 0..1).unwrap();
         assert!(store.has_manifest());
         assert_eq!(store.manifest().unwrap(), manifest);
         let back = store.recover().unwrap();
@@ -241,7 +242,7 @@ mod tests {
         let store = SegmentStore::open(&dir).unwrap();
         let eng = engine(2);
         let files = vec![ShardManifest::generation_file_name(0, 0)];
-        let manifest = store.publish(&eng, &files, &[0]).unwrap();
+        let manifest = store.publish(&eng, &files, 0..1).unwrap();
         fs::write(dir.join("delta-000009.v4.snap"), b"stale").unwrap();
         fs::write(dir.join("something.tmp"), b"stale").unwrap();
         fs::write(dir.join("notes.txt"), b"not ours").unwrap();
@@ -259,7 +260,7 @@ mod tests {
         let store = SegmentStore::open(&dir).unwrap();
         let eng = engine(2);
         let files = vec![ShardManifest::generation_file_name(0, 0)];
-        store.publish(&eng, &files, &[0]).unwrap();
+        store.publish(&eng, &files, 0..1).unwrap();
         fs::write(dir.join(MANIFEST_FILE), b"pimento-shards v9\ngarbage").unwrap();
         let err = store.recover().unwrap_err();
         assert!(matches!(err, Error::Snapshot(_)), "typed: {err:?}");

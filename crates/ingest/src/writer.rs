@@ -5,9 +5,14 @@
 //! writer mutex, builds the next generation as a pure transform of the
 //! current engine ([`pimento::Engine::with_ingested`] /
 //! [`pimento::Engine::with_deletes`] / [`pimento::Engine::compacted`]),
-//! durably persists it when a data directory is configured, and only
-//! then publishes it with an atomic swap.
-//! Readers never wait on the writer; the writer never blocks a query.
+//! and hands it to the one commit routine, `Ingestor::commit`: durably
+//! persist (when a data directory is configured), only then publish with
+//! an atomic swap, tell the serving layer, sweep orphans. The transforms
+//! differ only in which segments are new — an add appends one segment
+//! and shares the rest with the previous generation, so it writes one
+//! file — and the scrubber's repair is the same commit of the generation
+//! already live. Readers never wait on the writer; the writer never
+//! blocks a query.
 //!
 //! Crash matrix (persist-then-publish):
 //!
@@ -24,8 +29,9 @@
 
 use crate::live::LiveEngine;
 use crate::store::SegmentStore;
-use pimento::Error;
+use pimento::{Engine, Error};
 use pimento_index::segment::ShardManifest;
+use std::ops::Range;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
@@ -131,11 +137,8 @@ impl Ingestor {
             files = match adopted {
                 Some(files) => files,
                 None => {
-                    let files: Vec<String> = (0..engine.shard_count())
-                        .map(|i| ShardManifest::generation_file_name(engine.generation(), i))
-                        .collect();
-                    let all: Vec<usize> = (0..engine.shard_count()).collect();
-                    let manifest = store.publish(&engine, &files, &all)?;
+                    let files = generation_files(&engine);
+                    let manifest = store.publish(&engine, &files, 0..engine.shard_count())?;
                     store.gc(&manifest);
                     files
                 }
@@ -171,28 +174,19 @@ impl Ingestor {
 
     /// Re-persist the entire live generation to disk — the scrubber's
     /// repair path after quarantining a damaged artifact. Takes the
-    /// writer lock so it cannot interleave with a publish, then
-    /// rewrites every segment file, sidecar and the manifest from the
-    /// in-memory engine (which *is* the last good generation: publishes
-    /// swap it in only after a durable commit). Returns `false` when no
-    /// store is configured.
+    /// writer lock so it cannot interleave with a publish, then commits
+    /// the in-memory engine (which *is* the last good generation:
+    /// publishes swap it in only after a durable commit) with every
+    /// segment file, sidecar and the manifest rewritten. Returns `false`
+    /// when no store is configured.
     pub fn repair_persist(&self) -> Result<bool, Error> {
-        let Some(store) = &self.store else {
+        if self.store.is_none() {
             return Ok(false);
-        };
+        }
         let mut state = self.lock_state();
         let engine = self.live.load();
-        let files = if state.files.len() == engine.shard_count() {
-            state.files.clone()
-        } else {
-            (0..engine.shard_count())
-                .map(|i| ShardManifest::generation_file_name(engine.generation(), i))
-                .collect()
-        };
-        let all: Vec<usize> = (0..engine.shard_count()).collect();
-        let manifest = store.publish(&engine, &files, &all)?;
-        state.files = files;
-        store.gc(&manifest);
+        let files = state.files.clone();
+        self.commit(&mut state, &engine, files, 0..engine.shard_count())?;
         Ok(true)
     }
 
@@ -252,34 +246,53 @@ impl Ingestor {
         }
     }
 
+    /// The one way a generation becomes the served one: persist `next`
+    /// under `files` (writing the segment files in the `write` range;
+    /// sidecars and the manifest always), pass the crash point, swap it in, record
+    /// its file names, run the publish hook, sweep what the new manifest
+    /// no longer references. Nothing before the swap touches `state` or
+    /// the live cell, so an error leaves the previous generation served
+    /// and — if the manifest rename already happened — the new one
+    /// recoverable from disk. Committing the generation that is already
+    /// live (repair) is idempotent: the swap and the hook see what they
+    /// saw before.
+    fn commit(
+        &self,
+        state: &mut WriterState,
+        next: &Arc<Engine>,
+        files: Vec<String>,
+        write: Range<usize>,
+    ) -> Result<(), Error> {
+        let manifest = match &self.store {
+            Some(store) => Some(store.publish(next, &files, write)?),
+            None => None,
+        };
+        self.fault_crash_point()?;
+        self.live.swap(Arc::clone(next));
+        state.files = files;
+        self.notify_published(next.generation());
+        if let (Some(store), Some(m)) = (&self.store, &manifest) {
+            store.gc(m);
+        }
+        Ok(())
+    }
+
     /// Parse, index, and publish a batch of XML documents as one delta
     /// segment. Returns the receipt once the new generation is durable
     /// (when persistence is configured) *and* visible to readers.
     pub fn add_documents<S: AsRef<str>>(&self, docs: &[S]) -> Result<IngestReceipt, Error> {
         let mut state = self.lock_state();
         self.fault_panic_point();
-        let engine = self.live.load();
-        let next = engine.with_ingested(docs)?;
-        let mut files = state.files.clone();
-        let manifest = match &self.store {
-            Some(store) => {
-                files.push(ShardManifest::delta_file_name(next.generation()));
-                Some(store.publish(&next, &files, &[next.shard_count() - 1])?)
-            }
-            None => None,
-        };
-        self.fault_crash_point()?;
-        let next = Arc::new(next);
+        let next = Arc::new(self.live.load().with_ingested(docs)?);
         let generation = next.generation();
-        self.live.swap(next);
-        state.files = files;
-        state.deltas += 1;
-        let due = self.merge_threshold > 0 && state.deltas >= self.merge_threshold;
-        self.notify_published(generation);
-        if let (Some(store), Some(m)) = (&self.store, &manifest) {
-            store.gc(m);
+        let mut files = state.files.clone();
+        if self.store.is_some() {
+            files.push(ShardManifest::delta_file_name(generation));
         }
-        if due {
+        let delta = next.shard_count() - 1;
+        self.commit(&mut state, &next, files, delta..delta + 1)?;
+        state.deltas += 1;
+        if self.merge_threshold > 0 && state.deltas >= self.merge_threshold {
             self.wake.notify_all();
         }
         Ok(IngestReceipt {
@@ -292,25 +305,14 @@ impl Ingestor {
     /// generation. Ids take effect immediately at scatter time; the
     /// documents physically disappear at the next compaction.
     pub fn delete_documents(&self, ids: &[u32]) -> Result<IngestReceipt, Error> {
-        let state = self.lock_state();
+        let mut state = self.lock_state();
         self.fault_panic_point();
-        let engine = self.live.load();
-        let (next, newly) = engine.with_deletes(ids)?;
-        let manifest = match &self.store {
-            Some(store) => Some(store.publish(&next, &state.files, &[])?),
-            None => None,
-        };
-        self.fault_crash_point()?;
-        let next = Arc::new(next);
+        let (next, newly) = self.live.load().with_deletes(ids)?;
         let generation = next.generation();
-        self.live.swap(next);
-        // Segment layout unchanged — state.files stays as-is; only the
-        // sidecars moved to new generation-stamped names.
-        self.notify_published(generation);
-        if let (Some(store), Some(m)) = (&self.store, &manifest) {
-            store.gc(m);
-        }
-        drop(state);
+        // Segment layout unchanged — the file names stay as they are;
+        // only the sidecars move to new generation-stamped names.
+        let files = state.files.clone();
+        self.commit(&mut state, &Arc::new(next), files, 0..0)?;
         Ok(IngestReceipt {
             generation,
             docs: newly,
@@ -328,33 +330,16 @@ impl Ingestor {
         if (state.deltas == 0 && engine.deleted_docs() == 0) || engine.live_docs() == 0 {
             return Ok(None);
         }
-        let next = engine.compacted(self.compact_shards)?;
-        let files: Vec<String> = (0..next.shard_count())
-            .map(|i| ShardManifest::generation_file_name(next.generation(), i))
-            .collect();
-        let manifest = match &self.store {
-            Some(store) => {
-                let all: Vec<usize> = (0..next.shard_count()).collect();
-                Some(store.publish(&next, &files, &all)?)
-            }
-            None => None,
+        let next = Arc::new(engine.compacted(self.compact_shards)?);
+        let receipt = IngestReceipt {
+            generation: next.generation(),
+            docs: next.num_docs(),
         };
-        self.fault_crash_point()?;
-        let next = Arc::new(next);
-        let generation = next.generation();
-        let live_docs = next.num_docs();
-        self.live.swap(next);
-        state.files = files;
+        let files = generation_files(&next);
+        self.commit(&mut state, &next, files, 0..next.shard_count())?;
         state.deltas = 0;
         self.merges.fetch_add(1, Ordering::Relaxed);
-        self.notify_published(generation);
-        if let (Some(store), Some(m)) = (&self.store, &manifest) {
-            store.gc(m);
-        }
-        Ok(Some(IngestReceipt {
-            generation,
-            docs: live_docs,
-        }))
+        Ok(Some(receipt))
     }
 
     /// Ask the background merger (if any) to exit. Idempotent.
@@ -393,6 +378,13 @@ impl Ingestor {
             }
         }
     }
+}
+
+/// Fresh generation-stamped file names for every segment of `engine`.
+fn generation_files(engine: &Engine) -> Vec<String> {
+    (0..engine.shard_count())
+        .map(|i| ShardManifest::generation_file_name(engine.generation(), i))
+        .collect()
 }
 
 /// Handle to a background merger thread; join it after

@@ -29,7 +29,7 @@ use pimento_faults::vfs::{enforce_quarantine_cap, quarantine_file, quarantine_st
 /// The quarantine retention policy, re-exported for callers that tune it
 /// via [`Scrubber::set_quarantine_cap`].
 pub use pimento_faults::vfs::QuarantineCap;
-use pimento_index::{inspect, TombstoneSet, MANIFEST_FILE};
+use pimento_index::{inspect, MANIFEST_FILE};
 use pimento_ingest::Ingestor;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
@@ -237,7 +237,8 @@ impl Scrubber {
     }
 
     /// Verify the segment store: manifest parse, per-segment v4 section
-    /// CRCs, tombstone sidecar parses. Any damage quarantines the
+    /// CRCs, and each tombstone sidecar by the loader's own rule
+    /// (`ManifestEntry::parse_tombstones`). Any damage quarantines the
     /// artifact and re-publishes the whole generation from the live
     /// engine (`Ingestor::repair_persist`).
     fn scrub_corpus(&self, pass: &mut PassSummary) -> ComponentHealth {
@@ -284,16 +285,10 @@ impl Scrubber {
                             .read(&path)
                             .map_err(|e| e.to_string())
                             .and_then(|raw| {
-                                String::from_utf8(raw)
-                                    .map_err(|_| "not UTF-8".to_string())
-                            })
-                            .and_then(|text| {
-                                TombstoneSet::parse(&text)
-                                    .map(|_| ())
-                                    .map_err(|e| e.to_string())
+                                entry.parse_tombstones(&raw).map_err(|e| e.to_string())
                             });
                         match parsed {
-                            Ok(()) => pass.sections_verified += 1,
+                            Ok(_) => pass.sections_verified += 1,
                             Err(e) => damaged.push((path, format!("tombstone sidecar: {e}"))),
                         }
                     }

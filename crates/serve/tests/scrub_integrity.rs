@@ -9,7 +9,7 @@
 
 use pimento::profile::UserProfile;
 use pimento::{Engine, SearchOptions};
-use pimento_index::{inspect, Collection};
+use pimento_index::{inspect, Collection, DocId, TombstoneSet};
 use pimento_ingest::{IngestConfig, Ingestor, LiveEngine};
 use pimento_serve::faults::vfs::{QuarantineCap, SimVfs, Vfs};
 use pimento_serve::{
@@ -193,6 +193,47 @@ fn manifest_and_tombstone_flips_are_detected_and_repaired() {
         assert_eq!(pass.corrupt_artifacts, 0, "{name}: repair left damage");
         assert_eq!(scrubber.health().overall(), HealthLevel::Ok);
     }
+}
+
+/// A sidecar can carry a valid CRC and still be unloadable: an id at or
+/// past its segment's document count. A restart refuses such a
+/// directory, so the scrubber must not pass it — both apply the same
+/// rule (`ManifestEntry::parse_tombstones`).
+#[test]
+fn checksummed_sidecar_with_an_out_of_range_id_is_detected_and_repaired() {
+    let dir = PathBuf::from("/sim/scrub-sidecar-range");
+    let vfs = Arc::new(SimVfs::new(6));
+    let (live, ing) = boot_corpus(&vfs, &dir);
+    let scrubber = scrubber_for(&ing, None);
+    let reference = fingerprint(&live.load());
+    let manifest = ing.store().expect("store").manifest().expect("manifest");
+    let entry = manifest
+        .segments
+        .iter()
+        .find(|e| e.tombstones.is_some())
+        .expect("a tombstone sidecar exists");
+    let path = dir.join(entry.tombstones.as_deref().expect("sidecar name"));
+
+    let mut forged = TombstoneSet::new();
+    forged.insert(DocId(entry.docs));
+    let text = forged.render();
+    assert!(TombstoneSet::parse(&text).is_ok(), "forged sidecar is well-formed");
+    vfs.write_file(&path, text.as_bytes()).expect("plant sidecar");
+    assert!(
+        Engine::from_sharded_dir_vfs(&*vfs, &dir).is_err(),
+        "a restart refuses the directory"
+    );
+
+    let pass = scrubber.run_pass();
+    assert_eq!(pass.corrupt_artifacts, 1, "{pass:?}");
+    assert_eq!(pass.quarantined, 1, "{pass:?}");
+    assert_eq!(pass.repairs, 1, "{pass:?}");
+    assert_eq!(scrubber.health().overall(), HealthLevel::Degraded);
+    let recovered = Engine::from_sharded_dir_vfs(&*vfs, &dir).expect("recover");
+    assert_eq!(fingerprint(&recovered), reference);
+    let pass = scrubber.run_pass();
+    assert_eq!(pass.corrupt_artifacts, 0, "repair left damage");
+    assert_eq!(scrubber.health().overall(), HealthLevel::Ok);
 }
 
 /// A flipped profile file is quarantined and re-persisted from the

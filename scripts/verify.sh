@@ -100,4 +100,10 @@ cargo test -q -p pimento-index --test storage_fuzz
 echo "==> scrub gate: one-shot pimento scrub over a fresh sharded snapshot"
 cargo run -q -p pimento-serve --release --bin pimento -- scrub --data-dir "$SNAP_DIR/sharded"
 
+echo "==> bench gate: perfbench builds against the workspace API and its smoke tests pass"
+# perfbench/ is a package of its own (path dependencies on crates/*), so
+# nothing above compiles it: an Engine or serve API change could break
+# the benchmark without this.
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
+
 echo "==> verify OK"

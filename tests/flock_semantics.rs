@@ -39,7 +39,7 @@ fn rule(i: usize, is_add: bool, cond_phrase: usize, target_phrase: usize) -> Sco
 
 /// All matches of the required part of `pq` over `db`, as (doc, start).
 fn matches_of(db: &Database, pq: PersonalizedQuery) -> BTreeSet<(u32, u32)> {
-    let m = Matcher::new(db, pq);
+    let m = Matcher::new(db, pq, &[&db.inverted]);
     let Some(sym) = m.distinguished_tag().and_then(|t| db.coll.tag(t)) else {
         return BTreeSet::new();
     };

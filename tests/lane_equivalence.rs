@@ -191,6 +191,47 @@ fn incomparable_vor_frontier_survives_the_merge() {
     assert_lane_equivalent(&xmark_docs(), "//person", &profile, 8);
 }
 
+/// Tracing observes the plan that runs, it does not pick another one: a
+/// traced request is cut into the same tasks on the same lanes as an
+/// untraced one, returns the same hits by bits and the same counters, and
+/// carries one labelled trace block per task.
+#[test]
+fn tracing_changes_neither_the_plan_nor_the_answer() {
+    let engine = Engine::from_xml_docs(&xmark_docs()).unwrap();
+    let profile = xmark_profile();
+    for segments in [1usize, 4] {
+        let sharded = engine.reshard(segments).unwrap();
+        let prepared = sharded.prepare(XMARK_QUERY, &profile).unwrap();
+        for strategy in PlanStrategy::all() {
+            for lanes in [1usize, 2, 8] {
+                let label = format!("{} / {segments} segments / {lanes} lanes", strategy.paper_name());
+                let untraced = SearchOptions::top(10).with_strategy(strategy);
+                let traced = SearchOptions {
+                    trace: true,
+                    ..untraced
+                };
+                let off = sharded.run_prepared_lanes(&prepared, &untraced, lanes).unwrap();
+                let on = sharded.run_prepared_lanes(&prepared, &traced, lanes).unwrap();
+                assert_eq!(full_key(&off), full_key(&on), "{label}");
+                assert_eq!(off.stats, on.stats, "{label}");
+                assert_eq!(off.explain, on.explain, "{label}");
+                let per_task = |r: &SearchResults| -> Vec<_> {
+                    r.lanes.iter().map(|l| (l.segment, l.stats)).collect()
+                };
+                assert_eq!(per_task(&off), per_task(&on), "{label}");
+                assert!(off.trace.is_empty(), "{label}");
+                let tasks = on.lanes.len();
+                assert_eq!(tasks > 1, lanes > 1 || segments > 1, "{label}");
+                if tasks > 1 {
+                    assert_eq!(on.trace.matches("segment(base=").count(), tasks, "{label}");
+                } else {
+                    assert!(on.trace.contains("QueryEval"), "{label}: {}", on.trace);
+                }
+            }
+        }
+    }
+}
+
 /// The public `threads` knob (clamped to the machine) through the whole
 /// engine stack: any setting returns the same hits as one lane.
 fn assert_threads_transparent(engine: &Engine) {

@@ -300,6 +300,7 @@ fn all_strategies_verify_across_rank_orders() {
             let matcher = Arc::new(Matcher::new(
                 db,
                 PersonalizedQuery::unpersonalized(query.clone()),
+                &[&db.inverted],
             ));
             let rank = RankContext::new(vors.clone(), order);
             let plan = build_plan(db, matcher, &kors, rank, PlanSpec::new(3, strategy));

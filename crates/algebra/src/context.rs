@@ -7,12 +7,13 @@
 //! object in every corpus generation that contains it.
 
 use pimento_index::{
-    Collection, DocId, InvertedIndex, PersistError, TagIndex, Tokenizer, TombstoneSet, ValueIndex,
+    Collection, DocId, InvertedIndex, PersistError, TagIndex, Tokenizer, TombstoneSet,
 };
 use std::sync::Arc;
 
-/// The four index structures of one indexed collection, always built and
-/// shared together.
+/// The document store and the paper's two indexes over it (§6.4: "we
+/// rely on inverted indices on keywords and on an index per distinct
+/// tag"), always built and shared together.
 #[derive(Debug)]
 pub struct Indexes {
     /// The document store.
@@ -21,8 +22,6 @@ pub struct Indexes {
     pub inverted: InvertedIndex,
     /// Per-tag element index.
     pub tags: TagIndex,
-    /// Numeric leaf-value index (range scans for constraint predicates).
-    pub values: ValueIndex,
 }
 
 /// The indexed collection a plan executes against (paper §6.4: "we rely on
@@ -32,7 +31,7 @@ pub struct Indexes {
 /// [`Database::with_tombstones`] — the one way a published database is
 /// ever re-issued — a pointer copy.
 /// `Deref` exposes the index fields, so operators keep reading `db.coll`,
-/// `db.inverted`, `db.tags`, and `db.values` directly.
+/// `db.inverted` and `db.tags` directly.
 #[derive(Debug, Clone)]
 pub struct Database {
     indexes: Arc<Indexes>,
@@ -53,8 +52,7 @@ impl Database {
     pub fn index(coll: Collection, tokenizer: Tokenizer) -> Self {
         let inverted = InvertedIndex::build(&coll, tokenizer);
         let tags = TagIndex::build(&coll);
-        let values = ValueIndex::build(&coll);
-        Self::from_parts(coll, inverted, tags, values)
+        Self::from_parts(coll, inverted, tags)
     }
 
     /// Index with the plain (non-stemming) tokenizer.
@@ -67,21 +65,15 @@ impl Database {
     /// documents, and equal the ones [`Database::index`] builds.
     pub fn open(data: &[u8]) -> Result<Self, PersistError> {
         let o = pimento_index::open_index(data)?;
-        Ok(Self::from_parts(o.collection, o.inverted, o.tags, o.values))
+        Ok(Self::from_parts(o.collection, o.inverted, o.tags))
     }
 
-    fn from_parts(
-        coll: Collection,
-        inverted: InvertedIndex,
-        tags: TagIndex,
-        values: ValueIndex,
-    ) -> Self {
+    fn from_parts(coll: Collection, inverted: InvertedIndex, tags: TagIndex) -> Self {
         Database {
             indexes: Arc::new(Indexes {
                 coll,
                 inverted,
                 tags,
-                values,
             }),
             tombstones: None,
         }

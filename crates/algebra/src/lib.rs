@@ -39,7 +39,6 @@ pub mod ops;
 pub mod par;
 pub mod plan;
 pub mod rank;
-pub mod structural;
 pub mod topk;
 pub mod trace;
 
@@ -51,11 +50,10 @@ pub use ops::{
 };
 pub use par::{merge_survivors, run_in_lanes};
 pub use plan::{
-    build_plan, build_task_plan, choose_spec, EvalMode, KorOrder, Plan, PlanShape, PlanSpec,
-    PlanStrategy, PlanVerifyError, Stage,
+    build_plan, build_task_plan, KorOrder, Plan, PlanShape, PlanSpec, PlanStrategy,
+    PlanVerifyError, Stage,
 };
 pub use rank::RankContext;
-pub use structural::prefilter_candidates;
 pub use topk::{TopkConfig, TopkPrune};
 pub use trace::{render as render_trace, TraceEntry};
 
@@ -189,15 +187,6 @@ mod oracle_tests {
                 let got: Vec<(u32, u32)> = out.iter().map(|a| a.tiebreak()).collect();
                 prop_assert_eq!(&got, &expect, "strategy {}", strategy.paper_name());
             }
-            // The structural-join evaluation mode must agree too.
-            let sj_spec = PlanSpec {
-                eval_mode: crate::plan::EvalMode::StructuralJoin,
-                ..PlanSpec::new(k, PlanStrategy::Push)
-            };
-            let plan = build_plan(&db, Arc::clone(&matcher), &kors, Arc::clone(&rank), sj_spec);
-            let (out, _) = plan.execute(&db);
-            let got: Vec<(u32, u32)> = out.iter().map(|a| a.tiebreak()).collect();
-            prop_assert_eq!(&got, &expect, "structural-join eval mode");
         }
     }
 }

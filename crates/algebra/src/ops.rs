@@ -5,7 +5,6 @@
 use crate::answer::Answer;
 use crate::context::{Database, ExecStats};
 use crate::eval::{entry_of, Matcher, PreparedPhrase};
-use crate::plan::EvalMode;
 use crate::rank::RankContext;
 use pimento_index::{field_value_sym, ft_contains, ElemEntry, FieldValue};
 use pimento_profile::{AttrValue, KeywordOrderingRule};
@@ -28,26 +27,20 @@ pub type BoxedOp = Box<dyn Operator>;
 
 /// Bottom of every plan: enumerate candidate bindings of the distinguished
 /// node from the tag index and keep those matching the query's required
-/// part, with their base score `S`.
+/// part, with their base score `S` — the paper's pipelined indexed
+/// nested-loop join (§6.4).
 pub struct QueryEval {
     matcher: Arc<Matcher>,
-    mode: EvalMode,
     candidates: Vec<ElemEntry>,
     cursor: usize,
     initialized: bool,
 }
 
 impl QueryEval {
-    /// Create the scan for `matcher`'s query (per-candidate matching).
+    /// Create the scan for `matcher`'s query.
     pub fn new(matcher: Arc<Matcher>) -> Self {
-        Self::with_mode(matcher, EvalMode::IndexedNestedLoop)
-    }
-
-    /// Create the scan with an explicit evaluation mode.
-    pub fn with_mode(matcher: Arc<Matcher>, mode: EvalMode) -> Self {
         QueryEval {
             matcher,
-            mode,
             candidates: Vec::new(),
             cursor: 0,
             initialized: false,
@@ -55,16 +48,11 @@ impl QueryEval {
     }
 
     /// Scan over a precomputed chunk of the list [`gather_candidates`]
-    /// returned under `mode` (a lane task: the list is gathered once and
-    /// split across lanes).
-    pub fn over_candidates(
-        matcher: Arc<Matcher>,
-        mode: EvalMode,
-        candidates: Vec<ElemEntry>,
-    ) -> Self {
+    /// returned (a lane task: the list is gathered once and split across
+    /// lanes).
+    pub fn over_candidates(matcher: Arc<Matcher>, candidates: Vec<ElemEntry>) -> Self {
         QueryEval {
             matcher,
-            mode,
             candidates,
             cursor: 0,
             initialized: true,
@@ -73,46 +61,39 @@ impl QueryEval {
 
     fn init(&mut self, db: &Database) {
         self.initialized = true;
-        self.candidates = gather_candidates(db, &self.matcher, self.mode);
+        self.candidates = gather_candidates(db, &self.matcher);
     }
 }
 
 /// The candidate bindings of `matcher`'s distinguished node that
-/// [`QueryEval`] scans under `mode`, in document order. Tombstoned
-/// documents are filtered out here, at the base of the plan — before any
-/// prune sees an answer — so deleting candidates only ever *relaxes*
-/// top-k bounds and every pruning strategy stays sound.
-pub fn gather_candidates(db: &Database, matcher: &Matcher, mode: EvalMode) -> Vec<ElemEntry> {
-    let mut candidates = raw_candidates(db, matcher, mode);
+/// [`QueryEval`] scans, in document order: the tag index's list for the
+/// node's tag, or every element for a `*` node. Tombstoned documents are
+/// filtered out here, at the base of the plan — before any prune sees an
+/// answer — so deleting candidates only ever *relaxes* top-k bounds and
+/// every pruning strategy stays sound.
+pub fn gather_candidates(db: &Database, matcher: &Matcher) -> Vec<ElemEntry> {
+    let mut candidates = match matcher.distinguished_tag() {
+        Some(tag) => match db.coll.tag(tag) {
+            Some(sym) => db.tags.elements(sym).to_vec(),
+            None => Vec::new(),
+        },
+        None => db
+            .coll
+            .iter()
+            .flat_map(|(doc_id, doc)| {
+                doc.node_ids()
+                    .filter(move |&n| doc.node(n).tag().is_some())
+                    .map(move |n| (doc_id, n))
+            })
+            .map(|(d, n)| entry_of(db, d, n))
+            .collect(),
+    };
     if let Some(tombs) = db.tombstones() {
         if !tombs.is_empty() {
             candidates.retain(|e| !tombs.contains(e.doc));
         }
     }
     candidates
-}
-
-fn raw_candidates(db: &Database, matcher: &Matcher, mode: EvalMode) -> Vec<ElemEntry> {
-    match mode {
-        EvalMode::StructuralJoin => crate::structural::prefilter_candidates(db, matcher),
-        EvalMode::IndexedNestedLoop => match matcher.distinguished_tag() {
-            Some(tag) => match db.coll.tag(tag) {
-                Some(sym) => db.tags.elements(sym).to_vec(),
-                None => Vec::new(),
-            },
-            // Star distinguished node: every element in the collection.
-            None => db
-                .coll
-                .iter()
-                .flat_map(|(doc_id, doc)| {
-                    doc.node_ids()
-                        .filter(move |&n| doc.node(n).tag().is_some())
-                        .map(move |n| (doc_id, n))
-                })
-                .map(|(d, n)| entry_of(db, d, n))
-                .collect(),
-        },
-    }
 }
 
 impl Operator for QueryEval {
@@ -132,12 +113,8 @@ impl Operator for QueryEval {
 
     fn describe(&self) -> String {
         format!(
-            "QueryEval({}{})",
-            self.matcher.distinguished_tag().unwrap_or("*"),
-            match self.mode {
-                EvalMode::IndexedNestedLoop => "",
-                EvalMode::StructuralJoin => ", structural-join",
-            }
+            "QueryEval({})",
+            self.matcher.distinguished_tag().unwrap_or("*")
         )
     }
 }

@@ -35,7 +35,7 @@
 //! `≺_V` the merge layers a pruned set, and layering a subset is not the
 //! restriction of layering the whole: the result can depend on the
 //! partition (`tests/fixtures/partial_order_pi3.rules` reproduces it;
-//! ROADMAP item 5 owns the specification).
+//! ROADMAP item 2 owns the specification).
 
 use crate::answer::Answer;
 use crate::context::ExecStats;

@@ -59,6 +59,22 @@ impl PlanStrategy {
     }
 }
 
+/// The option name of a strategy, shared by the CLI's `--strategy` and
+/// the protocol's `"strategy"` field: `naive`, `il`, `sil` or `push`.
+impl std::str::FromStr for PlanStrategy {
+    type Err = String;
+
+    fn from_str(name: &str) -> Result<Self, String> {
+        match name {
+            "naive" => Ok(PlanStrategy::Naive),
+            "il" => Ok(PlanStrategy::InterleaveUnsorted),
+            "sil" => Ok(PlanStrategy::InterleaveSorted),
+            "push" => Ok(PlanStrategy::Push),
+            other => Err(format!("unknown strategy `{other}` (naive|il|sil|push)")),
+        }
+    }
+}
+
 /// In what order the `kor` operators are applied (§7.2: "applying the KOR
 /// which contributes the highest score first is beneficial as it increases
 /// the pruning threshold").
@@ -73,18 +89,6 @@ pub enum KorOrder {
     LowestWeightFirst,
 }
 
-/// How the bottom query-evaluation operator finds matches.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum EvalMode {
-    /// Per-candidate indexed nested-loop matching (paper §6.4's pipelined
-    /// indexed nested-loop joins).
-    #[default]
-    IndexedNestedLoop,
-    /// Bulk sort-merge structural-join pre-filter, then exact matching of
-    /// the survivors (see [`crate::structural`]).
-    StructuralJoin,
-}
-
 /// Full plan specification.
 #[derive(Debug, Clone, Copy)]
 pub struct PlanSpec {
@@ -94,8 +98,6 @@ pub struct PlanSpec {
     pub strategy: PlanStrategy,
     /// KOR application order.
     pub kor_order: KorOrder,
-    /// Bottom evaluation mode.
-    pub eval_mode: EvalMode,
     /// Collect per-operator row/time traces (`EXPLAIN ANALYZE`).
     pub trace: bool,
 }
@@ -107,7 +109,6 @@ impl PlanSpec {
             k,
             strategy,
             kor_order: KorOrder::AsGiven,
-            eval_mode: EvalMode::IndexedNestedLoop,
             trace: false,
         }
     }
@@ -530,8 +531,8 @@ pub fn build_task_plan(
     merge_safe: bool,
 ) -> Plan {
     let scan = match candidates {
-        Some(chunk) => QueryEval::over_candidates(Arc::clone(&matcher), spec.eval_mode, chunk),
-        None => QueryEval::with_mode(Arc::clone(&matcher), spec.eval_mode),
+        Some(chunk) => QueryEval::over_candidates(Arc::clone(&matcher), chunk),
+        None => QueryEval::new(Arc::clone(&matcher)),
     };
     assemble(db, Box::new(scan), matcher, kors, rank, spec, merge_safe)
 }
@@ -852,26 +853,6 @@ mod tests {
     }
 
     #[test]
-    fn eval_modes_agree() {
-        let db = db();
-        let q = parse_tpq(r#"//person[ftcontains(., "College")]"#).unwrap();
-        let pq = PersonalizedQuery::unpersonalized(q);
-        let matcher = Arc::new(Matcher::new(&db, pq, &[&db.inverted]));
-        let rank = RankContext::new(vec![], RankOrder::Kvs);
-        let mut outs = Vec::new();
-        for mode in [EvalMode::IndexedNestedLoop, EvalMode::StructuralJoin] {
-            let spec = PlanSpec {
-                eval_mode: mode,
-                ..PlanSpec::new(5, PlanStrategy::Push)
-            };
-            let plan = build_plan(&db, Arc::clone(&matcher), &kors(), Arc::clone(&rank), spec);
-            let (out, _) = plan.execute(&db);
-            outs.push(answers_key(&out));
-        }
-        assert_eq!(outs[0], outs[1]);
-    }
-
-    #[test]
     fn explain_mentions_operators() {
         let db = db();
         let q = parse_tpq("//person").unwrap();
@@ -911,85 +892,5 @@ mod tests {
             // Ranked by S descending.
             assert!(out[0].s >= out[1].s && out[1].s >= out[2].s);
         }
-    }
-}
-
-/// Heuristic plan choice: inspect the query and profile shape and pick the
-/// strategy, evaluation mode, and KOR order a reasonable optimizer would.
-///
-/// * Strategy: `PtpkP` whenever KORs exist (it never lost to the
-///   alternatives in the paper's Fig. 7 or our reproduction); plain
-///   `NtpkP` otherwise — with no kors the interleaved prunes have nothing
-///   to do and the final sorted prune is already exact.
-/// * Evaluation mode: the structural-join pre-filter pays off when the
-///   required pattern has structure to join on (more than one required
-///   node) — a single-node pattern degenerates to the same tag scan.
-/// * KOR order: highest contribution first (§7.2's recommendation).
-pub fn choose_spec(matcher: &Matcher, kors: &[KeywordOrderingRule], k: usize) -> PlanSpec {
-    let pq = matcher.personalized();
-    let required_nodes = pq
-        .tpq
-        .node_ids()
-        .filter(|&n| !pq.node_is_optional(n))
-        .count();
-    PlanSpec {
-        k,
-        strategy: if kors.is_empty() {
-            PlanStrategy::Naive
-        } else {
-            PlanStrategy::Push
-        },
-        kor_order: KorOrder::HighestWeightFirst,
-        eval_mode: if required_nodes > 1 {
-            EvalMode::StructuralJoin
-        } else {
-            EvalMode::IndexedNestedLoop
-        },
-        trace: false,
-    }
-}
-
-#[cfg(test)]
-mod choose_tests {
-    use super::*;
-    use pimento_index::Collection;
-    use pimento_profile::PersonalizedQuery;
-    use pimento_tpq::parse_tpq;
-
-    fn matcher_for(q: &str) -> (Database, Arc<Matcher>) {
-        let mut coll = Collection::new();
-        coll.add_xml("<a><b><c>x</c></b></a>").unwrap();
-        let db = Database::index_plain(coll);
-        let m = Arc::new(Matcher::new(
-            &db,
-            PersonalizedQuery::unpersonalized(parse_tpq(q).unwrap()),
-            &[&db.inverted],
-        ));
-        (db, m)
-    }
-
-    #[test]
-    fn auto_uses_push_only_with_kors() {
-        let (_, m) = matcher_for("//b");
-        let none = choose_spec(&m, &[], 5);
-        assert_eq!(none.strategy, PlanStrategy::Naive);
-        let kors = vec![KeywordOrderingRule::new("k", "b", "x")];
-        let some = choose_spec(&m, &kors, 5);
-        assert_eq!(some.strategy, PlanStrategy::Push);
-        assert_eq!(some.kor_order, KorOrder::HighestWeightFirst);
-    }
-
-    #[test]
-    fn auto_uses_structural_join_for_twigs() {
-        let (_, single) = matcher_for("//b");
-        assert_eq!(
-            choose_spec(&single, &[], 5).eval_mode,
-            EvalMode::IndexedNestedLoop
-        );
-        let (_, twig) = matcher_for("//a/b[./c]");
-        assert_eq!(
-            choose_spec(&twig, &[], 5).eval_mode,
-            EvalMode::StructuralJoin
-        );
     }
 }

@@ -124,31 +124,6 @@ fn bench_end_to_end_dealer(c: &mut Criterion) {
     });
 }
 
-fn bench_eval_modes(c: &mut Criterion) {
-    // Ablation: per-candidate indexed nested loops vs the bulk
-    // structural-join pre-filter, on a selective twig query.
-    let xml = xmark::generate(11, 512 * 1024);
-    let engine = pimento::Engine::from_xml_docs(&[&xml]).expect("parses");
-    let query = r#"//person[ftcontains(.//business, "Yes") and .//city[ftcontains(., "Phoenix")]]"#;
-    let mut group = c.benchmark_group("eval_mode_ablation");
-    group.sample_size(10);
-    for (label, mode) in [
-        ("indexed-nested-loop", pimento::EvalMode::IndexedNestedLoop),
-        ("structural-join", pimento::EvalMode::StructuralJoin),
-    ] {
-        let opts = pimento::SearchOptions::top(10).with_eval_mode(mode);
-        group.bench_function(label, |b| {
-            b.iter(|| {
-                let res = engine
-                    .search(query, &pimento::profile::UserProfile::new(), &opts)
-                    .expect("runs");
-                assert!(!res.hits.is_empty());
-            })
-        });
-    }
-    group.finish();
-}
-
 fn bench_profile_io(c: &mut Criterion) {
     let registry = pimento::profile::PrefRelRegistry::new();
     let text = std::fs::read_to_string(concat!(
@@ -398,7 +373,6 @@ criterion_group!(
     bench_containment,
     bench_static_analysis,
     bench_end_to_end_dealer,
-    bench_eval_modes,
     bench_profile_io,
     bench_parallel_ingest,
     bench_par_scan,

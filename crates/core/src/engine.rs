@@ -121,12 +121,12 @@ impl Engine {
         let rebuilt;
         let db = if self.segments.len() > 1 || self.deleted_docs() > 0 {
             let tokenizer = self.db().inverted.tokenizer();
-            rebuilt = Database::index(self.collapse_collection(true), tokenizer);
+            rebuilt = Database::index(self.collapse_collection(), tokenizer);
             &rebuilt
         } else {
             self.db()
         };
-        pimento_index::save_index(&db.coll, &db.inverted, &db.tags, &db.values)
+        pimento_index::save_index(&db.coll, &db.inverted, &db.tags)
     }
 
     /// Serialize segment `i` to its v4 columnar byte image (the unit the
@@ -137,12 +137,7 @@ impl Engine {
             .get(i)
             .ok_or(Error::Shard("segment index out of range"))?;
         let db = seg.db();
-        Ok(pimento_index::save_index(
-            &db.coll,
-            &db.inverted,
-            &db.tags,
-            &db.values,
-        ))
+        Ok(pimento_index::save_index(&db.coll, &db.inverted, &db.tags))
     }
 
     /// The manifest describing this engine's segment layout, using the
@@ -320,9 +315,10 @@ impl Engine {
     /// carrying the full symbol table. The *newest* segment's table is
     /// the corpus table: delta segments extend it append-only, so it is
     /// a superset of every older segment's copy with identical ids on
-    /// the shared prefix. `live_only` skips tombstoned documents (the
-    /// merge-compaction input).
-    fn collapse_collection(&self, live_only: bool) -> Collection {
+    /// the shared prefix. Tombstoned documents are left out, so the
+    /// survivors are renumbered in corpus order — exactly the ids a
+    /// monolithic build of the live documents assigns.
+    fn collapse_collection(&self) -> Collection {
         let symbols = self
             .segments
             .last()
@@ -332,7 +328,7 @@ impl Engine {
         for seg in &self.segments {
             let db = seg.db();
             for (doc_id, doc) in db.coll.iter() {
-                if live_only && db.is_deleted(doc_id) {
+                if db.is_deleted(doc_id) {
                     continue;
                 }
                 docs.push(doc.clone());
@@ -341,47 +337,52 @@ impl Engine {
         Collection::from_parts(symbols, docs)
     }
 
-    /// Rebuild this engine's corpus as `shards` doc-range segments (the
-    /// sharded builder). Each segment is indexed independently over its
-    /// slice but carries the full corpus symbol table, so prepared plans
-    /// remain valid across segments and scatter-gather results are
+    /// Rebuild this engine's live corpus as `shards` doc-range segments
+    /// (the sharded builder). Tombstoned documents are dropped, as in
+    /// [`Engine::compacted`]. Each segment is indexed independently over
+    /// its slice but carries the full corpus symbol table, so prepared
+    /// plans remain valid across segments and scatter-gather results are
     /// bit-identical to the monolithic scan.
     /// `shards <= 1` (or a corpus of at most one document) rebuilds the
     /// monolithic engine.
     pub fn reshard(&self, shards: usize) -> Result<Engine, Error> {
-        self.reshard_ranges(split_ranges(self.num_docs(), shards))
+        self.rebuild_live(|n| split_ranges(n, shards))
     }
 
     /// Like [`Engine::reshard`], but with explicit interior split points
-    /// (document indexes). Out-of-range and duplicate boundaries are
-    /// ignored. Exists so equivalence tests can drive *arbitrary*
-    /// doc-range partitions, not just the even ones.
+    /// (indexes into the live documents). Out-of-range and duplicate
+    /// boundaries are ignored. Exists so equivalence tests can drive
+    /// *arbitrary* doc-range partitions, not just the even ones.
     pub fn reshard_at(&self, boundaries: &[usize]) -> Result<Engine, Error> {
-        let n = self.num_docs();
-        let mut cuts: Vec<usize> = boundaries
-            .iter()
-            .copied()
-            .filter(|&b| b > 0 && b < n)
-            .collect();
-        cuts.sort_unstable();
-        cuts.dedup();
-        let mut ranges = Vec::with_capacity(cuts.len() + 1);
-        let mut start = 0usize;
-        for cut in cuts {
-            ranges.push(start..cut);
-            start = cut;
-        }
-        ranges.push(start..n);
-        self.reshard_ranges(ranges)
+        self.rebuild_live(|n| {
+            let mut cuts: Vec<usize> = boundaries
+                .iter()
+                .copied()
+                .filter(|&b| b > 0 && b < n)
+                .collect();
+            cuts.sort_unstable();
+            cuts.dedup();
+            let mut ranges = Vec::with_capacity(cuts.len() + 1);
+            let mut start = 0usize;
+            for cut in cuts {
+                ranges.push(start..cut);
+                start = cut;
+            }
+            ranges.push(start..n);
+            ranges
+        })
     }
 
-    fn reshard_ranges(&self, ranges: Vec<Range<usize>>) -> Result<Engine, Error> {
+    /// Index the live corpus as the doc-range segments `ranges` cuts from
+    /// its document count.
+    fn rebuild_live(
+        &self,
+        ranges: impl FnOnce(usize) -> Vec<Range<usize>>,
+    ) -> Result<Engine, Error> {
         let tokenizer = self.seg_newest()?.db().inverted.tokenizer();
-        Ok(Self::build_sharded(
-            self.collapse_collection(false),
-            tokenizer,
-            &ranges,
-        ))
+        let live = self.collapse_collection();
+        let ranges = ranges(live.len());
+        Ok(Self::build_sharded(live, tokenizer, &ranges))
     }
 
     /// Index `full` as one segment per range, or whole as one segment
@@ -497,15 +498,13 @@ impl Engine {
     /// the ids a monolithic rebuild would assign) as `shards` doc-range
     /// segments, at generation `generation() + 1`.
     pub fn compacted(&self, shards: usize) -> Result<Engine, Error> {
-        let tokenizer = self.seg_newest()?.db().inverted.tokenizer();
-        let live = self.collapse_collection(true);
-        if live.is_empty() {
+        let live = self.reshard(shards)?;
+        if live.num_docs() == 0 {
             return Err(Error::Ingest(
                 "compaction would empty the corpus entirely".to_string(),
             ));
         }
-        let ranges = split_ranges(live.len(), shards);
-        Ok(Self::build_sharded(live, tokenizer, &ranges).at_generation(self.generation + 1))
+        Ok(live.at_generation(self.generation + 1))
     }
 
     /// Number of tombstoned (deleted but not yet merged away) documents.
@@ -638,7 +637,7 @@ impl Engine {
             matcher,
             &prepared.kors,
             &prepared.rank,
-            Self::plan_spec(prepared, opts),
+            Self::plan_spec(opts),
             lanes,
         );
         let hits = run
@@ -682,29 +681,16 @@ impl Engine {
         hit.elem.doc = global;
         Ok(hit)
     }
-    /// The plan spec `opts` selects for `prepared`: either the heuristic
-    /// choice (`opts.auto`) or the explicit settings, always targeting
-    /// the top `k + offset` so pruning bounds stay exact under
-    /// pagination. Shared by [`Engine::run_prepared`] and
-    /// [`Engine::explain_prepared`] so what EXPLAIN shows is what runs.
-    fn plan_spec(prepared: &PreparedSearch, opts: &SearchOptions) -> PlanSpec {
-        if opts.auto {
-            PlanSpec {
-                trace: opts.trace,
-                ..pimento_algebra::choose_spec(
-                    &prepared.matcher,
-                    &prepared.profile.kors,
-                    opts.k + opts.offset,
-                )
-            }
-        } else {
-            PlanSpec {
-                k: opts.k + opts.offset,
-                strategy: opts.strategy,
-                kor_order: opts.kor_order,
-                eval_mode: opts.eval_mode,
-                trace: opts.trace,
-            }
+    /// The plan spec `opts` selects, targeting the top `k + offset` so
+    /// pruning bounds stay exact under pagination. Shared by
+    /// [`Engine::run_prepared`] and [`Engine::explain_prepared`] so what
+    /// EXPLAIN shows is what runs.
+    fn plan_spec(opts: &SearchOptions) -> PlanSpec {
+        PlanSpec {
+            k: opts.k + opts.offset,
+            strategy: opts.strategy,
+            kor_order: opts.kor_order,
+            trace: opts.trace,
         }
     }
 
@@ -724,7 +710,7 @@ impl Engine {
             &prepared.matcher,
             &prepared.kors,
             &prepared.rank,
-            Self::plan_spec(prepared, opts),
+            Self::plan_spec(opts),
             resolve_lanes(opts.threads),
         ))
     }
@@ -1064,7 +1050,6 @@ mod persistence_tests {
             Some(pimento_index::COLUMNAR_VERSION)
         );
         assert_eq!(opened.db().tags, original.db().tags);
-        assert_eq!(opened.db().values, original.db().values);
         assert_eq!(opened.db().inverted, original.db().inverted);
 
         let q = r#"//car[ftcontains(., "good condition")]"#;
@@ -1352,6 +1337,26 @@ mod mutate_tests {
             assert_eq!(reopened.deleted_docs(), 0);
             assert_eq!(bits(&reopened, Q), bits(&compacted, Q));
             assert!(!bits(&reopened, Q).is_empty());
+        }
+    }
+
+    /// Resharding rebuilds the live corpus: a deleted document is never
+    /// served again, whatever the segment count.
+    #[test]
+    fn reshard_of_an_engine_with_deletes_equals_compaction() {
+        let docs: Vec<String> = (0..5).map(dealer).collect();
+        let one = Engine::from_xml_docs(&docs).unwrap();
+        let many = one.with_ingested(&[dealer(5)]).unwrap();
+        for engine in [one, many] {
+            let (deleted, _) = engine.with_deletes(&[1, 4]).unwrap();
+            let compacted = deleted.compacted(1).unwrap();
+            assert!(!bits(&compacted, Q).is_empty());
+            for n in [1, 2, 4] {
+                let resharded = deleted.reshard(n).unwrap();
+                assert_eq!(resharded.num_docs(), deleted.live_docs(), "n={n}");
+                assert_eq!(resharded.deleted_docs(), 0, "n={n}");
+                assert_eq!(bits(&resharded, Q), bits(&compacted, Q), "n={n}");
+            }
         }
     }
 

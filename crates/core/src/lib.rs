@@ -59,4 +59,4 @@ pub use pimento_profile as profile;
 pub use pimento_tpq as tpq;
 pub use pimento_xml as xml;
 
-pub use pimento_algebra::{EvalMode, KorOrder, PlanStrategy};
+pub use pimento_algebra::{KorOrder, PlanStrategy};

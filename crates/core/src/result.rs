@@ -1,7 +1,7 @@
 //! Search options and results.
 
 use crate::segment::LaneStats;
-use pimento_algebra::{Answer, Database, EvalMode, ExecStats, KorOrder, PlanStrategy};
+use pimento_algebra::{Answer, Database, ExecStats, KorOrder, PlanStrategy};
 use pimento_index::ElemRef;
 use pimento_xml::subtree_to_string;
 
@@ -20,14 +20,9 @@ pub struct SearchOptions {
     pub kor_order: KorOrder,
     /// Minimize the pattern before planning (drops redundant branches).
     pub minimize: bool,
-    /// Bottom query-evaluation mode.
-    pub eval_mode: EvalMode,
     /// Collect a per-operator `EXPLAIN ANALYZE` trace into
     /// `SearchResults::trace`.
     pub trace: bool,
-    /// Let the engine pick strategy, evaluation mode, and KOR order from
-    /// the query/profile shape (overrides the explicit settings).
-    pub auto: bool,
     /// The one lane knob: how many threads execute the query's tasks
     /// (one per segment; candidate chunks when there are more lanes than
     /// segments). `0` (the default) uses the machine's available
@@ -46,31 +41,14 @@ impl SearchOptions {
             strategy: PlanStrategy::Push,
             kor_order: KorOrder::HighestWeightFirst,
             minimize: false,
-            eval_mode: EvalMode::IndexedNestedLoop,
             trace: false,
-            auto: false,
             threads: 0,
-        }
-    }
-
-    /// Top-`k` with heuristic plan choice (see
-    /// [`pimento_algebra::choose_spec`]).
-    pub fn auto(k: usize) -> Self {
-        SearchOptions {
-            auto: true,
-            ..Self::top(k)
         }
     }
 
     /// Builder: skip the first `offset` answers (pagination).
     pub fn with_offset(mut self, offset: usize) -> Self {
         self.offset = offset;
-        self
-    }
-
-    /// Builder: pick the bottom evaluation mode.
-    pub fn with_eval_mode(mut self, mode: EvalMode) -> Self {
-        self.eval_mode = mode;
         self
     }
 

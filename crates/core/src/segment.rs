@@ -1,7 +1,7 @@
 //! Doc-range segments and the lane executor (DESIGN.md §8).
 //!
 //! An [`crate::Engine`] owns a list of [`Segment`]s: each is a
-//! self-contained [`Database`] (tag/value/inverted indexes plus a full
+//! self-contained [`Database`] (tag and inverted indexes plus a full
 //! copy of the corpus symbol table) over a contiguous document range,
 //! plus the global doc id of its first document. A prepared plan is
 //! segment-agnostic — symbol ids are corpus-global by construction, and
@@ -118,7 +118,6 @@ pub(crate) fn resolve_lanes(threads: usize) -> usize {
 fn plan_tasks<'a>(
     segments: &'a [Arc<Segment>],
     matcher: &Matcher,
-    spec: PlanSpec,
     lanes: usize,
 ) -> (Vec<Task<'a>>, usize) {
     let mut tasks = Vec::new();
@@ -131,7 +130,7 @@ fn plan_tasks<'a>(
     } else {
         let lists: Vec<Vec<ElemEntry>> = segments
             .iter()
-            .map(|seg| gather_candidates(&seg.db, matcher, spec.eval_mode))
+            .map(|seg| gather_candidates(&seg.db, matcher))
             .collect();
         let total: usize = lists.iter().map(Vec::len).sum();
         let size = total.div_ceil(lanes).max(1);
@@ -203,7 +202,7 @@ pub(crate) fn explain_lanes(
     spec: PlanSpec,
     lanes: usize,
 ) -> String {
-    let (tasks, lanes) = plan_tasks(segments, matcher, spec, lanes);
+    let (tasks, lanes) = plan_tasks(segments, matcher, lanes);
     let n = tasks.len();
     let plan = tasks
         .into_iter()
@@ -232,7 +231,7 @@ pub(crate) fn execute_lanes(
     spec: PlanSpec,
     lanes: usize,
 ) -> LaneRun {
-    let (tasks, lanes) = plan_tasks(segments, matcher, spec, lanes);
+    let (tasks, lanes) = plan_tasks(segments, matcher, lanes);
     let n = tasks.len();
     let boxed: Vec<Box<dyn FnOnce() -> TaskRun + Send + '_>> = tasks
         .into_iter()
@@ -318,7 +317,7 @@ fn run_task(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pimento_algebra::{build_plan, EvalMode, KorOrder, PlanStrategy};
+    use pimento_algebra::{build_plan, KorOrder, PlanStrategy};
     use pimento_index::Collection;
     use pimento_profile::{PersonalizedQuery, RankOrder, ValueOrderingRule};
     use pimento_tpq::parse_tpq;
@@ -406,12 +405,11 @@ mod tests {
     }
 
     #[test]
-    fn structural_join_candidates_chunk_too() {
+    fn one_segment_splits_into_candidate_chunks() {
         let segments = one_segment();
         let matcher = matcher(&segments, r#"//person[ftcontains(./business, "Yes")]"#);
         let rank = RankContext::new(vec![], RankOrder::Kvs);
         let spec = PlanSpec {
-            eval_mode: EvalMode::StructuralJoin,
             kor_order: KorOrder::HighestWeightFirst,
             ..PlanSpec::new(5, PlanStrategy::Push)
         };
@@ -420,7 +418,6 @@ mod tests {
         assert_eq!(full_key(&one.answers), full_key(&four.answers));
         assert_eq!(one.lanes.len(), 1);
         assert_eq!(four.lanes.len(), 4, "four candidate chunks expected");
-        assert!(four.explain.contains("structural-join"), "{}", four.explain);
     }
 
     #[test]

@@ -1,11 +1,11 @@
 //! `PIMCOL4` columnar snapshots: flat, offset-indexed, CRC-checked.
 //!
-//! A snapshot stores the parsed document arenas *and* the three indexes
+//! A snapshot stores the parsed document arenas *and* the two indexes
 //! built over them as flat sections behind a CRC-checked directory. This
 //! module is the only place that knows the byte layout: [`save_index`]
 //! writes it, and [`open_index`] validates and decodes every section, in
-//! one pass, into exactly the structures [`TagIndex::build`],
-//! [`ValueIndex::build`] and [`InvertedIndex::build`] produce — so a
+//! one pass, into exactly the structures [`TagIndex::build`] and
+//! [`InvertedIndex::build`] produce — so a
 //! reopened index is indistinguishable from a built one and the query
 //! path has a single representation to read (DESIGN.md §13.4 has the
 //! measurement behind decoding at open rather than on access).
@@ -35,8 +35,6 @@
 //!            per-symbol directory (u32 start row, u32 row count) × domain,
 //!            18-byte element rows (u32 doc, u32 node, u32 start, u32 end,
 //!            u16 level), (doc, start)-sorted per symbol
-//!   vals     same shape as tags with 26-byte rows: u64 f64-bits value
-//!            followed by the 18-byte element row, value-sorted per symbol
 //!   inv      u32 doc count, u32 token count, u32 name-heap length,
 //!            u32 runs-blob length; u32 per-doc token counts;
 //!            24-byte token rows sorted by name (u32 name offset, u32 name
@@ -53,8 +51,14 @@
 //! directory order, and the opener insists on it: every offset must equal
 //! the end of its predecessor and the last must land on the section end.
 //! No two entries can therefore alias the same bytes (decoded size is
-//! bounded by file size) and every accepted file re-serializes to the same
-//! bytes, which is what lets the scrubber repair a segment bit-identically.
+//! bounded by file size) and every file this writer produced re-serializes
+//! to the same bytes, which is what lets the scrubber repair a segment
+//! bit-identically.
+//!
+//! A directory entry with any other name is skipped unread by the opener
+//! and still CRC-checked by [`inspect`]. Files written before the format
+//! dropped its numeric value index carry such a `vals` section; they open
+//! to the same indexes, but re-serialize without it (DESIGN.md §13.2).
 //!
 //! Integrity is per-section: the opener checks the directory CRC, then for
 //! each section its CRC and, while decoding, its structure (spans, counts,
@@ -69,7 +73,6 @@ use crate::persist::{crc32, put_document, read_document, PersistError};
 use crate::store::{Collection, DocId};
 use crate::tags::{ElemEntry, TagIndex};
 use crate::tokenize::Tokenizer;
-use crate::values::ValueIndex;
 use crate::varint::{get_varint, put_varint};
 use bytes::Bytes;
 use pimento_xml::{NodeId, SymbolId, SymbolTable};
@@ -86,8 +89,6 @@ const HEADER_LEN: usize = 24;
 const DIR_ROW: usize = 32;
 /// One element row: four `u32`s + one `u16`, unpadded.
 const ELEM_ROW: usize = 18;
-/// One value row: the `f64` bit pattern followed by the element row.
-const VAL_ROW: usize = 8 + ELEM_ROW;
 /// One token-directory row: `name_off`, `name_len`, `doc_freq`,
 /// `run_count`, `runs_off`, `total_postings` — six `u32`s.
 const TOKEN_ROW: usize = 24;
@@ -97,10 +98,10 @@ const RUN_ROW: usize = 12;
 
 /// Section names in file order. The opener looks sections up by name, so
 /// order is a writer convention, not a reader requirement.
-const SECTIONS: [&str; 6] = ["meta", "symtab", "docs", "tags", "vals", "inv"];
+const SECTIONS: [&str; 5] = ["meta", "symtab", "docs", "tags", "inv"];
 
 /// Everything a columnar snapshot opens into: the document store and the
-/// three indexes over it, decoded.
+/// two indexes over it, decoded.
 #[derive(Debug)]
 pub struct OpenedIndex {
     /// Document arenas + symbol table.
@@ -109,8 +110,6 @@ pub struct OpenedIndex {
     pub inverted: InvertedIndex,
     /// Tag index.
     pub tags: TagIndex,
-    /// Value index.
-    pub values: ValueIndex,
 }
 
 // ---------------------------------------------------------------------------
@@ -148,22 +147,18 @@ fn put_elem_row(out: &mut Vec<u8>, e: &ElemEntry) {
     out.extend_from_slice(&e.level.to_le_bytes());
 }
 
-/// The shared shape of `tags` and `vals`: a per-symbol `(start row, row
-/// count)` directory over the whole symbol domain, then the rows.
-fn rowed_section<T>(
-    by_tag: &HashMap<SymbolId, Vec<T>>,
-    sym_domain: u32,
-    put_row: impl Fn(&mut Vec<u8>, &T),
-) -> Vec<u8> {
+/// The `tags` section: a per-symbol `(start row, row count)` directory
+/// over the whole symbol domain, then the element rows.
+fn tags_section(tags: &TagIndex, sym_domain: u32) -> Vec<u8> {
     let mut dir = Vec::with_capacity(sym_domain as usize * 8);
     let mut rows = Vec::new();
     let mut start = 0u32;
     for s in 0..sym_domain {
-        let list = by_tag.get(&SymbolId(s)).map(Vec::as_slice).unwrap_or(&[]);
+        let list = tags.elements(SymbolId(s));
         dir.extend_from_slice(&start.to_le_bytes());
         dir.extend_from_slice(&(list.len() as u32).to_le_bytes());
         for row in list {
-            put_row(&mut rows, row);
+            put_elem_row(&mut rows, row);
         }
         start += list.len() as u32;
     }
@@ -235,32 +230,20 @@ fn inv_section(inverted: &InvertedIndex) -> Vec<u8> {
 /// Serialize the collection *and its indexes* into a v4 columnar snapshot.
 ///
 /// The indexes must have been built over exactly `coll` (the engine owns
-/// that invariant); the symbol domain of the `tags`/`vals` directories is
-/// the collection's symbol count.
-pub fn save_index(
-    coll: &Collection,
-    inverted: &InvertedIndex,
-    tags: &TagIndex,
-    values: &ValueIndex,
-) -> Bytes {
+/// that invariant); the symbol domain of the `tags` directory is the
+/// collection's symbol count.
+pub fn save_index(coll: &Collection, inverted: &InvertedIndex, tags: &TagIndex) -> Bytes {
     let sym_count = coll.symbols().len() as u32;
     let doc_count = coll.len() as u32;
     debug_assert_eq!(inverted.num_docs(), doc_count);
-    let sections: [(&str, Vec<u8>); 6] = [
+    let sections: [(&str, Vec<u8>); 5] = [
         (
             "meta",
             meta_section(inverted.tokenizer(), doc_count, sym_count),
         ),
         ("symtab", coll.symbols().column_bytes()),
         ("docs", docs_section(coll)),
-        ("tags", rowed_section(&tags.by_tag, sym_count, put_elem_row)),
-        (
-            "vals",
-            rowed_section(&values.by_tag, sym_count, |out, (v, e)| {
-                out.extend_from_slice(&v.to_bits().to_le_bytes());
-                put_elem_row(out, e);
-            }),
-        ),
+        ("tags", tags_section(tags, sym_count)),
         ("inv", inv_section(inverted)),
     ];
     debug_assert!(sections.iter().map(|(n, _)| *n).eq(SECTIONS));
@@ -403,8 +386,8 @@ fn read_directory(data: &[u8]) -> Result<Vec<DirEntry>, PersistError> {
     let mut entries = Vec::with_capacity(section_count);
     for row in dir_bytes.chunks_exact(DIR_ROW) {
         let Some(name) = row.get(..8).and_then(section_name) else {
-            // Unknown sections from a future minor revision are skipped;
-            // their bytes are simply never referenced.
+            // Unknown sections (a retired `vals`, or one from a future
+            // minor revision) are skipped; their bytes are never referenced.
             continue;
         };
         let offset = u64_at(row, 8) as usize;
@@ -422,8 +405,8 @@ fn read_directory(data: &[u8]) -> Result<Vec<DirEntry>, PersistError> {
     Ok(entries)
 }
 
-/// Open a v4 columnar snapshot: validate and decode every section, in file
-/// order, into the document store and the three indexes over it.
+/// Open a v4 columnar snapshot: validate and decode every known section,
+/// in file order, into the document store and the two indexes over it.
 ///
 /// Each section is CRC-checked and then decoded in one pass over its
 /// bytes; nothing borrows from `data` afterwards.
@@ -476,10 +459,23 @@ pub fn open_index(data: &[u8]) -> Result<OpenedIndex, PersistError> {
         return Err(PersistError::BadArena("trailing bytes after documents"));
     }
 
+    let tags = decode_tags(section("tags")?, sym_count, &collection)?;
+    let inverted = decode_inv(section("inv")?, tokenizer, doc_count)?;
+
+    Ok(OpenedIndex {
+        collection,
+        inverted,
+        tags,
+    })
+}
+
+/// Decode the `tags` section against the already-decoded `coll`.
+fn decode_tags(b: &[u8], sym_count: u32, coll: &Collection) -> Result<TagIndex, PersistError> {
+    let corrupt = || PersistError::SnapshotCorrupt { section: "tags" };
     // Element rows address nodes of the documents just decoded; a row
     // pointing outside them would panic the first query that follows it.
-    let node_counts: Vec<usize> = collection.iter().map(|(_, d)| d.len()).collect();
-    let elem_row = |row: &[u8]| {
+    let node_counts: Vec<usize> = coll.iter().map(|(_, d)| d.len()).collect();
+    let decode_row = |row: &[u8]| {
         let e = ElemEntry {
             doc: DocId(u32_at(row, 0)),
             node: NodeId(u32_at(row, 4)),
@@ -490,37 +486,6 @@ pub fn open_index(data: &[u8]) -> Result<OpenedIndex, PersistError> {
         let nodes = node_counts.get(e.doc.0 as usize)?;
         ((e.node.0 as usize) < *nodes).then_some(e)
     };
-    let tags = TagIndex {
-        by_tag: decode_rowed(section("tags")?, "tags", sym_count, ELEM_ROW, elem_row)?,
-    };
-    let values = ValueIndex {
-        by_tag: decode_rowed(section("vals")?, "vals", sym_count, VAL_ROW, |row| {
-            let v = f64::from_bits(u64_at(row, 0));
-            let e = elem_row(row.get(8..)?)?;
-            (!v.is_nan()).then_some((v, e))
-        })?,
-    };
-    let inverted = decode_inv(section("inv")?, tokenizer, doc_count)?;
-
-    Ok(OpenedIndex {
-        collection,
-        inverted,
-        tags,
-        values,
-    })
-}
-
-/// Decode a `tags`/`vals`-shaped section: `decode_row` turns one
-/// `row_len`-byte row into an entry, or `None` for a row that must not be
-/// served.
-fn decode_rowed<T>(
-    b: &[u8],
-    section: &'static str,
-    sym_count: u32,
-    row_len: usize,
-    decode_row: impl Fn(&[u8]) -> Option<T>,
-) -> Result<HashMap<SymbolId, Vec<T>>, PersistError> {
-    let corrupt = || PersistError::SnapshotCorrupt { section };
     if b.len() < 8 {
         return Err(corrupt());
     }
@@ -530,7 +495,7 @@ fn decode_rowed<T>(
         return Err(corrupt());
     }
     let dir_len = (domain as usize).checked_mul(8).ok_or_else(corrupt)?;
-    let rows_len = total.checked_mul(row_len).ok_or_else(corrupt)?;
+    let rows_len = total.checked_mul(ELEM_ROW).ok_or_else(corrupt)?;
     let (dir, rows) = b
         .get(8..)
         .and_then(|body| body.split_at_checked(dir_len))
@@ -540,7 +505,7 @@ fn decode_rowed<T>(
     }
     // The per-symbol spans tile the row region in symbol order, so the
     // rows are consumed front to back, each exactly once.
-    let mut rows = rows.chunks_exact(row_len);
+    let mut rows = rows.chunks_exact(ELEM_ROW);
     let mut next_row = 0usize;
     let mut by_tag = HashMap::new();
     for (sym, span) in (0..domain).zip(dir.chunks_exact(8)) {
@@ -565,7 +530,7 @@ fn decode_rowed<T>(
     if next_row != total {
         return Err(corrupt());
     }
-    Ok(by_tag)
+    Ok(TagIndex { by_tag })
 }
 
 /// Decode `count` delta-encoded posting triples of document `doc` from the
@@ -780,7 +745,7 @@ pub fn inspect(data: &[u8]) -> Result<SnapshotReport, PersistError> {
 mod tests {
     use super::*;
 
-    fn sample() -> (Collection, InvertedIndex, TagIndex, ValueIndex) {
+    fn sample() -> (Collection, InvertedIndex, TagIndex) {
         let mut c = Collection::new();
         c.add_xml(
             r#"<dealer loc="cambridge"><car color="red"><price>500</price><note>good and cheap</note></car><car><price>2500</price><note>good condition</note></car></dealer>"#,
@@ -790,19 +755,18 @@ mod tests {
             .unwrap();
         let inv = InvertedIndex::build(&c, Tokenizer::plain());
         let tags = TagIndex::build(&c);
-        let vals = ValueIndex::build(&c);
-        (c, inv, tags, vals)
+        (c, inv, tags)
     }
 
-    fn snapshot() -> (Collection, InvertedIndex, TagIndex, ValueIndex, Bytes) {
-        let (c, inv, tags, vals) = sample();
-        let snap = save_index(&c, &inv, &tags, &vals);
-        (c, inv, tags, vals, snap)
+    fn snapshot() -> (Collection, InvertedIndex, TagIndex, Bytes) {
+        let (c, inv, tags) = sample();
+        let snap = save_index(&c, &inv, &tags);
+        (c, inv, tags, snap)
     }
 
     #[test]
     fn reopened_equals_built_and_resaves_to_the_same_bytes() {
-        let (c, inv, tags, vals, snap) = snapshot();
+        let (c, inv, tags, snap) = snapshot();
         let opened = open_index(&snap).unwrap();
 
         // Collection: same docs, same symbols/ids.
@@ -813,14 +777,8 @@ mod tests {
         // The decoded indexes are the built ones, structurally.
         assert_eq!(opened.inverted, inv);
         assert_eq!(opened.tags, tags);
-        assert_eq!(opened.values, vals);
         // Byte fixed point: the scrubber's bit-identical repair relies on it.
-        let resaved = save_index(
-            &opened.collection,
-            &opened.inverted,
-            &opened.tags,
-            &opened.values,
-        );
+        let resaved = save_index(&opened.collection, &opened.inverted, &opened.tags);
         assert_eq!(resaved, snap);
     }
 
@@ -829,11 +787,10 @@ mod tests {
         let c = Collection::new();
         let inv = InvertedIndex::build(&c, Tokenizer::plain());
         let tags = TagIndex::build(&c);
-        let vals = ValueIndex::build(&c);
-        let opened = open_index(&save_index(&c, &inv, &tags, &vals)).unwrap();
+        let opened = open_index(&save_index(&c, &inv, &tags)).unwrap();
         assert!(opened.collection.is_empty());
         assert_eq!(opened.inverted.num_docs(), 0);
-        assert!(opened.values.is_empty());
+        assert_eq!(opened.tags.num_tags(), 0);
     }
 
     #[test]
@@ -842,8 +799,7 @@ mod tests {
         c.add_xml("<a>selling cars</a>").unwrap();
         let inv = InvertedIndex::build(&c, Tokenizer::stemming());
         let tags = TagIndex::build(&c);
-        let vals = ValueIndex::build(&c);
-        let opened = open_index(&save_index(&c, &inv, &tags, &vals)).unwrap();
+        let opened = open_index(&save_index(&c, &inv, &tags)).unwrap();
         assert!(opened.inverted.tokenizer().stemming);
         assert_eq!(opened.inverted.postings("car").len(), 1);
         assert_eq!(opened.inverted.analyze("Cars"), ["car"]);

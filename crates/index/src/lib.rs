@@ -2,14 +2,15 @@
 //!
 //! Indexing substrate for the PIMENTO reproduction: the paper's query
 //! evaluation "relies on inverted indices on keywords and on an index per
-//! distinct tag" (§6.4). This crate provides both, plus the scoring model
-//! and the typed field access that ordering rules need:
+//! distinct tag" (§6.4). This crate provides exactly those two indexes,
+//! plus the scoring model and the typed field access that ordering rules
+//! need:
 //!
 //! * [`store::Collection`] — documents sharing a symbol table,
 //! * [`inverted::InvertedIndex`] — positional keyword index whose postings
 //!   carry region labels, so `ftcontains` is a range check,
 //! * [`tags::TagIndex`] — per-tag element lists sorted by `(doc, start)`,
-//!   the input streams of the structural joins,
+//!   the candidate lists of the indexed nested-loop scan,
 //! * [`phrase`] — phrase adjacency + containment,
 //! * [`score`] — per-predicate scores normalized to [0, 1] so top-k
 //!   pruning bounds are exact,
@@ -46,7 +47,6 @@ pub mod store;
 pub mod tags;
 pub mod tokenize;
 pub mod tombstone;
-pub mod values;
 pub mod varint;
 
 pub use columnar::{
@@ -69,4 +69,3 @@ pub use store::{Collection, DocId, ElemRef};
 pub use tags::{ElemEntry, TagIndex};
 pub use tokenize::{stem, Tokenizer};
 pub use tombstone::{TombstoneSet, TOMBSTONE_HEADER};
-pub use values::{RangeOp, ValueIndex};

@@ -28,7 +28,7 @@ pub enum PersistError {
     /// Input ended early.
     Truncated,
     /// A v4 section (`"directory"`, `"meta"`, `"symtab"`, `"docs"`,
-    /// `"tags"`, `"vals"`, `"inv"`) failed its CRC (bit corruption) or,
+    /// `"tags"`, `"inv"`) failed its CRC (bit corruption) or,
     /// checksummed, is structurally malformed (spans, counts, offsets,
     /// varint runs or ids that the decoder refuses).
     SnapshotCorrupt {

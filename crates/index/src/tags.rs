@@ -1,8 +1,9 @@
 //! Per-tag element index: "an index per distinct tag" (paper §6.4).
 //!
 //! [`TagIndex`] maps each tag to its elements in `(doc, start)` order —
-//! the input streams of the structural joins, which binary-search them by
-//! document and region. It is produced exactly once, by
+//! the candidate list of the bottom scan, and the lists the matcher
+//! binary-searches by document and region to bind a pattern node below a
+//! candidate. It is produced exactly once, by
 //! [`TagIndex::build`] or by [`crate::columnar::open_index`] decoding the
 //! `tags` section of a `PIMCOL4` snapshot into the same map, and never
 //! mutated afterwards.
@@ -11,8 +12,8 @@ use crate::store::{Collection, DocId, ElemRef};
 use pimento_xml::{NodeId, NodeKind, SymbolId};
 use std::collections::HashMap;
 
-/// An element occurrence with its region label, the unit the structural
-/// joins in `pimento-algebra` operate on.
+/// An element occurrence with its region label, the unit the candidate
+/// scan and the matcher in `pimento-algebra` operate on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ElemEntry {
     /// Owning document.
@@ -28,33 +29,12 @@ pub struct ElemEntry {
 }
 
 impl ElemEntry {
-    /// The entry of element node `node_id` (`node`) of document `doc`.
-    pub(crate) fn of_node(doc: DocId, node_id: NodeId, node: &pimento_xml::Node) -> Self {
-        ElemEntry {
-            doc,
-            node: node_id,
-            start: node.start,
-            end: node.end,
-            level: node.level,
-        }
-    }
-
     /// Collection-wide address of this element.
     pub fn elem_ref(&self) -> ElemRef {
         ElemRef {
             doc: self.doc,
             node: self.node,
         }
-    }
-
-    /// True iff `self` is a proper ancestor of `other` (same document).
-    pub fn is_ancestor_of(&self, other: &ElemEntry) -> bool {
-        self.doc == other.doc && self.start < other.start && other.end < self.end
-    }
-
-    /// True iff `self` is the parent of `other` (ancestor one level up).
-    pub fn is_parent_of(&self, other: &ElemEntry) -> bool {
-        self.is_ancestor_of(other) && self.level + 1 == other.level
     }
 }
 
@@ -75,8 +55,13 @@ impl TagIndex {
             for node_id in doc.node_ids() {
                 let node = doc.node(node_id);
                 if let NodeKind::Element { tag, .. } = &node.kind {
-                    let entry = ElemEntry::of_node(doc_id, node_id, node);
-                    index.by_tag.entry(*tag).or_default().push(entry);
+                    index.by_tag.entry(*tag).or_default().push(ElemEntry {
+                        doc: doc_id,
+                        node: node_id,
+                        start: node.start,
+                        end: node.end,
+                        level: node.level,
+                    });
                 }
             }
         }
@@ -97,7 +82,7 @@ impl TagIndex {
     }
 
     /// Elements with tag `tag` whose region lies strictly inside
-    /// `(doc, start, end)` — the descendants step of a structural join.
+    /// `(doc, start, end)` — the descendant step of the matcher.
     pub fn elements_within(&self, tag: SymbolId, doc: DocId, start: u32, end: u32) -> &[ElemEntry] {
         let in_doc = self.doc_elements(tag, doc);
         let lo = in_doc.partition_point(|e| e.start <= start);
@@ -156,23 +141,8 @@ mod tests {
         let first_car = t.doc_elements(car, DocId(0))[0];
         let prices = t.elements_within(price, DocId(0), first_car.start, first_car.end);
         assert_eq!(prices.len(), 1);
-        assert!(first_car.is_ancestor_of(&prices[0]));
-        assert!(first_car.is_parent_of(&prices[0]));
-    }
-
-    #[test]
-    fn ancestor_parent_predicates() {
-        let (c, t) = setup();
-        let dealer = c.tag("dealer").unwrap();
-        let price = c.tag("price").unwrap();
-        let d = t.doc_elements(dealer, DocId(0))[0];
-        let p = t.doc_elements(price, DocId(0))[0];
-        assert!(d.is_ancestor_of(&p));
-        assert!(!d.is_parent_of(&p)); // two levels apart
-        assert!(!p.is_ancestor_of(&d));
-        // cross-document never related
-        let d1 = t.doc_elements(dealer, DocId(1))[0];
-        assert!(!d1.is_ancestor_of(&p));
+        assert!(first_car.start < prices[0].start && prices[0].end < first_car.end);
+        assert_eq!(prices[0].level, first_car.level + 1);
     }
 
     #[test]

@@ -904,12 +904,13 @@ fn parse_args() -> Args {
                     .unwrap_or_else(|| usage())
             }
             "--strategy" => {
-                args.strategy = match it.next().as_deref() {
-                    Some("naive") => PlanStrategy::Naive,
-                    Some("il") => PlanStrategy::InterleaveUnsorted,
-                    Some("sil") => PlanStrategy::InterleaveSorted,
-                    Some("push") => PlanStrategy::Push,
-                    _ => usage(),
+                args.strategy = match it.next().map(|s| s.parse()) {
+                    Some(Ok(strategy)) => strategy,
+                    Some(Err(e)) => {
+                        eprintln!("{e}");
+                        usage()
+                    }
+                    None => usage(),
                 }
             }
             "--threads" => {
@@ -1030,7 +1031,6 @@ fn main() -> ExitCode {
 
     let opts = SearchOptions {
         strategy: args.strategy,
-        eval_mode: pimento::EvalMode::StructuralJoin,
         trace: args.explain,
         minimize: true,
         kor_order: KorOrder::HighestWeightFirst,

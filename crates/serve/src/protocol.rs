@@ -246,14 +246,11 @@ fn query_spec(v: &Value) -> Result<QuerySpec, String> {
                 .ok_or_else(|| "field `user` must be a string".to_string())?,
         ),
     };
-    let strategy = match v.get("strategy").and_then(Value::as_str) {
-        None => None,
-        Some("naive") => Some(PlanStrategy::Naive),
-        Some("il") => Some(PlanStrategy::InterleaveUnsorted),
-        Some("sil") => Some(PlanStrategy::InterleaveSorted),
-        Some("push") => Some(PlanStrategy::Push),
-        Some(other) => return Err(format!("unknown strategy `{other}` (naive|il|sil|push)")),
-    };
+    let strategy = v
+        .get("strategy")
+        .and_then(Value::as_str)
+        .map(str::parse::<PlanStrategy>)
+        .transpose()?;
     Ok(QuerySpec {
         user,
         query,
@@ -371,6 +368,11 @@ mod tests {
             let v = Value::parse(bad).unwrap();
             assert!(parse_request(&v).is_err(), "{bad}");
         }
+        let v = Value::parse(r#"{"cmd":"search","query":"//a","strategy":"quantum"}"#).unwrap();
+        assert_eq!(
+            parse_request(&v).err().as_deref(),
+            Some("unknown strategy `quantum` (naive|il|sil|push)")
+        );
     }
 
     #[test]

@@ -105,6 +105,16 @@ fn cli_rejects_bad_inputs() {
         .expect("binary runs");
     assert_eq!(out.status.code(), Some(1));
     assert!(String::from_utf8_lossy(&out.stderr).contains("line 1"));
+    // Unknown strategy → the shared parse error, then usage exit code 2.
+    let out = pimento()
+        .args(["--docs"])
+        .arg(&docs)
+        .args(["--query", "//car", "--strategy", "quantum"])
+        .output()
+        .expect("binary runs");
+    assert_eq!(out.status.code(), Some(2));
+    assert!(String::from_utf8_lossy(&out.stderr)
+        .contains("unknown strategy `quantum` (naive|il|sil|push)"));
 }
 
 /// A snapshot in any pre-columnar format is refused with the typed

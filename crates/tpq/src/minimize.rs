@@ -4,7 +4,7 @@
 //! al., SIGMOD 2001, reference \[2\]) as background machinery. Query
 //! personalization makes queries *grow* — every applied `add` scoping rule
 //! grafts predicates and branches — so minimizing each flock member before
-//! evaluation removes work the structural joins would otherwise repeat.
+//! evaluation removes work the matcher would otherwise repeat.
 //!
 //! The algorithm is the classical leaf-pruning fixpoint: a pattern is
 //! minimal iff no leaf can be dropped without changing its meaning, and

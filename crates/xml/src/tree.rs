@@ -6,8 +6,8 @@
 //! `a` is an ancestor of `b` iff `a.start < b.start && b.end < a.end`, and
 //! parent/child additionally requires `a.level + 1 == b.level`. This is the
 //! classical region encoding used by structural join algorithms, and it is
-//! what makes `ftcontains` containment checks and the structural joins in
-//! `pimento-algebra` cheap.
+//! what makes `ftcontains` containment checks and the descendant steps of
+//! the matcher in `pimento-algebra` cheap.
 
 use std::fmt;
 

@@ -313,27 +313,6 @@ fn thesaurus_expansion_recovers_synonym_matches() {
 }
 
 #[test]
-fn structural_join_mode_agrees_with_default() {
-    let e = engine();
-    let profile = UserProfile::new()
-        .with_kor(KeywordOrderingRule::new("nyc", "car", "NYC"))
-        .with_vor(ValueOrderingRule::prefer_value(
-            "red", "car", "color", "red",
-        ));
-    let q = r#"//car[ftcontains(., "good condition") and ./price < 3000]"#;
-    let a = e.search(q, &profile, &SearchOptions::top(8)).unwrap();
-    let b = e
-        .search(
-            q,
-            &profile,
-            &SearchOptions::top(8).with_eval_mode(pimento::EvalMode::StructuralJoin),
-        )
-        .unwrap();
-    assert_eq!(a.elem_refs(), b.elem_refs());
-    assert!(b.explain.contains("structural-join"));
-}
-
-#[test]
 fn pagination_pages_are_consistent() {
     let e = engine();
     let q = r#"//car[ftcontains(., "good condition")]"#;
@@ -372,20 +351,6 @@ fn pagination_pages_are_consistent() {
     // Ranks continue across pages.
     assert_eq!(page2.hits[0].rank, 4);
     assert_eq!(page3.hits[2].rank, 9);
-}
-
-#[test]
-fn auto_options_match_explicit_results() {
-    let e = engine();
-    let profile = UserProfile::new()
-        .with_kor(KeywordOrderingRule::new("nyc", "car", "NYC"))
-        .with_vor(ValueOrderingRule::prefer_value(
-            "red", "car", "color", "red",
-        ));
-    let q = r#"//car[./description[ftcontains(., "good condition")] and ./price < 3000]"#;
-    let explicit = e.search(q, &profile, &SearchOptions::top(6)).unwrap();
-    let auto = e.search(q, &profile, &SearchOptions::auto(6)).unwrap();
-    assert_eq!(explicit.elem_refs(), auto.elem_refs());
 }
 
 #[test]
@@ -463,16 +428,6 @@ fn with_ingested_extends_a_live_engine() {
         .search(q, &UserProfile::new(), &SearchOptions::top(10))
         .unwrap();
     assert_eq!(res.hits.len(), 2);
-    // The delta segment carries its own value index: the range-seeded
-    // structural join sees both prices.
-    let cheap = e
-        .search(
-            "//car/price[. < 500]",
-            &UserProfile::new(),
-            &SearchOptions::top(10).with_eval_mode(pimento::EvalMode::StructuralJoin),
-        )
-        .unwrap();
-    assert_eq!(cheap.hits.len(), 2);
     // Snapshots taken after the add round-trip everything.
     let restored = Engine::from_snapshot(&e.save_snapshot()).unwrap();
     assert_eq!(
@@ -482,23 +437,5 @@ fn with_ingested_extends_a_live_engine() {
             .hits
             .len(),
         2
-    );
-}
-
-#[test]
-fn auto_picks_structural_join_for_twigs() {
-    let e = engine();
-    let twig = r#"//car[./description[ftcontains(., "good condition")] and ./price < 3000]"#;
-    let res = e
-        .search(twig, &UserProfile::new(), &SearchOptions::auto(3))
-        .unwrap();
-    assert!(res.explain.contains("structural-join"), "{}", res.explain);
-    let single = e
-        .search("//car", &UserProfile::new(), &SearchOptions::auto(3))
-        .unwrap();
-    assert!(
-        !single.explain.contains("structural-join"),
-        "{}",
-        single.explain
     );
 }

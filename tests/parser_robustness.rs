@@ -2,9 +2,7 @@
 //! snapshot decoder must never panic on arbitrary input — errors are
 //! values here.
 
-use pimento::index::{
-    open_index, save_index, Collection, InvertedIndex, TagIndex, Tokenizer, ValueIndex,
-};
+use pimento::index::{open_index, save_index, Collection, InvertedIndex, TagIndex, Tokenizer};
 use pimento::profile::{parse_profile, parse_rule, PrefRelRegistry};
 use pimento::tpq::parse_tpq;
 use pimento::xml::{parse_with, SymbolTable};
@@ -127,8 +125,8 @@ proptest! {
         let mut coll = Collection::new();
         coll.add_xml("<dealer><car><price>500</price></car></dealer>").unwrap();
         let inv = InvertedIndex::build(&coll, Tokenizer::plain());
-        let (tags, vals) = (TagIndex::build(&coll), ValueIndex::build(&coll));
-        let mut bytes = save_index(&coll, &inv, &tags, &vals).to_vec();
+        let tags = TagIndex::build(&coll);
+        let mut bytes = save_index(&coll, &inv, &tags).to_vec();
         for (pos, val) in flips {
             let idx = pos % bytes.len();
             bytes[idx] ^= val;

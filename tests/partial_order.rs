@@ -1,4 +1,4 @@
-//! The partial-order reproducer (PR 11 finding 1; ROADMAP item 5).
+//! The partial-order reproducer (ROADMAP item 2).
 //!
 //! Under `tests/fixtures/partial_order_pi3.rules`, `≺_V` is a strict
 //! partial order that is not a weak order (π3 compares horsepower only
@@ -7,7 +7,7 @@
 //! What does not hold yet is independence from the lane count and the
 //! segment layout: the merge re-layers a pruned set, and layering is
 //! set-dependent. That assertion is committed `#[ignore]`d so the gap has
-//! one executable statement for ROADMAP item 5 to close.
+//! one executable statement for ROADMAP item 2 to close.
 
 use pimento::profile::{parse_profile, PrefRelRegistry, UserProfile};
 use pimento::{Engine, PlanStrategy, SearchOptions, SearchResults};
@@ -111,7 +111,7 @@ fn prioritized_pi3_ranks_the_same_under_every_layout() {
 }
 
 #[test]
-#[ignore = "ROADMAP item 5: merge re-layers a pruned set under partial ≺_V"]
+#[ignore = "ROADMAP item 2: merge re-layers a pruned set under partial ≺_V"]
 fn ranking_is_independent_of_lanes_and_segments() {
     assert_layout_independent(RULES);
 }

@@ -5,7 +5,9 @@
 //! paper's running example and an XMark-style corpus. The
 //! version/corruption matrix keeps producing typed errors: every
 //! pre-columnar format (v1–v3) is refused by magic, and a section that is
-//! checksummed but malformed is refused at open, naming the section.
+//! checksummed but malformed is refused at open, naming the section. A
+//! committed file that still carries the retired `vals` section opens to
+//! the engine a fresh build makes.
 
 use pimento::index::{open_index, save_index, PersistError};
 use pimento::profile::{parse_profile, PrefRelRegistry, RankOrder, UserProfile};
@@ -61,13 +63,7 @@ fn assert_segments_roundtrip(engine: &Engine, what: &str) {
         let opened = open_index(&bytes).expect("segment opens");
         assert_eq!(opened.inverted, db.inverted, "{what}: segment {i} inverted");
         assert_eq!(opened.tags, db.tags, "{what}: segment {i} tags");
-        assert_eq!(opened.values, db.values, "{what}: segment {i} values");
-        let resaved = save_index(
-            &opened.collection,
-            &opened.inverted,
-            &opened.tags,
-            &opened.values,
-        );
+        let resaved = save_index(&opened.collection, &opened.inverted, &opened.tags);
         assert_eq!(resaved, bytes, "{what}: segment {i} is not a byte fixed point");
     }
 }
@@ -179,7 +175,7 @@ fn version_and_corruption_matrix() {
     assert!(report.directory_ok);
     assert!(report.sections.iter().all(|s| s.crc_ok));
     let names: Vec<&str> = report.sections.iter().map(|s| s.name.as_str()).collect();
-    assert_eq!(names, ["meta", "symtab", "docs", "tags", "vals", "inv"]);
+    assert_eq!(names, ["meta", "symtab", "docs", "tags", "inv"]);
     let bad_report = pimento::index::inspect(&bad).expect("inspect corrupt v4");
     assert!(
         bad_report.sections.iter().any(|s| !s.crc_ok),
@@ -241,9 +237,8 @@ fn checksummed_but_malformed_sections_are_refused_at_open() {
     // per-doc token counts, then 24-byte token rows (name offset, name
     // length, doc freq, run count, runs offset, total postings).
     let token0 = |b: &[u8]| 16 + 4 * get(b, 0) as usize;
-    // tags/vals: 8-byte header (symbol domain, total rows), an 8-byte span
-    // per symbol, then the rows; the node id sits 4 bytes into an element
-    // row, which a value row prefixes with 8 value bytes.
+    // tags: 8-byte header (symbol domain, total rows), an 8-byte span per
+    // symbol, then the rows; the node id sits 4 bytes into an element row.
     let row0 = |b: &[u8]| 8 + 8 * get(b, 0) as usize;
     let forgeries = [
         (
@@ -277,11 +272,6 @@ fn checksummed_but_malformed_sections_are_refused_at_open() {
             "element row addressing a node outside its document",
             forge(&good, "tags", |b| put(b, row0(b) + 4, u32::MAX)),
         ),
-        (
-            "vals",
-            "value row addressing a node outside its document",
-            forge(&good, "vals", |b| put(b, row0(b) + 8 + 4, u32::MAX)),
-        ),
     ];
     for (section, what, bytes) in &forgeries {
         let corrupt = PersistError::SnapshotCorrupt { section };
@@ -306,4 +296,72 @@ fn checksummed_but_malformed_sections_are_refused_at_open() {
             "{what}: from_sharded_dir"
         );
     }
+}
+
+/// A `PIMCOL4` file written before the format dropped its numeric value
+/// index, by `pimento snapshot build --docs` over the two XML fixtures
+/// beside it: it still carries a `vals` section between `tags` and `inv`.
+const WITH_VALS: &[u8] = include_bytes!("fixtures/dealer_vals.pimcol4");
+const WITH_VALS_DOCS: [&str; 2] = [
+    include_str!("fixtures/dealer_vals_a.xml"),
+    include_str!("fixtures/dealer_vals_b.xml"),
+];
+
+#[test]
+fn file_with_a_retired_vals_section_opens_to_the_built_engine() {
+    // `inspect` (and so the scrubber) still lists and CRC-checks `vals`.
+    let report = pimento::index::inspect(WITH_VALS).expect("inspect");
+    let names: Vec<&str> = report.sections.iter().map(|s| s.name.as_str()).collect();
+    assert_eq!(names, ["meta", "symtab", "docs", "tags", "vals", "inv"]);
+    assert!(report.directory_ok && report.sections.iter().all(|s| s.crc_ok));
+
+    // The opener skips it: same indexes, same hits by bits, same work.
+    let built = Engine::from_xml_docs(&WITH_VALS_DOCS).expect("fixture parses");
+    let opened = Engine::from_snapshot(WITH_VALS).expect("fixture opens");
+    assert_eq!(opened.db().tags, built.db().tags);
+    assert_eq!(opened.db().inverted, built.db().inverted);
+    let fig2 = parse_profile(FIG2_RULES, &PrefRelRegistry::new()).expect("fig2 parses");
+    let queries = [
+        r#"//car[ftcontains(., "low mileage")]"#,
+        r#"//car[ftcontains(., "best bid") and ./price < 5000]"#,
+        r#"//dealer//car[./price < 3000]"#,
+    ];
+    for profile in [UserProfile::new(), fig2] {
+        for query in queries {
+            for strategy in STRATEGIES {
+                let want = fingerprint(&built, &profile, query, strategy);
+                assert!(!want.0.is_empty(), "{query} has hits");
+                assert_eq!(
+                    fingerprint(&opened, &profile, query, strategy),
+                    want,
+                    "{query} under {strategy:?}"
+                );
+            }
+        }
+    }
+
+    // Not a byte fixed point: a re-save writes the current layout, which
+    // is exactly what a fresh build writes.
+    let resaved = opened.save_snapshot();
+    assert_ne!(&resaved[..], WITH_VALS);
+    assert_eq!(resaved, built.save_snapshot());
+
+    // Damage inside `vals` is invisible to the opener and reported by
+    // `inspect`.
+    let vals = report
+        .sections
+        .iter()
+        .find(|s| s.name == "vals")
+        .expect("vals");
+    let mut damaged = WITH_VALS.to_vec();
+    damaged[vals.offset as usize] ^= 0x40;
+    assert!(Engine::from_snapshot(&damaged).is_ok());
+    let damaged_report = pimento::index::inspect(&damaged).expect("inspect");
+    let bad: Vec<&str> = damaged_report
+        .sections
+        .iter()
+        .filter(|s| !s.crc_ok)
+        .map(|s| s.name.as_str())
+        .collect();
+    assert_eq!(bad, ["vals"]);
 }

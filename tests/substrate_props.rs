@@ -1,9 +1,7 @@
 //! Property-based tests of the substrate invariants: XML round-tripping,
 //! region-label well-nestedness, and inverted-index consistency.
 
-use pimento::index::{
-    open_index, save_index, Collection, InvertedIndex, TagIndex, Tokenizer, ValueIndex,
-};
+use pimento::index::{open_index, save_index, Collection, InvertedIndex, TagIndex, Tokenizer};
 use pimento::xml::{parse_with, to_string, NodeKind, SymbolTable};
 use proptest::prelude::*;
 
@@ -188,10 +186,10 @@ proptest! {
         let mut coll = Collection::new();
         coll.add_xml(&xml).unwrap();
         let inv = InvertedIndex::build(&coll, Tokenizer::plain());
-        let (tags, vals) = (TagIndex::build(&coll), ValueIndex::build(&coll));
-        let once = save_index(&coll, &inv, &tags, &vals);
+        let tags = TagIndex::build(&coll);
+        let once = save_index(&coll, &inv, &tags);
         let opened = open_index(&once).expect("opens");
-        let twice = save_index(&opened.collection, &opened.inverted, &opened.tags, &opened.values);
+        let twice = save_index(&opened.collection, &opened.inverted, &opened.tags);
         prop_assert_eq!(once, twice);
     }
 

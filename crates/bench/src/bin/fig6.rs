@@ -37,16 +37,4 @@ fn main() {
             }
         );
     }
-
-    // Thread-count sweep of the sharded parallel scan on the 1M document;
-    // medians land in BENCH_parallel.json for the CI trend line.
-    let bytes = 1024 * 1024;
-    eprintln!("running parallel thread sweep on the 1M document...");
-    let rows = perf::run_thread_sweep(2007, bytes, 10, 5, &[1, 2, 4, 8]);
-    print!("\n{}", perf::render_thread_sweep(&rows, bytes));
-    let json = perf::thread_sweep_json(&rows, bytes, 10);
-    match std::fs::write("BENCH_parallel.json", &json) {
-        Ok(()) => eprintln!("wrote BENCH_parallel.json"),
-        Err(e) => eprintln!("cannot write BENCH_parallel.json: {e}"),
-    }
 }

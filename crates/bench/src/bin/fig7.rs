@@ -56,16 +56,4 @@ fn main() {
             );
         }
     }
-
-    // Symbol-interning before/after: the string-based ≺_V reference vs the
-    // compiled id-indexed tables, on the same workload with the VOR added;
-    // medians land in BENCH_intern.json for the CI trend line.
-    eprintln!("running intern comparator comparison (VOR-heavy workload)...");
-    let report = perf::run_intern_compare(2007, bytes, 10, 3, 1024);
-    print!("\n{}", perf::render_intern(&report));
-    let json = perf::intern_json(&report, 10);
-    match std::fs::write("BENCH_intern.json", &json) {
-        Ok(()) => eprintln!("wrote BENCH_intern.json"),
-        Err(e) => eprintln!("cannot write BENCH_intern.json: {e}"),
-    }
 }

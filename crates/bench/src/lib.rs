@@ -1,7 +1,7 @@
 //! # pimento-bench
 //!
-//! The benchmark harness regenerating every table and figure of the
-//! PIMENTO paper's evaluation (§7):
+//! The harness regenerating every table and figure of the PIMENTO
+//! paper's evaluation (§7). Each bin prints its table and writes no file:
 //!
 //! * [`table1`] — INEX effectiveness (Table 1):
 //!   `cargo run -p pimento-bench --release --bin table1`
@@ -9,7 +9,11 @@
 //!   `cargo run -p pimento-bench --release --bin fig6`
 //! * [`perf`]::run_fig7 — plan comparison (Fig. 7) and the §7.2 KOR-order
 //!   ablation: `cargo run -p pimento-bench --release --bin fig7 [-- --ablation]`
-//! * Criterion micro/meso benches: `cargo bench --workspace`.
+//! * Criterion micro benches of the building blocks:
+//!   `cargo bench -p pimento-bench --bench micro`.
+//!
+//! The benchmark of the running system (library, server, write path) is
+//! the separate `perfbench/` package declared by `BENCHMARK.json`.
 
 #![forbid(unsafe_code)]
 

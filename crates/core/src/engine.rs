@@ -27,7 +27,7 @@ use std::sync::Arc;
 /// summed over them when a query is prepared ([`Engine::prepare`]) — so
 /// engines of successive generations share the segments they have in
 /// common. One executor runs every layout, a segment being one lane task
-/// (see [`crate::segment`] / DESIGN.md §8, §15).
+/// (see [`crate::segment`] / DESIGN.md §8).
 #[derive(Debug)]
 pub struct Engine {
     /// Doc-range segments in corpus order. Invariant: never empty, bases
@@ -169,18 +169,14 @@ impl Engine {
 
     /// Write a sharded snapshot directory: one v4 columnar file per
     /// segment plus a checksummed [`ShardManifest`];
-    /// [`Engine::from_sharded_dir`] reopens it.
+    /// [`Engine::from_sharded_dir`] reopens it. Every artifact is
+    /// published durably (temp file → fsync → rename → directory fsync)
+    /// and the manifest is written last, so the rename of `MANIFEST` is
+    /// the commit point: a crash anywhere in here leaves either the
+    /// previous manifest (pointing at the previous, untouched artifacts)
+    /// or the complete new snapshot.
     pub fn save_sharded_snapshot(&self, dir: &Path) -> Result<(), Error> {
-        self.save_sharded_snapshot_vfs(&pimento_faults::vfs::StdVfs, dir)
-    }
-
-    /// [`Engine::save_sharded_snapshot`] against an explicit [`Vfs`].
-    /// Every artifact is published durably (temp file → fsync → rename
-    /// → directory fsync) and the manifest is written last, so the
-    /// rename of `MANIFEST` is the commit point: a crash anywhere in
-    /// here leaves either the previous manifest (pointing at the
-    /// previous, untouched artifacts) or the complete new snapshot.
-    pub fn save_sharded_snapshot_vfs(&self, vfs: &dyn Vfs, dir: &Path) -> Result<(), Error> {
+        let vfs = pimento_faults::vfs::StdVfs;
         vfs.create_dir_all(dir)
             .map_err(|e| crate::error::classify_io(dir, &e))?;
         let files: Vec<String> = (0..self.segments.len())
@@ -188,7 +184,7 @@ impl Engine {
             .collect();
         let manifest = self.manifest_for(&files)?;
         let durable = |name: &str, bytes: &[u8]| {
-            pimento_faults::vfs::write_durable(vfs, dir, name, bytes)
+            pimento_faults::vfs::write_durable(&vfs, dir, name, bytes)
                 .map_err(|e| crate::error::classify_io(&dir.join(name), &e))
         };
         for (i, entry) in manifest.segments.iter().enumerate() {
@@ -223,12 +219,7 @@ impl Engine {
             vfs.read(&path)
                 .map_err(|e| crate::error::classify_io(&path, &e))
         };
-        let text = String::from_utf8(read(MANIFEST_FILE)?).map_err(|_| {
-            Error::Snapshot(pimento_index::PersistError::BadManifest(
-                "manifest is not UTF-8",
-            ))
-        })?;
-        let manifest = ShardManifest::parse(&text)?;
+        let manifest = read_manifest(vfs, dir)?;
         let mut segments = Vec::with_capacity(manifest.segments.len());
         for entry in &manifest.segments {
             let mut db = Database::open(&read(&entry.file)?)?;
@@ -839,6 +830,21 @@ impl Engine {
             }
         }
     }
+}
+
+/// Read and parse the committed `MANIFEST` of the snapshot directory
+/// `dir`: the one manifest reader of the loader and the segment store.
+pub fn read_manifest(vfs: &dyn Vfs, dir: &Path) -> Result<ShardManifest, Error> {
+    let path = dir.join(MANIFEST_FILE);
+    let raw = vfs
+        .read(&path)
+        .map_err(|e| crate::error::classify_io(&path, &e))?;
+    let text = String::from_utf8(raw).map_err(|_| {
+        Error::Snapshot(pimento_index::PersistError::BadManifest(
+            "manifest is not UTF-8",
+        ))
+    })?;
+    Ok(ShardManifest::parse(&text)?)
 }
 
 /// A compiled query + profile pair (see [`Engine::prepare`]). Tied to

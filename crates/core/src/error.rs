@@ -34,7 +34,7 @@ pub enum Error {
 
 /// Wrap an I/O error for `path`, classifying `ENOSPC` as
 /// [`Error::DiskFull`] and everything else as [`Error::Io`].
-pub(crate) fn classify_io(path: &std::path::Path, e: &std::io::Error) -> Error {
+pub fn classify_io(path: &std::path::Path, e: &std::io::Error) -> Error {
     if pimento_faults::vfs::is_disk_full(e) {
         Error::DiskFull(format!("{}: {e}", path.display()))
     } else {

@@ -13,7 +13,7 @@
 //! counts and per-token document frequencies ([`doc_freq`]). Segments
 //! partition the documents, so the sums are the integers one index over
 //! the whole corpus would hold and the score is bit-identical however the
-//! corpus is cut (DESIGN.md §15.1).
+//! corpus is cut (DESIGN.md §8, "Segments").
 
 use crate::inverted::InvertedIndex;
 use crate::phrase::count_in_element;

@@ -4,7 +4,7 @@
 //! A sharded engine slices its collection into contiguous document
 //! ranges ("segments"), each indexed independently. Three invariants make
 //! the per-segment scans recombine bit-identically with the monolithic
-//! scan (DESIGN.md §15):
+//! scan (DESIGN.md §8, "Segments"; the directory format is §13.5):
 //!
 //! 1. **Ranges partition the corpus** — [`split_ranges`] yields contiguous,
 //!    disjoint, covering ranges, so a global doc id maps to exactly one

@@ -19,6 +19,7 @@
 //! cleaned up, so the old generation keeps serving and a retry after
 //! space frees can succeed.
 
+use pimento::error::classify_io;
 use pimento::{Engine, Error};
 use pimento_faults::vfs::{self, StdVfs, Vfs};
 use pimento_index::segment::{ShardManifest, MANIFEST_FILE};
@@ -33,14 +34,14 @@ pub struct SegmentStore {
     vfs: Arc<dyn Vfs>,
 }
 
-/// Wrap an I/O error for `path`, classifying `ENOSPC` as the typed
-/// [`Error::DiskFull`].
-fn classify(path: &Path, e: &std::io::Error) -> Error {
-    if vfs::is_disk_full(e) {
-        Error::DiskFull(format!("{}: {e}", path.display()))
-    } else {
-        Error::Io(format!("{}: {e}", path.display()))
-    }
+/// Whether a file named `name` is a store artifact: the manifest, a
+/// segment file, a tombstone sidecar or a temp file. Anything else in
+/// the directory is foreign and never touched.
+fn is_artifact(name: &str) -> bool {
+    name == MANIFEST_FILE
+        || name.ends_with(".snap")
+        || name.ends_with(".tomb")
+        || name.ends_with(".tmp")
 }
 
 impl SegmentStore {
@@ -54,7 +55,8 @@ impl SegmentStore {
     /// crash harness uses to run the whole commit protocol on `SimVfs`.
     pub fn open_with(vfs: Arc<dyn Vfs>, dir: impl Into<PathBuf>) -> Result<SegmentStore, Error> {
         let dir = dir.into();
-        vfs.create_dir_all(&dir).map_err(|e| classify(&dir, &e))?;
+        vfs.create_dir_all(&dir)
+            .map_err(|e| classify_io(&dir, &e))?;
         Ok(SegmentStore { dir, vfs })
     }
 
@@ -76,14 +78,7 @@ impl SegmentStore {
 
     /// Parse the committed manifest.
     pub fn manifest(&self) -> Result<ShardManifest, Error> {
-        let path = self.dir.join(MANIFEST_FILE);
-        let raw = self.vfs.read(&path).map_err(|e| classify(&path, &e))?;
-        let text = String::from_utf8(raw).map_err(|_| {
-            Error::Snapshot(pimento_index::PersistError::BadManifest(
-                "manifest is not UTF-8",
-            ))
-        })?;
-        Ok(ShardManifest::parse(&text)?)
+        pimento::engine::read_manifest(&*self.vfs, &self.dir)
     }
 
     /// Reopen the last committed generation. Torn or truncated
@@ -109,11 +104,7 @@ impl SegmentStore {
             let Some(name) = path.file_name().and_then(|n| n.to_str()) else {
                 continue;
             };
-            let ours = name == MANIFEST_FILE
-                || name.ends_with(".snap")
-                || name.ends_with(".tomb")
-                || name.ends_with(".tmp");
-            if ours && vfs::quarantine_file(&*self.vfs, &path, cap).is_ok() {
+            if is_artifact(name) && vfs::quarantine_file(&*self.vfs, &path, cap).is_ok() {
                 moved += 1;
             }
         }
@@ -134,7 +125,7 @@ impl SegmentStore {
             }
         }
         vfs::write_durable(&*self.vfs, &self.dir, name, bytes)
-            .map_err(|e| classify(&self.dir.join(name), &e))
+            .map_err(|e| classify_io(&self.dir.join(name), &e))
     }
 
     /// Durably persist `engine` under the given per-segment `files`.
@@ -191,11 +182,7 @@ impl SegmentStore {
             let Some(name) = path.file_name().and_then(|n| n.to_str()) else {
                 continue;
             };
-            let ours = name.ends_with(".snap")
-                || name.ends_with(".tomb")
-                || name.ends_with(".tmp")
-                || name == MANIFEST_FILE;
-            if ours && !keep.contains(&name) && self.vfs.remove_file(&path).is_ok() {
+            if is_artifact(name) && !keep.contains(&name) && self.vfs.remove_file(&path).is_ok() {
                 removed += 1;
             }
         }

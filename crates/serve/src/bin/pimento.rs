@@ -22,6 +22,44 @@ use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::Duration;
 
+/// `--docs FILE...`: append every argument up to the next `--flag`.
+fn take_docs(it: &mut std::iter::Peekable<impl Iterator<Item = String>>, docs: &mut Vec<String>) {
+    while let Some(f) = it.next_if(|f| !f.starts_with("--")) {
+        docs.push(f);
+    }
+}
+
+/// The corpus loader: read every `--docs` file, then parse and index
+/// them on `threads` threads (`0` = all cores). Prints why and returns
+/// `None` on the first unreadable file or a parse failure.
+fn index_docs(paths: &[String], threads: usize) -> Option<Engine> {
+    let mut xmls = Vec::with_capacity(paths.len());
+    for path in paths {
+        match std::fs::read_to_string(path) {
+            Ok(s) => xmls.push(s),
+            Err(e) => {
+                eprintln!("cannot read {path}: {e}");
+                return None;
+            }
+        }
+    }
+    Engine::from_xml_docs_parallel(&xmls, threads)
+        .map_err(|e| eprintln!("cannot parse documents: {e}"))
+        .ok()
+}
+
+/// `--shards N`: lay `engine` out as `shards` doc-range segments (no-op
+/// below 2). Prints why and returns `None` on failure.
+fn with_shards(engine: Engine, shards: usize) -> Option<Engine> {
+    if shards <= 1 {
+        return Some(engine);
+    }
+    engine
+        .reshard(shards)
+        .map_err(|e| eprintln!("cannot shard corpus: {e}"))
+        .ok()
+}
+
 /// `pimento serve`: load documents once and answer queries over TCP
 /// (length-delimited JSON frames — see `pimento_serve::protocol`).
 fn serve_usage() -> ! {
@@ -75,14 +113,7 @@ fn run_serve(rest: Vec<String>) -> ExitCode {
     let mut it = rest.into_iter().peekable();
     while let Some(a) = it.next() {
         match a.as_str() {
-            "--docs" => {
-                while let Some(f) = it.peek() {
-                    if f.starts_with("--") {
-                        break;
-                    }
-                    docs.push(it.next().expect("peeked"));
-                }
-            }
+            "--docs" => take_docs(&mut it, &mut docs),
             "--snapshot" => snapshot_path = Some(it.next().unwrap_or_else(|| serve_usage())),
             "--shards" => {
                 shards = it
@@ -169,7 +200,7 @@ fn run_serve(rest: Vec<String>) -> ExitCode {
         serve_usage()
     }
     let started = std::time::Instant::now();
-    let mut engine = if let Some(dir) = &recover_from {
+    let engine = if let Some(dir) = &recover_from {
         shards = 0;
         if !docs.is_empty() || snapshot_path.is_some() {
             eprintln!(
@@ -213,34 +244,14 @@ fn run_serve(rest: Vec<String>) -> ExitCode {
                 }
             }
         }
+    } else if let Some(e) = index_docs(&docs, 0) {
+        e
     } else {
-        let mut xmls = Vec::new();
-        for path in &docs {
-            match std::fs::read_to_string(path) {
-                Ok(s) => xmls.push(s),
-                Err(e) => {
-                    eprintln!("cannot read {path}: {e}");
-                    return ExitCode::FAILURE;
-                }
-            }
-        }
-        match Engine::from_xml_docs_parallel(&xmls, 0) {
-            Ok(e) => e,
-            Err(e) => {
-                eprintln!("cannot parse documents: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
+        return ExitCode::FAILURE;
     };
-    if shards > 1 {
-        engine = match engine.reshard(shards) {
-            Ok(e) => e,
-            Err(e) => {
-                eprintln!("cannot shard corpus: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-    }
+    let Some(engine) = with_shards(engine, shards) else {
+        return ExitCode::FAILURE;
+    };
     cfg.startup_load_ms = started.elapsed().as_millis() as u64;
     cfg.startup_snapshot_format = engine.snapshot_format();
     let shard_note = if engine.shard_count() > 1 {
@@ -521,14 +532,7 @@ fn run_snapshot(rest: Vec<String>) -> ExitCode {
             let mut shards = 0usize;
             while let Some(a) = it.next() {
                 match a.as_str() {
-                    "--docs" => {
-                        while let Some(f) = it.peek() {
-                            if f.starts_with("--") {
-                                break;
-                            }
-                            docs.push(it.next().expect("peeked"));
-                        }
-                    }
+                    "--docs" => take_docs(&mut it, &mut docs),
                     "--out" => out = Some(it.next().unwrap_or_else(|| snapshot_usage())),
                     "--shards" => {
                         shards = it
@@ -542,30 +546,12 @@ fn run_snapshot(rest: Vec<String>) -> ExitCode {
             let (Some(out), false) = (out, docs.is_empty()) else {
                 snapshot_usage()
             };
-            let mut xmls = Vec::new();
-            for path in &docs {
-                match std::fs::read_to_string(path) {
-                    Ok(s) => xmls.push(s),
-                    Err(e) => {
-                        eprintln!("cannot read {path}: {e}");
-                        return ExitCode::FAILURE;
-                    }
-                }
-            }
-            let engine = match Engine::from_xml_docs(&xmls) {
-                Ok(e) => e,
-                Err(e) => {
-                    eprintln!("cannot parse documents: {e}");
-                    return ExitCode::FAILURE;
-                }
+            let Some(engine) = index_docs(&docs, 1) else {
+                return ExitCode::FAILURE;
             };
             if shards > 1 {
-                let sharded = match engine.reshard(shards) {
-                    Ok(e) => e,
-                    Err(e) => {
-                        eprintln!("cannot shard corpus: {e}");
-                        return ExitCode::FAILURE;
-                    }
+                let Some(sharded) = with_shards(engine, shards) else {
+                    return ExitCode::FAILURE;
                 };
                 let dir = std::path::Path::new(&out);
                 if let Err(e) = sharded.save_sharded_snapshot(dir) {
@@ -732,14 +718,7 @@ fn run_lint(rest: Vec<String>) -> ExitCode {
         match a.as_str() {
             "--profile" => profile_path = Some(it.next().unwrap_or_else(|| lint_usage())),
             "--query" => query = it.next().unwrap_or_else(|| lint_usage()),
-            "--docs" => {
-                while let Some(f) = it.peek() {
-                    if f.starts_with("--") {
-                        break;
-                    }
-                    docs.push(it.next().expect("peeked"));
-                }
-            }
+            "--docs" => take_docs(&mut it, &mut docs),
             "--k" => {
                 k = it
                     .next()
@@ -784,22 +763,8 @@ fn run_lint(rest: Vec<String>) -> ExitCode {
     let mut failed = report.has_errors();
 
     if !docs.is_empty() {
-        let mut xmls = Vec::new();
-        for path in &docs {
-            match std::fs::read_to_string(path) {
-                Ok(s) => xmls.push(s),
-                Err(e) => {
-                    eprintln!("cannot read {path}: {e}");
-                    return ExitCode::FAILURE;
-                }
-            }
-        }
-        let engine = match Engine::from_xml_docs(&xmls) {
-            Ok(e) => e,
-            Err(e) => {
-                eprintln!("cannot parse documents: {e}");
-                return ExitCode::FAILURE;
-            }
+        let Some(engine) = index_docs(&docs, 1) else {
+            return ExitCode::FAILURE;
         };
         // Plan verification needs a prepared query; an unresolvable SR
         // cycle makes preparation itself fail, which the report above
@@ -887,14 +852,7 @@ fn parse_args() -> Args {
     let mut it = std::env::args().skip(1).peekable();
     while let Some(a) = it.next() {
         match a.as_str() {
-            "--docs" => {
-                while let Some(f) = it.peek() {
-                    if f.starts_with("--") {
-                        break;
-                    }
-                    args.docs.push(it.next().expect("peeked"));
-                }
-            }
+            "--docs" => take_docs(&mut it, &mut args.docs),
             "--query" => args.query = it.next().unwrap_or_else(|| usage()),
             "--profile" => args.profile = Some(it.next().unwrap_or_else(|| usage())),
             "--k" => {
@@ -961,32 +919,9 @@ fn main() -> ExitCode {
     }
     let args = parse_args();
 
-    let mut xmls = Vec::new();
-    for path in &args.docs {
-        match std::fs::read_to_string(path) {
-            Ok(s) => xmls.push(s),
-            Err(e) => {
-                eprintln!("cannot read {path}: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
-    let mut engine = match Engine::from_xml_docs(&xmls) {
-        Ok(e) => e,
-        Err(e) => {
-            eprintln!("cannot parse documents: {e}");
-            return ExitCode::FAILURE;
-        }
+    let Some(engine) = index_docs(&args.docs, 1).and_then(|e| with_shards(e, args.shards)) else {
+        return ExitCode::FAILURE;
     };
-    if args.shards > 1 {
-        engine = match engine.reshard(args.shards) {
-            Ok(e) => e,
-            Err(e) => {
-                eprintln!("cannot shard corpus: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-    }
 
     let profile = match &args.profile {
         None => UserProfile::new(),

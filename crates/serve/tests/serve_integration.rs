@@ -108,7 +108,7 @@ fn assert_stats_identities(stats: &Value) {
         "cache identity: {stats:?}"
     );
     // Startup gauges are always present and well-formed: the snapshot
-    // format is 0 (built from XML), 3 (legacy), or 4 (columnar).
+    // format is 0 (built from XML) or 4 (columnar).
     let startup = stats.get("startup").expect("startup block");
     startup
         .get("load_ms")
@@ -118,7 +118,7 @@ fn assert_stats_identities(stats: &Value) {
         .get("snapshot_format")
         .and_then(Value::as_u64)
         .expect("startup.snapshot_format");
-    assert!(fmt == 0 || fmt == 3 || fmt == 4, "snapshot_format {fmt}");
+    assert!(fmt == 0 || fmt == 4, "snapshot_format {fmt}");
 }
 
 #[test]
@@ -672,7 +672,24 @@ fn explain_reply_equals_the_explain_of_a_search() {
                 "{plan}"
             );
         }
-        c.shutdown().expect("shutdown");
+        // The stats shard block describes the engine the server ran.
+        c.search(Some("u"), CARS_QUERY, 5).expect("search");
+        let stats = c.shutdown().expect("shutdown");
+        assert_stats_identities(&stats);
+        let shards = stats.get("shards").expect("shards block");
+        assert_eq!(
+            shards.get("count").and_then(Value::as_u64),
+            Some(segments as u64),
+            "{stats:?}"
+        );
+        assert_eq!(
+            shards
+                .get("scan_us")
+                .and_then(Value::as_arr)
+                .map(<[Value]>::len),
+            Some(segments),
+            "{stats:?}"
+        );
         handle.join().expect("server thread").expect("server ran");
     }
 }

@@ -7,8 +7,13 @@ cd "$(dirname "$0")/.."
 echo "==> tier-1: cargo build --release"
 cargo build --release
 
-echo "==> tier-1: cargo test -q"
-cargo test -q
+# Every crate's unit and integration tests, the root package's (tier-1's
+# `cargo test -q`) included: lint, serve loopback, columnar round-trip and
+# manifest grammar, snapshot/lane/partial-order equivalence, class
+# layering + key-class laws + the Fig. 5 rank-work bound, the ingest
+# pipeline, storage fuzz.
+echo "==> tier-1: cargo test -q --workspace"
+cargo test -q --workspace
 
 echo "==> tier-1: cargo bench --no-run (criterion harnesses compile)"
 cargo bench --no-run
@@ -19,25 +24,11 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "==> lint gate: pimento-lint workspace invariants (JSON report)"
 cargo run -p lint --release -- --workspace --format json | scripts/lint-report.sh
 
-echo "==> lint gate: cargo test -q -p lint"
-cargo test -q -p lint
-
-echo "==> serve gate: cargo test -q -p pimento-serve (loopback integration)"
-cargo test -q -p pimento-serve
-
 echo "==> chaos gate: cargo test -q -p pimento-serve --features fault-injection"
 cargo test -q -p pimento-serve --features fault-injection
 
 echo "==> chaos gate: clippy over the fault-injection configuration"
 cargo clippy -p pimento-serve --features fault-injection --all-targets -- -D warnings
-
-echo "==> serve gate: loadgen --smoke (start server, search, clean shutdown)"
-cargo run -q -p pimento-bench --release --bin loadgen -- --smoke
-
-echo "==> snapshot gate: columnar round-trip (reopened == built, byte fixed point), manifest grammar"
-cargo test -q -p pimento-index
-echo "==> snapshot gate: reopened parity (hits + ExecStats, 4 strategies x 2 rank orders, file + sharded dir), forged sections refused at open"
-cargo test -q -p pimento-suite --test snapshot_equivalence
 
 echo "==> snapshot gate: build + inspect a fresh v4 fixture; a v3 file is refused"
 SNAP_DIR="$(mktemp -d)"
@@ -56,17 +47,6 @@ if cargo run -q -p pimento-serve --release --bin pimento -- \
   exit 1
 fi
 
-echo "==> shard gate: lane-executor bit-identity matrix (segments x lanes) + partial-order reproducer"
-cargo test -q -p pimento-suite --test lane_equivalence --test partial_order
-
-echo "==> rank gate: class layering == all-pairs oracle (proptest), key-class laws, Fig. 5 work bound"
-cargo test -q -p pimento-algebra class_layering
-cargo test -q -p pimento-profile keys_of_one_class_are_interchangeable
-cargo test -q -p pimento-suite --test rank_work
-
-echo "==> shard gate: loadgen --smoke --shards 4 (sharded serving end to end)"
-cargo run -q -p pimento-bench --release --bin loadgen -- --smoke --shards 4
-
 echo "==> shard gate: sharded snapshot build + inspect round-trip"
 for i in 1 2 3; do
   cp "$SNAP_DIR/fixture.xml" "$SNAP_DIR/fixture$i.xml"
@@ -76,9 +56,6 @@ cargo run -q -p pimento-serve --release --bin pimento -- \
 cargo run -q -p pimento-serve --release --bin pimento -- \
   snapshot inspect "$SNAP_DIR/sharded"
 
-echo "==> ingest gate: write-path pipeline tests"
-cargo test -q -p pimento-ingest
-
 echo "==> ingest gate: chaos suite with write-path faults"
 cargo test -q -p pimento-ingest --features fault-injection
 cargo test -q -p pimento-serve --features fault-injection --test chaos -- ingest publish_crash
@@ -86,16 +63,12 @@ cargo test -q -p pimento-serve --features fault-injection --test chaos -- ingest
 echo "==> ingest gate: clippy over the ingest fault-injection configuration"
 cargo clippy -p pimento-ingest --features fault-injection --all-targets -- -D warnings
 
-echo "==> ingest gate: loadgen --ingest-mix --quick (writes vs queries end to end)"
-cargo run -q -p pimento-bench --release --bin loadgen -- --ingest-mix --quick
-
 echo "==> crash gate: exhaustive crash-point matrices (kill at every VFS mutation)"
 cargo test -q -p pimento-ingest --features fault-injection --test crash_matrix
 cargo test -q -p pimento-serve --features fault-injection --test crash_matrix
 
-echo "==> scrub gate: single-bit-flip detection/quarantine/repair + storage fuzz"
+echo "==> scrub gate: single-bit-flip detection/quarantine/repair"
 cargo test -q -p pimento-serve --features fault-injection --test scrub_integrity
-cargo test -q -p pimento-index --test storage_fuzz
 
 echo "==> scrub gate: one-shot pimento scrub over a fresh sharded snapshot"
 cargo run -q -p pimento-serve --release --bin pimento -- scrub --data-dir "$SNAP_DIR/sharded"
@@ -103,7 +76,9 @@ cargo run -q -p pimento-serve --release --bin pimento -- scrub --data-dir "$SNAP
 echo "==> bench gate: perfbench builds against the workspace API and its smoke tests pass"
 # perfbench/ is a package of its own (path dependencies on crates/*), so
 # nothing above compiles it: an Engine or serve API change could break
-# the benchmark without this.
+# the benchmark without this. Its smoke test is also the end-to-end serve
+# gate: serve.warm, serve.cold and serve.ingest over loopback, zero failed
+# operations.
 cargo test --release --offline --manifest-path perfbench/Cargo.toml
 
 echo "==> verify OK"

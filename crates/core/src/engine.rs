@@ -37,8 +37,7 @@ pub struct Engine {
     /// the columnar format), or `None` when built by parsing XML.
     snapshot_format: Option<u32>,
     /// Corpus generation: 0 for a freshly built corpus, bumped by every
-    /// published write (ingest, delete, merge compaction). Prepared-plan
-    /// caches key on this exactly as they key on profile generations.
+    /// published write (ingest, delete, merge compaction).
     generation: u64,
 }
 
@@ -587,9 +586,8 @@ impl Engine {
         // corpus-global (the newest table is the append-only superset of
         // every older segment's copy), and each keyword predicate's
         // `nidf` and score ceiling come from document counts summed over
-        // all segment indexes, here and nowhere else — which is why
-        // prepared-plan cache keys need no shard component, only the
-        // corpus generation.
+        // all segment indexes, here and nowhere else — so one prepared
+        // search runs unchanged on every segment's lane.
         let corpus: Vec<&InvertedIndex> =
             self.segments.iter().map(|s| &s.db().inverted).collect();
         Ok(PreparedSearch {
@@ -848,10 +846,10 @@ pub fn read_manifest(vfs: &dyn Vfs, dir: &Path) -> Result<ShardManifest, Error> 
 }
 
 /// A compiled query + profile pair (see [`Engine::prepare`]). Tied to
-/// the engine it was prepared against, and `Send + Sync`: the serve
-/// layer caches one `Arc<PreparedSearch>` per (user, query) and executes
-/// it from many worker threads concurrently (a compile-time assertion in
-/// the tests pins this guarantee).
+/// the engine it was prepared against, and `Send + Sync`: one prepared
+/// search is run by the lane tasks of a scatter-gather scan on several
+/// threads at once, beside the shared `Arc<Engine>` (a compile-time
+/// assertion in the tests pins this guarantee).
 pub struct PreparedSearch {
     matcher: Arc<Matcher>,
     kors: Vec<pimento_profile::KeywordOrderingRule>,
@@ -882,8 +880,9 @@ mod tests {
         Engine::from_xml_docs(&[CARS]).unwrap()
     }
 
-    /// Compile-time pin: the serve layer shares `Arc<PreparedSearch>`
-    /// (and `Arc<Engine>`) across worker threads. If a future change
+    /// Compile-time pin: the serve layer shares one `Arc<Engine>` across
+    /// its worker threads, and the lane tasks of one search borrow the
+    /// `PreparedSearch` from several threads at once. If a future change
     /// introduces a non-`Send`/non-`Sync` field (an `Rc`, a `RefCell`),
     /// this stops compiling instead of the server subtly breaking.
     #[test]

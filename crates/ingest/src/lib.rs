@@ -246,15 +246,15 @@ mod pipeline_tests {
     }
 
     #[test]
-    fn publish_hook_sees_every_generation() {
+    fn every_publish_bumps_the_live_generation_by_one() {
         let live = Arc::new(LiveEngine::new(seed_engine(2)));
         let ing = Ingestor::new(Arc::clone(&live), IngestConfig::default()).unwrap();
-        let seen = Arc::new(std::sync::Mutex::new(Vec::new()));
-        let sink = Arc::clone(&seen);
-        ing.set_on_publish(move |generation| sink.lock().unwrap().push(generation));
+        assert_eq!(live.load().generation(), 0);
         ing.add_documents(&[doc(2)]).unwrap();
+        assert_eq!(live.load().generation(), 1);
         ing.delete_documents(&[0]).unwrap();
+        assert_eq!(live.load().generation(), 2);
         ing.merge_now().unwrap();
-        assert_eq!(*seen.lock().unwrap(), vec![1, 2, 3]);
+        assert_eq!(live.load().generation(), 3);
     }
 }

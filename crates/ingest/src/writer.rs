@@ -7,7 +7,7 @@
 //! [`pimento::Engine::with_deletes`] / [`pimento::Engine::compacted`]),
 //! and hands it to the one commit routine, `Ingestor::commit`: durably
 //! persist (when a data directory is configured), only then publish with
-//! an atomic swap, tell the serving layer, sweep orphans. The transforms
+//! an atomic swap, sweep orphans. The transforms
 //! differ only in which segments are new — an add appends one segment
 //! and shares the rest with the previous generation, so it writes one
 //! file — and the scrubber's repair is the same commit of the generation
@@ -78,8 +78,6 @@ struct WriterState {
     shutdown: bool,
 }
 
-type PublishHook = Box<dyn Fn(u64) + Send + Sync>;
-
 /// The single-writer back office: serializes all mutations, persists
 /// before publishing, and wakes the background merger when enough
 /// deltas accumulate.
@@ -90,7 +88,6 @@ pub struct Ingestor {
     compact_shards: usize,
     state: Mutex<WriterState>,
     wake: Condvar,
-    on_publish: Mutex<Option<PublishHook>>,
     merges: AtomicU64,
     merge_failures: AtomicU64,
 }
@@ -155,7 +152,6 @@ impl Ingestor {
                 shutdown: false,
             }),
             wake: Condvar::new(),
-            on_publish: Mutex::new(None),
             merges: AtomicU64::new(0),
             merge_failures: AtomicU64::new(0),
         })
@@ -188,15 +184,6 @@ impl Ingestor {
         let files = state.files.clone();
         self.commit(&mut state, &engine, files, 0..engine.shard_count())?;
         Ok(true)
-    }
-
-    /// Register a callback invoked (under the writer lock) after every
-    /// successful publish with the new generation — the serving layer
-    /// uses this to invalidate prepared-plan caches, including for
-    /// publishes the background merger makes on its own.
-    pub fn set_on_publish(&self, hook: impl Fn(u64) + Send + Sync + 'static) {
-        let mut slot = self.on_publish.lock().unwrap_or_else(|e| e.into_inner());
-        *slot = Some(Box::new(hook));
     }
 
     /// Compactions performed (including by the background merger).
@@ -239,23 +226,15 @@ impl Ingestor {
         Ok(())
     }
 
-    fn notify_published(&self, generation: u64) {
-        let slot = self.on_publish.lock().unwrap_or_else(|e| e.into_inner());
-        if let Some(hook) = slot.as_ref() {
-            hook(generation);
-        }
-    }
-
     /// The one way a generation becomes the served one: persist `next`
     /// under `files` (writing the segment files in the `write` range;
     /// sidecars and the manifest always), pass the crash point, swap it in, record
-    /// its file names, run the publish hook, sweep what the new manifest
-    /// no longer references. Nothing before the swap touches `state` or
-    /// the live cell, so an error leaves the previous generation served
-    /// and — if the manifest rename already happened — the new one
-    /// recoverable from disk. Committing the generation that is already
-    /// live (repair) is idempotent: the swap and the hook see what they
-    /// saw before.
+    /// its file names, sweep what the new manifest no longer references.
+    /// Nothing before the swap touches `state` or the live cell, so an
+    /// error leaves the previous generation served and — if the manifest
+    /// rename already happened — the new one recoverable from disk.
+    /// Committing the generation that is already live (repair) is
+    /// idempotent: the swap sees what it saw before.
     fn commit(
         &self,
         state: &mut WriterState,
@@ -270,7 +249,6 @@ impl Ingestor {
         self.fault_crash_point()?;
         self.live.swap(Arc::clone(next));
         state.files = files;
-        self.notify_published(next.generation());
         if let (Some(store), Some(m)) = (&self.store, &manifest) {
             store.gc(m);
         }

@@ -1,8 +1,8 @@
 //! Lock-order analysis over `crates/serve` (`lock-order` rule,
 //! DESIGN.md §14).
 //!
-//! The serve layer holds a handful of named locks (`cache`, `inner`,
-//! `writer`, `sessions`). This pass tracks the *held-lock set* through
+//! The serve layer holds a handful of named locks (`inner`, `writer`,
+//! `sessions`, `health`). This pass tracks the *held-lock set* through
 //! each function body — acquisitions are either calls to the serve
 //! guard-returning wrappers (`lock`, `read_guard`, `write_guard`;
 //! detected by their `…Guard` return type) or direct zero-arg
@@ -124,7 +124,7 @@ fn acquisitions(graph: &Graph, f: usize, wrapper_names: &HashSet<&str>) -> Vec<A
     let mut out = Vec::new();
     let mut j = open + 1;
     while j < close {
-        // Wrapper call: `lock(&self.cache)` — not preceded by `.`.
+        // Wrapper call: `lock(&self.inner)` — not preceded by `.`.
         if let TokKind::Ident(name) = &toks[j].kind {
             let is_method = j > 0 && toks[j - 1].is_punct(".");
             if !is_method
@@ -277,9 +277,21 @@ fn walk_fn(
             // A resolved call executed while locks are held: everything the
             // callee may acquire conflicts with the held set.
             if !held.is_empty() {
+                // A method chained on an acquisition (`lock(&m).len()`)
+                // runs on the guarded data, which is not the type whose
+                // impl holds the lock: name resolution alone would wire
+                // `HashMap::len` under `ProfileRegistry::len`'s guard back
+                // to `ProfileRegistry::len` itself.
+                let on_guard = j > 0
+                    && toks[j - 1].is_punct(".")
+                    && acqs.iter().any(|a| a.after == j - 1);
                 if let Some(callees) = calls_at.get(&(toks[j].line, toks[j].col)) {
                     for &callee in callees {
                         if wrappers.contains(&callee) {
+                            continue;
+                        }
+                        let callee_ty = &graph.fns[callee].def.self_ty;
+                        if on_guard && callee_ty.is_some() && *callee_ty == node.def.self_ty {
                             continue;
                         }
                         if let Some(set) = acq_star.get(&callee) {
@@ -510,6 +522,21 @@ mod tests {
     fn statement_temporaries_do_not_nest() {
         let v = run("pub fn get(s: &St) -> u32 { lock(&s.cache).peek(); lock(&s.cache).take() }\n");
         assert!(v.is_empty(), "chained guards die at the `;`: {v:?}");
+    }
+
+    #[test]
+    fn a_method_on_the_guarded_data_is_not_the_enclosing_method() {
+        // `.len()` here is the map's, not a recursive `Reg::len`.
+        let v = run("impl Reg { pub fn len(&self) -> usize { lock(&self.sessions).len() } }\n");
+        assert!(v.is_empty(), "{v:?}");
+        // A call of the enclosing type's method with the guard held is
+        // still followed.
+        let v = run(
+            "impl Reg { pub fn len(&self) -> usize { lock(&self.sessions).len() }\n\
+             pub fn f(&self) -> usize { let g = lock(&self.sessions); self.len() } }\n",
+        );
+        assert_eq!(v.len(), 1, "{v:?}");
+        assert!(v[0].message.contains("already held"), "{v:?}");
     }
 
     #[test]

@@ -543,7 +543,7 @@ mod tests {
             vec!["hot-path-panic"]
         );
         assert_eq!(
-            rules_hit("crates/serve/src/cache.rs", src),
+            rules_hit("crates/serve/src/registry.rs", src),
             vec!["hot-path-panic"]
         );
         // The CLI bin may exit loudly at startup; benches/tests are exempt.

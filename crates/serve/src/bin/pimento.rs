@@ -65,8 +65,9 @@ fn with_shards(engine: Engine, shards: usize) -> Option<Engine> {
 fn serve_usage() -> ! {
     eprintln!(
         "usage: pimento serve (--docs FILE... | --snapshot PATH) [--addr HOST:PORT] [--threads N]\n\
-         \x20        [--shards N] [--queue-capacity N] [--cache-capacity N] [--query-threads N]\n\
+         \x20        [--shards N] [--queue-capacity N] [--query-threads N]\n\
          \x20        [--timeout-ms N] [--conn-timeout-ms N] [--profile-dir DIR]\n\
+         \x20        [--data-dir DIR] [--merge-threshold N] [--scrub-interval-ms N]\n\
          --snapshot PATH  open a binary index snapshot instead of parsing XML\n\
          \x20                (columnar v4, validated and decoded at startup; older formats are refused;\n\
          \x20                a directory opens as a sharded snapshot — see `snapshot build --shards`)\n\
@@ -76,7 +77,6 @@ fn serve_usage() -> ! {
          --addr           listen address (default 127.0.0.1:7654; port 0 = pick a free port)\n\
          --threads N      worker pool size (0 = all cores; same clamp as search --threads)\n\
          --queue-capacity bounded request queue; full = typed `overloaded` error (default 64)\n\
-         --cache-capacity compiled (user, query) plan cache entries (default 256; 0 disables)\n\
          --query-threads  execution threads per query (default 1: the pool is the parallelism)\n\
          --timeout-ms     default per-request deadline (default: none)\n\
          --conn-timeout-ms  socket write timeout: a client that stops reading\n\
@@ -130,12 +130,6 @@ fn run_serve(rest: Vec<String>) -> ExitCode {
             }
             "--queue-capacity" => {
                 cfg.queue_capacity = it
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| serve_usage())
-            }
-            "--cache-capacity" => {
-                cfg.cache_capacity = it
                     .next()
                     .and_then(|s| s.parse().ok())
                     .unwrap_or_else(|| serve_usage())

@@ -6,9 +6,10 @@
 //! [`Client::request_with_retry`] adds bounded exponential backoff with
 //! deterministic jitter for `overloaded` rejections and transient
 //! transport failures (reconnecting for the latter). Retries are
-//! at-least-once: every protocol command is idempotent on the server
-//! (`register_profile` re-registration is a no-op-equivalent generation
-//! bump), so a retried request that already executed is safe.
+//! at-least-once: the read verbs change nothing and re-registering the
+//! same rules installs the same profile, so retrying those is safe; a
+//! retried `add_documents` whose first attempt was applied adds the
+//! batch twice.
 
 use crate::json::{obj, Value};
 use crate::protocol::{read_frame, write_frame, FrameError, FRAME_HARD_CAP};

@@ -2,18 +2,17 @@
 //!
 //! A resident, concurrent query service over a [`pimento::Engine`]
 //! (DESIGN.md §11). PIMENTO's cost model assumes profiles are long-lived
-//! state reused across many queries; a per-process CLI re-pays parsing,
-//! scoping enforcement, and VOR compilation on every invocation. This
-//! crate keeps the engine warm behind a TCP endpoint and caches compiled
-//! per-(user, query) state across requests.
+//! state reused across many queries; a per-process CLI re-parses the
+//! corpus and the rule file on every invocation. This crate keeps the
+//! engine and every user's parsed profile resident behind a TCP
+//! endpoint and compiles each (profile, query) pair per request
+//! (DESIGN.md §11.2).
 //!
 //! Dependency-free by design: `std::net` sockets, a vendored JSON module
 //! ([`json`]), and a 4-byte length-delimited frame protocol
 //! ([`protocol`]). Layers:
 //!
-//! * [`registry`] — per-user profile sessions with generation stamps;
-//! * [`cache`] — LRU of `Arc<PreparedSearch>` keyed by
-//!   (user, generation, query);
+//! * [`registry`] — per-user profile sessions;
 //! * [`metrics`] — lock-cheap counters + latency histograms;
 //! * [`server`] — acceptor / reader / worker-pool topology with bounded
 //!   queueing, deadlines, per-request panic isolation, and draining
@@ -32,7 +31,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod cache;
 pub mod client;
 pub mod json;
 pub mod metrics;
@@ -48,7 +46,6 @@ pub mod store;
 #[cfg(feature = "fault-injection")]
 pub use pimento_faults as faults;
 
-pub use cache::{CacheKey, PreparedCache};
 pub use client::{Client, ClientError, RetryPolicy};
 pub use json::Value;
 pub use metrics::Metrics;

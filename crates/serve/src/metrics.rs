@@ -1,13 +1,11 @@
 //! Lock-cheap service metrics (DESIGN.md §11).
 //!
 //! All counters are relaxed atomics — the registry sits on the request
-//! path, so it must never contend. Two identities tie the registry
+//! path, so it must never contend. One identity ties the registry
 //! together, asserted by the integration tests and checkable from any
-//! `stats` snapshot:
-//!
-//! * `requests == responses_ok + responses_err + rejected_overload +
-//!   rejected_deadline` — every decoded request is answered exactly once;
-//! * `cache_lookups == cache_hits + cache_misses`.
+//! `stats` snapshot: `requests == responses_ok + responses_err +
+//! rejected_overload + rejected_deadline` — every decoded request is
+//! answered exactly once.
 
 use crate::json::{obj, Value};
 use pimento::algebra::ExecStats;
@@ -90,16 +88,6 @@ counters! {
     profiles_recovered,
     /// Corrupt store files quarantined at startup.
     profiles_quarantined,
-    /// Compiled-profile cache probes.
-    cache_lookups,
-    /// Cache probes that found a live entry.
-    cache_hits,
-    /// Cache probes that missed (a `prepare` followed).
-    cache_misses,
-    /// Entries evicted by LRU capacity pressure.
-    cache_evictions,
-    /// Entries purged by `register_profile` generation bumps.
-    cache_invalidations,
     /// Milliseconds spent building or opening the engine before the
     /// server was bound (a gauge, set once at startup).
     startup_load_ms,
@@ -136,7 +124,8 @@ counters! {
     /// Background compactions that failed and will be retried
     /// (a gauge mirrored from the ingestor at `stats` time).
     merge_failures,
-    /// Corpus generation currently being served (a gauge).
+    /// Corpus generation currently being served (a gauge refreshed at
+    /// `stats` time).
     corpus_generation,
     /// Total documents in the served corpus, tombstoned included
     /// (a gauge refreshed at `stats` time).
@@ -218,8 +207,7 @@ impl Metrics {
     }
 
     /// Refresh the write-path gauges (called with the live engine's
-    /// point-in-time state whenever a `stats` snapshot is taken, and by
-    /// the publish hook as generations advance).
+    /// point-in-time state whenever a `stats` snapshot is taken).
     pub fn set_ingest_gauges(
         &self,
         generation: u64,
@@ -259,9 +247,9 @@ impl Metrics {
         self.add(&self.exec_emitted, stats.emitted);
     }
 
-    /// Snapshot everything as the `stats` response body. `cache_entries`
-    /// and `profiles` are point-in-time gauges supplied by the server.
-    pub fn snapshot(&self, cache_entries: usize, profiles: usize) -> Value {
+    /// Snapshot everything as the `stats` response body. `profiles` is a
+    /// point-in-time gauge supplied by the server.
+    pub fn snapshot(&self, profiles: usize) -> Value {
         let g = |c: &AtomicU64| -> Value { c.load(Ordering::Relaxed).into() };
         let buckets: Vec<Value> = self
             .lat_buckets
@@ -324,17 +312,6 @@ impl Metrics {
                 obj([
                     ("corpus", g(&self.health_corpus)),
                     ("profiles", g(&self.health_profiles)),
-                ]),
-            ),
-            (
-                "cache",
-                obj([
-                    ("lookups", g(&self.cache_lookups)),
-                    ("hits", g(&self.cache_hits)),
-                    ("misses", g(&self.cache_misses)),
-                    ("evictions", g(&self.cache_evictions)),
-                    ("invalidations", g(&self.cache_invalidations)),
-                    ("entries", cache_entries.into()),
                 ]),
             ),
             ("profiles", profiles.into()),
@@ -421,7 +398,7 @@ mod tests {
             ..Default::default()
         });
         m.set_startup(17, Some(4));
-        let snap = m.snapshot(3, 1);
+        let snap = m.snapshot(3);
         assert_eq!(snap.get("requests").and_then(Value::as_u64), Some(1));
         let startup = snap.get("startup").expect("startup block");
         assert_eq!(startup.get("load_ms").and_then(Value::as_u64), Some(17));
@@ -429,8 +406,7 @@ mod tests {
             startup.get("snapshot_format").and_then(Value::as_u64),
             Some(4)
         );
-        let cache = snap.get("cache").expect("cache block");
-        assert_eq!(cache.get("entries").and_then(Value::as_u64), Some(3));
+        assert_eq!(snap.get("profiles").and_then(Value::as_u64), Some(3));
         let exec = snap.get("exec").expect("exec block");
         assert_eq!(exec.get("base_answers").and_then(Value::as_u64), Some(4));
         // Renders as valid JSON.
@@ -467,7 +443,7 @@ mod tests {
                 ..LaneStats::default()
             },
         ]);
-        let snap = m.snapshot(0, 0);
+        let snap = m.snapshot(0);
         let shards = snap.get("shards").expect("shards block");
         assert_eq!(shards.get("count").and_then(Value::as_u64), Some(4));
         let Some(Value::Arr(scan)) = shards.get("scan_us") else {

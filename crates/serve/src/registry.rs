@@ -3,23 +3,18 @@
 //! `register_profile` installs a parsed [`UserProfile`] under a session
 //! key; searches resolve the key to an `Arc` snapshot, so a concurrent
 //! re-registration never mutates a profile mid-query — in-flight
-//! requests keep the `Arc` they resolved. Each registration gets a
-//! fresh **generation** from a process-wide counter; the generation is
-//! part of the compiled-plan cache key ([`crate::cache`]), which is what
-//! makes re-registration a cache invalidation.
+//! requests keep the `Arc` they resolved, and every request after the
+//! registration sees the new profile.
 
 use pimento_profile::UserProfile;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
 
-/// A registered profile and the generation it was installed at.
+/// A registered profile.
 #[derive(Debug, Clone)]
 pub struct ProfileSession {
     /// The immutable profile snapshot.
     pub profile: Arc<UserProfile>,
-    /// Monotonic installation stamp (unique across all users).
-    pub generation: u64,
     /// `Some(reason)` when this session is a degraded placeholder: the
     /// user is known but their persisted profile could not be recovered
     /// (DESIGN.md §12), so searches run unpersonalized and stamp
@@ -36,7 +31,6 @@ pub struct ProfileSession {
 #[derive(Debug, Default)]
 pub struct ProfileRegistry {
     sessions: RwLock<HashMap<String, ProfileSession>>,
-    next_generation: AtomicU64,
 }
 
 impl ProfileRegistry {
@@ -45,15 +39,15 @@ impl ProfileRegistry {
         ProfileRegistry::default()
     }
 
-    /// Install (or replace) `user`'s profile; returns the new generation.
-    pub fn register(&self, user: &str, profile: UserProfile) -> u64 {
+    /// Install (or replace) `user`'s profile.
+    pub fn register(&self, user: &str, profile: UserProfile) {
         self.install(user, profile, None, None)
     }
 
     /// Like [`ProfileRegistry::register`], also remembering the rule
     /// text the profile was parsed from so the scrubber can re-persist
     /// it if the on-disk copy is damaged.
-    pub fn register_with_rules(&self, user: &str, profile: UserProfile, rules: &str) -> u64 {
+    pub fn register_with_rules(&self, user: &str, profile: UserProfile, rules: &str) {
         self.install(user, profile, None, Some(Arc::new(rules.to_string())))
     }
 
@@ -63,16 +57,13 @@ impl ProfileRegistry {
         profile: UserProfile,
         degraded: Option<String>,
         rules: Option<Arc<String>>,
-    ) -> u64 {
-        let generation = self.next_generation.fetch_add(1, Ordering::Relaxed) + 1;
+    ) {
         let session = ProfileSession {
             profile: Arc::new(profile),
-            generation,
             degraded,
             rules,
         };
         write_guard(&self.sessions).insert(user.to_string(), session);
-        generation
     }
 
     /// Every `(user, rules)` pair the registry can vouch for — the
@@ -96,7 +87,7 @@ impl ProfileRegistry {
     /// with `reason`. Used by startup recovery when a persisted profile
     /// is corrupt — the user keeps getting (unpersonalized, explicitly
     /// flagged) answers instead of `unknown_user` errors.
-    pub fn register_degraded(&self, user: &str, reason: &str) -> u64 {
+    pub fn register_degraded(&self, user: &str, reason: &str) {
         self.install(user, UserProfile::new(), Some(reason.to_string()), None)
     }
 
@@ -140,35 +131,31 @@ mod tests {
     use pimento_profile::KeywordOrderingRule;
 
     #[test]
-    fn generations_are_monotonic_and_snapshots_stable() {
+    fn reregistration_replaces_and_snapshots_stay_stable() {
         let r = ProfileRegistry::new();
         assert!(r.get("u1").is_none());
-        let g1 = r.register("u1", UserProfile::new());
+        r.register("u1", UserProfile::new());
         let s1 = r.get("u1").expect("registered");
         let profile2 = UserProfile::new().with_kor(KeywordOrderingRule::new("nyc", "car", "NYC"));
-        let g2 = r.register("u1", profile2);
-        assert!(g2 > g1);
+        r.register("u1", profile2);
         // The old snapshot is unaffected by re-registration.
         assert!(s1.profile.kors.is_empty());
         assert_eq!(r.get("u1").expect("registered").profile.kors.len(), 1);
-        let g3 = r.register("u2", UserProfile::new());
-        assert!(g3 > g2, "generations unique across users");
+        r.register("u2", UserProfile::new());
         assert_eq!(r.len(), 2);
     }
 
     #[test]
     fn degraded_sessions_are_flagged_and_cleared_by_reregistration() {
         let r = ProfileRegistry::new();
-        let g1 = r.register_degraded("victim", "profile snapshot corrupt");
+        r.register_degraded("victim", "profile snapshot corrupt");
         let s = r.get("victim").expect("registered");
-        assert_eq!(s.generation, g1);
         assert_eq!(s.degraded.as_deref(), Some("profile snapshot corrupt"));
         assert!(
             s.profile.is_empty(),
             "degraded placeholder is the empty profile"
         );
-        let g2 = r.register("victim", UserProfile::new());
-        assert!(g2 > g1);
+        r.register("victim", UserProfile::new());
         assert!(r.get("victim").expect("registered").degraded.is_none());
     }
 }

@@ -32,7 +32,6 @@
 //! The full failure model — which fault can fire where and what each one
 //! maps to — is cataloged in DESIGN.md §12.
 
-use crate::cache::{CacheKey, PreparedCache};
 use crate::json::{obj, Value};
 use crate::metrics::Metrics;
 use crate::protocol::{
@@ -73,9 +72,6 @@ pub struct ServeConfig {
     /// Bounded request queue capacity; a full queue rejects with
     /// `overloaded` (`0` rejects everything — useful for tests).
     pub queue_capacity: usize,
-    /// Compiled-profile cache capacity, in (user, generation, query)
-    /// entries (`0` disables caching).
-    pub cache_capacity: usize,
     /// Maximum concurrent connections; excess connections receive one
     /// `overloaded` error frame and are closed.
     pub max_connections: usize,
@@ -129,7 +125,6 @@ impl Default for ServeConfig {
             addr: "127.0.0.1:0".to_string(),
             workers: 0,
             queue_capacity: 64,
-            cache_capacity: 256,
             max_connections: 256,
             max_frame_bytes: 1024 * 1024,
             idle_timeout: Duration::from_secs(30),
@@ -203,9 +198,6 @@ struct Shared {
     ingest: Arc<Ingestor>,
     cfg: ServeConfig,
     registry: Arc<ProfileRegistry>,
-    /// Shared with the ingest publish hook, which purges corpus-stale
-    /// entries the instant a new generation goes live.
-    cache: Arc<Mutex<PreparedCache>>,
     queue: BoundedQueue<Job>,
     metrics: Arc<Metrics>,
     shutdown: AtomicBool,
@@ -275,22 +267,7 @@ impl Server {
             )
             .map_err(ServeError::Ingest)?,
         );
-        let cache = Arc::new(Mutex::new(PreparedCache::new(cfg.cache_capacity)));
         let metrics = Arc::new(Metrics::new());
-        {
-            // Publish hook: the moment any write path (request or
-            // background merge) publishes a generation, plans compiled
-            // against older corpora become unreachable and are purged.
-            let cache = Arc::clone(&cache);
-            let metrics = Arc::clone(&metrics);
-            ingest.set_on_publish(move |generation| {
-                let purged = lock(&cache).purge_stale_corpus(generation);
-                metrics.add(&metrics.cache_invalidations, purged as u64);
-                metrics
-                    .corpus_generation
-                    .store(generation, Ordering::Relaxed);
-            });
-        }
         let merger = if cfg.merge_threshold > 0 {
             Some(spawn_merger(&ingest).map_err(ServeError::Ingest)?)
         } else {
@@ -304,7 +281,6 @@ impl Server {
             Arc::clone(&metrics),
         ));
         let shared = Arc::new(Shared {
-            cache,
             queue: BoundedQueue::new(cfg.queue_capacity),
             registry,
             metrics,
@@ -444,10 +420,7 @@ impl Server {
         if let Some(s) = scrub_thread {
             s.stop();
         }
-        let cache_entries = lock(&shared.cache).len();
-        Ok(shared
-            .metrics
-            .snapshot(cache_entries, shared.registry.len()))
+        Ok(shared.metrics.snapshot(shared.registry.len()))
     }
 }
 
@@ -758,8 +731,7 @@ fn worker_loop(shared: &Arc<Shared>) {
                 shared.ingest.merges(),
                 shared.ingest.merge_failures(),
             );
-            let cache_entries = lock(&shared.cache).len();
-            let snapshot = metrics.snapshot(cache_entries, shared.registry.len());
+            let snapshot = metrics.snapshot(shared.registry.len());
             job.conn.respond(&ok_payload(snapshot));
             metrics.observe_latency_us(job.arrival.elapsed().as_micros() as u64);
             if matches!(job.req, Request::Shutdown) {
@@ -896,18 +868,14 @@ fn register_profile(shared: &Arc<Shared>, user: &str, rules: &str) -> Result<Val
     );
     // The rule text rides along in the session so the scrubber can
     // re-persist it if the on-disk copy is later damaged.
-    let generation = shared.registry.register_with_rules(user, profile, rules);
-    let invalidated = lock(&shared.cache).invalidate_user(user);
+    shared.registry.register_with_rules(user, profile, rules);
     let metrics = &shared.metrics;
-    metrics.add(&metrics.cache_invalidations, invalidated as u64);
     let mut fields = vec![
         ("user".to_string(), user.into()),
-        ("generation".to_string(), generation.into()),
         ("scoping".to_string(), counts.0.into()),
         ("vors".to_string(), counts.1.into()),
         ("kors".to_string(), counts.2.into()),
         ("warnings".to_string(), Value::Arr(warnings)),
-        ("invalidated".to_string(), invalidated.into()),
     ];
     if let Some(store) = &shared.store {
         // Persistence failure degrades durability, not availability: the
@@ -928,49 +896,10 @@ fn register_profile(shared: &Arc<Shared>, user: &str, rules: &str) -> Result<Val
     Ok(Value::Obj(fields))
 }
 
-/// Cache probe + compile for one (profile, user, generation, query)
-/// binding. Engine errors surface untyped so the caller can decide
-/// between propagating and degrading.
-fn fetch_or_prepare(
-    shared: &Arc<Shared>,
-    engine: &Arc<Engine>,
-    profile: &Arc<UserProfile>,
-    user_key: String,
-    generation: u64,
-    query: &str,
-) -> Result<(Arc<pimento::PreparedSearch>, &'static str), Error> {
-    let metrics = &shared.metrics;
-    let key = CacheKey {
-        user: user_key,
-        generation,
-        corpus: engine.generation(),
-        query: query.to_string(),
-    };
-    metrics.inc(&metrics.cache_lookups);
-    let cached = lock(&shared.cache).lookup(&key);
-    match cached {
-        Some(p) => {
-            metrics.inc(&metrics.cache_hits);
-            Ok((p, "hit"))
-        }
-        None => {
-            metrics.inc(&metrics.cache_misses);
-            // `prepare` runs outside the cache lock: compilation is the
-            // expensive part, and a racing duplicate insert is harmless
-            // (both compile identical state). The key's corpus
-            // generation is the loaded engine's, so a publish racing
-            // this insert leaves only an unreachable entry behind — the
-            // publish hook (or a later purge) sweeps it.
-            let prepared = Arc::new(engine.prepare(query, profile)?);
-            let evicted = lock(&shared.cache).insert(key, Arc::clone(&prepared));
-            metrics.add(&metrics.cache_evictions, evicted as u64);
-            Ok((prepared, "miss"))
-        }
-    }
-}
-
-/// Resolve the profile session, fetch-or-compile the prepared state,
-/// then execute (or explain) under the request's options. Personalized
+/// Resolve the profile session, compile the (profile, query) pair with
+/// `Engine::prepare`, then execute (or explain) under the request's
+/// options. Compiling costs a few microseconds against a request's
+/// hundreds (DESIGN.md §11.2), so nothing is cached. Personalized
 /// requests whose profile cannot be applied — a degraded session from
 /// startup recovery, or a scoping conflict at prepare time — fall back
 /// to the unpersonalized base query and stamp `degraded: true` plus a
@@ -984,8 +913,8 @@ fn run_query(
     // One engine load per request: prepare and execute run against the
     // same corpus generation even if a publish lands mid-request.
     let engine = shared.live.load();
-    let (profile, user_key, generation, mut degraded) = match &spec.user {
-        None => (Arc::clone(&shared.empty_profile), String::new(), 0, None),
+    let (profile, mut degraded) = match &spec.user {
+        None => (Arc::clone(&shared.empty_profile), None),
         Some(user) => {
             let session = shared.registry.get(user).ok_or_else(|| {
                 (
@@ -994,30 +923,23 @@ fn run_query(
                 )
             })?;
             match session.degraded {
-                // A degraded session runs under the anonymous cache slot:
-                // its placeholder profile IS the empty profile, so the
-                // compiled state is shared with anonymous queries.
-                Some(reason) => (
-                    Arc::clone(&shared.empty_profile),
-                    String::new(),
-                    0,
-                    Some(reason),
-                ),
-                None => (session.profile, user.clone(), session.generation, None),
+                // A degraded session runs under the empty profile, so its
+                // answers are the anonymous ones.
+                Some(reason) => (Arc::clone(&shared.empty_profile), Some(reason)),
+                None => (session.profile, None),
             }
         }
     };
-    let attempt = fetch_or_prepare(shared, &engine, &profile, user_key, generation, &spec.query);
-    let (prepared, cache_state) = match attempt {
-        Ok(ready) => ready,
+    let prepared = match engine.prepare(&spec.query, &profile) {
+        Ok(prepared) => prepared,
         Err(Error::Conflict(e)) if degraded.is_none() && spec.user.is_some() => {
             // Graceful degradation: the profile cannot be applied to
             // *this* query. Unpersonalized answers now beat a hard error;
             // the empty profile prepares deterministically (its fault
             // point is gated on a non-empty rule set).
             degraded = Some(format!("profile not applicable to this query: {e}"));
-            let empty = Arc::clone(&shared.empty_profile);
-            fetch_or_prepare(shared, &engine, &empty, String::new(), 0, &spec.query)
+            engine
+                .prepare(&spec.query, &shared.empty_profile)
                 .map_err(map_engine_err)?
         }
         Err(e) => return Err(map_engine_err(e)),
@@ -1035,7 +957,6 @@ fn run_query(
             .map_err(map_engine_err)?;
         let body = obj([
             ("plan", plan.into()),
-            ("cache", cache_state.into()),
             ("applied_rules", str_arr(prepared.applied_rules())),
         ]);
         return Ok(stamp_degraded(body, &degraded, metrics));
@@ -1045,11 +966,7 @@ fn run_query(
         .map_err(map_engine_err)?;
     metrics.absorb_exec(&results.stats);
     metrics.absorb_lanes(&results.lanes);
-    Ok(stamp_degraded(
-        results_body(&results, cache_state),
-        &degraded,
-        metrics,
-    ))
+    Ok(stamp_degraded(results_body(&results), &degraded, metrics))
 }
 
 /// Mark a successful response as degraded (and count it) when the
@@ -1086,7 +1003,7 @@ fn str_arr(items: &[String]) -> Value {
     Value::Arr(items.iter().map(|s| Value::Str(s.clone())).collect())
 }
 
-fn results_body(results: &SearchResults, cache_state: &str) -> Value {
+fn results_body(results: &SearchResults) -> Value {
     let hits: Vec<Value> = results
         .hits
         .iter()
@@ -1106,7 +1023,6 @@ fn results_body(results: &SearchResults, cache_state: &str) -> Value {
     let stats = &results.stats;
     obj([
         ("hits", Value::Arr(hits)),
-        ("cache", cache_state.into()),
         ("applied_rules", str_arr(&results.applied_rules)),
         ("skipped_rules", str_arr(&results.skipped_rules)),
         ("flock_size", results.flock_size.into()),

@@ -115,6 +115,17 @@ fn cli_rejects_bad_inputs() {
     assert_eq!(out.status.code(), Some(2));
     assert!(String::from_utf8_lossy(&out.stderr)
         .contains("unknown strategy `quantum` (naive|il|sil|push)"));
+    // `serve` has no plan cache to size: the flag is unknown → usage exit
+    // code 2, before any corpus is loaded or address bound (the address
+    // here could not be bound anyway).
+    let out = pimento()
+        .args(["serve", "--docs"])
+        .arg(&docs)
+        .args(["--addr", "not-an-address", "--cache-capacity", "1"])
+        .output()
+        .expect("binary runs");
+    assert_eq!(out.status.code(), Some(2));
+    assert!(String::from_utf8_lossy(&out.stderr).contains("unknown argument \"--cache-capacity\""));
 }
 
 /// A snapshot in any pre-columnar format is refused with the typed

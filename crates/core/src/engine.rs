@@ -8,13 +8,13 @@ use pimento_algebra::{build_plan, Answer, Database, Matcher, PlanSpec, RankConte
 use pimento_index::ft_contains;
 use pimento_faults::vfs::Vfs;
 use pimento_index::{
-    split_ranges, Collection, DocId, InvertedIndex, ManifestEntry, ShardManifest, Tokenizer,
-    TombstoneSet, MANIFEST_FILE,
+    split_ranges, Collection, DocId, InvertedIndex, ShardManifest, Tokenizer, TombstoneSet,
+    MANIFEST_FILE,
 };
 use pimento_profile::{PersonalizedQuery, UserProfile};
 use pimento_tpq::{minimized, parse_tpq, simplify_predicates, Tpq};
 use std::ops::Range;
-use std::path::Path;
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 /// The search engine: an indexed corpus plus query-time machinery.
@@ -39,6 +39,9 @@ pub struct Engine {
     /// Corpus generation: 0 for a freshly built corpus, bumped by every
     /// published write (ingest, delete, merge compaction).
     generation: u64,
+    /// The directory and manifest this engine was opened from (see
+    /// [`Engine::opened_from`]).
+    opened_from: Option<(PathBuf, ShardManifest)>,
 }
 
 impl Engine {
@@ -50,14 +53,17 @@ impl Engine {
             segments,
             snapshot_format,
             generation: 0,
+            opened_from: None,
         }
     }
 
     /// The same engine stamped with `generation` (builder-style; used by
-    /// the write path when publishing a new corpus generation).
+    /// the write path when publishing a new corpus generation). It no
+    /// longer matches a manifest it was opened from.
     #[must_use]
     pub fn at_generation(mut self, generation: u64) -> Self {
         self.generation = generation;
+        self.opened_from = None;
         self
     }
 
@@ -113,9 +119,9 @@ impl Engine {
     /// from the documents. The file holds the *live* corpus as one
     /// segment: a sharded engine flattens and tombstoned documents are
     /// left out (exactly what [`Engine::compacted`]`(1)` holds), so a
-    /// reopened engine never serves a deleted document. Use
-    /// [`Engine::save_sharded_snapshot`] to keep the per-segment layout
-    /// and the tombstones.
+    /// reopened engine never serves a deleted document. The segment
+    /// store (`pimento_ingest::SegmentStore::save`) keeps the
+    /// per-segment layout and the tombstones.
     pub fn save_snapshot(&self) -> bytes::Bytes {
         let rebuilt;
         let db = if self.segments.len() > 1 || self.deleted_docs() > 0 {
@@ -139,66 +145,8 @@ impl Engine {
         Ok(pimento_index::save_index(&db.coll, &db.inverted, &db.tags))
     }
 
-    /// The manifest describing this engine's segment layout, using the
-    /// given per-segment file names (one per segment). Tombstone sidecar
-    /// names are filled in for segments with deletions.
-    pub fn manifest_for(&self, files: &[String]) -> Result<ShardManifest, Error> {
-        if files.len() != self.segments.len() {
-            return Err(Error::Shard("one file name per segment required"));
-        }
-        let mut manifest = ShardManifest {
-            generation: self.generation,
-            ..ShardManifest::default()
-        };
-        for (seg, file) in self.segments.iter().zip(files) {
-            let tombstones = seg
-                .db()
-                .tombstones()
-                .filter(|t| !t.is_empty())
-                .map(|_| ShardManifest::tombstone_file_name(file, self.generation));
-            manifest.segments.push(ManifestEntry {
-                file: file.clone(),
-                doc_base: seg.doc_base(),
-                docs: seg.doc_count() as u32,
-                tombstones,
-            });
-        }
-        Ok(manifest)
-    }
-
-    /// Write a sharded snapshot directory: one v4 columnar file per
-    /// segment plus a checksummed [`ShardManifest`];
-    /// [`Engine::from_sharded_dir`] reopens it. Every artifact is
-    /// published durably (temp file → fsync → rename → directory fsync)
-    /// and the manifest is written last, so the rename of `MANIFEST` is
-    /// the commit point: a crash anywhere in here leaves either the
-    /// previous manifest (pointing at the previous, untouched artifacts)
-    /// or the complete new snapshot.
-    pub fn save_sharded_snapshot(&self, dir: &Path) -> Result<(), Error> {
-        let vfs = pimento_faults::vfs::StdVfs;
-        vfs.create_dir_all(dir)
-            .map_err(|e| crate::error::classify_io(dir, &e))?;
-        let files: Vec<String> = (0..self.segments.len())
-            .map(ShardManifest::segment_file_name)
-            .collect();
-        let manifest = self.manifest_for(&files)?;
-        let durable = |name: &str, bytes: &[u8]| {
-            pimento_faults::vfs::write_durable(&vfs, dir, name, bytes)
-                .map_err(|e| crate::error::classify_io(&dir.join(name), &e))
-        };
-        for (i, entry) in manifest.segments.iter().enumerate() {
-            let data = self.segment_bytes(i)?;
-            durable(&entry.file, &data)?;
-            if let (Some(t), Some(tombs)) = (&entry.tombstones, self.segments[i].db().tombstones())
-            {
-                durable(t, tombs.render().as_bytes())?;
-            }
-        }
-        durable(MANIFEST_FILE, manifest.render().as_bytes())
-    }
-
-    /// Reopen a sharded snapshot directory written by
-    /// [`Engine::save_sharded_snapshot`]: each segment file is validated
+    /// Reopen a sharded snapshot directory written by the segment store
+    /// (`pimento_ingest::SegmentStore`): each segment file is validated
     /// and decoded, and that is all — segments carry no corpus-wide
     /// state, so search results are bit-identical to the engine that was
     /// saved.
@@ -233,10 +181,19 @@ impl Engine {
             }
             segments.push(Arc::new(Segment::new(db, entry.doc_base)));
         }
-        Ok(
-            Engine::over(segments, Some(pimento_index::COLUMNAR_VERSION))
-                .at_generation(manifest.generation),
-        )
+        let mut engine = Engine::over(segments, Some(pimento_index::COLUMNAR_VERSION))
+            .at_generation(manifest.generation);
+        engine.opened_from = Some((dir.to_path_buf(), manifest));
+        Ok(engine)
+    }
+
+    /// The directory and committed manifest this engine was opened from
+    /// by [`Engine::from_sharded_dir_vfs`]; `None` for every other engine,
+    /// including each one derived from it. The write path adopts a data
+    /// directory's manifest instead of rewriting it only when this names
+    /// that directory and that manifest.
+    pub fn opened_from(&self) -> Option<(&Path, &ShardManifest)> {
+        self.opened_from.as_ref().map(|(dir, m)| (dir.as_path(), m))
     }
 
     /// Reopen an engine from a columnar (v4) snapshot: every section is
@@ -1363,30 +1320,6 @@ mod mutate_tests {
                 assert_eq!(bits(&resharded, Q), bits(&compacted, Q), "n={n}");
             }
         }
-    }
-
-    #[test]
-    fn sharded_v2_roundtrip_preserves_tombstones_and_generation() {
-        let docs: Vec<String> = (0..4).map(dealer).collect();
-        let (engine, _) = Engine::from_xml_docs(&docs)
-            .unwrap()
-            .with_ingested(&[dealer(4)])
-            .unwrap()
-            .with_deletes(&[2])
-            .unwrap();
-        let dir = std::env::temp_dir().join(format!(
-            "pimento-core-v2-roundtrip-{}",
-            std::process::id()
-        ));
-        let _ = std::fs::remove_dir_all(&dir);
-        engine.save_sharded_snapshot(&dir).unwrap();
-        let reopened = Engine::from_sharded_dir(&dir).unwrap();
-        assert_eq!(reopened.generation(), engine.generation());
-        assert_eq!(reopened.num_docs(), engine.num_docs());
-        assert_eq!(reopened.live_docs(), engine.live_docs());
-        assert_eq!(reopened.deleted_docs(), 1);
-        assert_eq!(bits(&reopened, Q), bits(&engine, Q));
-        let _ = std::fs::remove_dir_all(&dir);
     }
 }
 

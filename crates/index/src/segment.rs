@@ -24,8 +24,9 @@
 //! base, decoded by [`ShardManifest::parse`] (a `panic-path` lint root —
 //! malformed manifests surface as [`PersistError`], never a panic). What
 //! makes a listed tombstone sidecar acceptable is defined here too
-//! ([`ManifestEntry::parse_tombstones`]), once, for the loader, the
-//! scrubber and `pimento snapshot inspect`.
+//! ([`ManifestEntry::parse_tombstones`]), once, for the loader and the
+//! segment store's verifier. The file names themselves are chosen by the
+//! segment store (`pimento-ingest`); the manifest only records them.
 
 use crate::persist::PersistError;
 use crate::tombstone::TombstoneSet;
@@ -117,34 +118,6 @@ fn check_file_name(file: &str) -> Result<(), PersistError> {
 }
 
 impl ShardManifest {
-    /// Canonical file name for segment `i` of a sharded snapshot.
-    pub fn segment_file_name(i: usize) -> String {
-        format!("segment-{i:03}.v4.snap")
-    }
-
-    /// Canonical file name for a delta segment published at `generation`
-    /// (delta files are generation-stamped so a compaction can never
-    /// reuse a live file name).
-    pub fn delta_file_name(generation: u64) -> String {
-        format!("delta-{generation:06}.v4.snap")
-    }
-
-    /// Canonical file name for segment `i` of the corpus persisted at
-    /// `generation` (compactions use these so a new layout never
-    /// overwrites a file the previous manifest still references).
-    pub fn generation_file_name(generation: u64, i: usize) -> String {
-        format!("segment-g{generation:06}-{i:03}.v4.snap")
-    }
-
-    /// Canonical tombstone sidecar name for segment file `file` as of
-    /// `generation`. Sidecars are generation-stamped so publishing new
-    /// deletes never rewrites a file an older manifest references: a
-    /// crash between sidecar write and manifest rename leaves the old
-    /// generation exactly as it was published.
-    pub fn tombstone_file_name(file: &str, generation: u64) -> String {
-        format!("{file}.g{generation:06}.tomb")
-    }
-
     /// Render the manifest text: the header, a `generation <n>` line, one
     /// `<file> <doc_base> <docs> [<tombstone file>]` line per segment, and
     /// a final `crc <hex>` trailer over everything above it — without the
@@ -304,13 +277,13 @@ mod tests {
         let m = ShardManifest {
             segments: vec![
                 ManifestEntry {
-                    file: ShardManifest::segment_file_name(0),
+                    file: "segment-000.v4.snap".to_string(),
                     doc_base: 0,
                     docs: 3,
                     tombstones: None,
                 },
                 ManifestEntry {
-                    file: ShardManifest::segment_file_name(1),
+                    file: "segment-001.v4.snap".to_string(),
                     doc_base: 3,
                     docs: 2,
                     tombstones: None,
@@ -349,17 +322,16 @@ mod tests {
 
     #[test]
     fn manifest_v2_roundtrip_with_generation_and_tombstones() {
-        let seg0 = ShardManifest::segment_file_name(0);
         let m = ShardManifest {
             segments: vec![
                 ManifestEntry {
-                    tombstones: Some(ShardManifest::tombstone_file_name(&seg0, 7)),
-                    file: seg0,
+                    tombstones: Some("segment-000.v4.snap.g000007.tomb".to_string()),
+                    file: "segment-000.v4.snap".to_string(),
                     doc_base: 0,
                     docs: 3,
                 },
                 ManifestEntry {
-                    file: ShardManifest::delta_file_name(7),
+                    file: "delta-000007.v4.snap".to_string(),
                     doc_base: 3,
                     docs: 2,
                     tombstones: None,
@@ -381,7 +353,7 @@ mod tests {
     #[test]
     fn sidecar_must_be_utf8_parse_and_fit_its_segment() {
         let entry = ManifestEntry {
-            file: ShardManifest::segment_file_name(0),
+            file: "segment-000.v4.snap".to_string(),
             doc_base: 0,
             docs: 3,
             tombstones: Some("t".to_string()),

@@ -26,7 +26,7 @@ fn sample_manifest() -> String {
 /// generation 0, no tombstones — checksummed like any other manifest.
 fn bootstrap_manifest() -> String {
     let entry = |i: usize, doc_base, docs| pimento_index::ManifestEntry {
-        file: ShardManifest::segment_file_name(i),
+        file: format!("segment-g000000-{i:03}.v4.snap"),
         doc_base,
         docs,
         tombstones: None,

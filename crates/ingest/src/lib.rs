@@ -9,10 +9,11 @@
 //! * [`LiveEngine`] — the swap cell. Readers load one `Arc<Engine>`
 //!   per request; publication is an atomic pointer swap stamped with a
 //!   monotonically increasing **corpus generation**.
-//! * [`SegmentStore`] — crash-safe persistence. Generation-stamped
-//!   segment files and tombstone sidecars, committed by an atomic
-//!   `MANIFEST` rename (temp → fsync → rename → dir-fsync); a restart
-//!   recovers exactly the last committed generation.
+//! * [`SegmentStore`] — crash-safe persistence, and the one owner of a
+//!   segment directory (writer, names, gc, [`store::verify`]).
+//!   Generation-stamped segment files and tombstone sidecars, committed
+//!   by an atomic `MANIFEST` rename (temp → fsync → rename → dir-fsync);
+//!   a restart recovers exactly the last committed generation.
 //! * [`Ingestor`] — the single writer. Adds become immutable delta
 //!   segments that reuse the full-corpus symbol table and recompute
 //!   corpus-global scoring stats (so compiled plans stay
@@ -218,6 +219,30 @@ mod pipeline_tests {
         ing2.add_documents(&[doc(9)]).unwrap();
         assert_eq!(live2.load().generation(), 3);
         drop(ing);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A directory is adopted only by the engine opened from it: a
+    /// different corpus with the same generation, segment count and
+    /// document count is bootstrapped over it, so a restart recovers
+    /// what was served.
+    #[test]
+    fn a_same_count_corpus_is_bootstrapped_not_adopted() {
+        let dir = tmp_dir("foreign");
+        let cfg = IngestConfig {
+            data_dir: Some(dir.clone()),
+            ..IngestConfig::default()
+        };
+        let a = Arc::new(LiveEngine::new(seed_engine(3)));
+        drop(Ingestor::new(a, cfg.clone()).unwrap());
+        let b_docs: Vec<String> = (10..13).map(doc).collect();
+        let b = Arc::new(LiveEngine::new(monolithic(&b_docs)));
+        drop(Ingestor::new(Arc::clone(&b), cfg).unwrap());
+
+        let recovered = SegmentStore::open(&dir).unwrap().recover().unwrap();
+        let q = r#"//book[ftcontains(., "title10")]"#;
+        assert_eq!(score_bits(&recovered, q).len(), 1, "B is on disk");
+        assert_eq!(score_bits(&recovered, q), score_bits(&b.load(), q));
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -28,9 +28,8 @@
 //! publish; recovery itself never deletes anything.
 
 use crate::live::LiveEngine;
-use crate::store::SegmentStore;
+use crate::store::{self, SegmentStore};
 use pimento::{Engine, Error};
-use pimento_index::segment::ShardManifest;
 use std::ops::Range;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -105,11 +104,11 @@ impl std::fmt::Debug for Ingestor {
 impl Ingestor {
     /// Attach a writer to a live engine. With a data directory
     /// configured this also brings the disk in line with the live
-    /// engine: if the committed manifest already describes exactly this
-    /// engine (same generation, layout, and doc count — the recovery
-    /// path), it is adopted as-is; anything else (fresh directory, or a
-    /// boot that ignored the directory's contents) is overwritten by a
-    /// full bootstrap publish so a restart recovers what is being
+    /// engine: the committed manifest is adopted as-is only when the
+    /// engine was opened from it, in this directory (the recovery path,
+    /// [`Engine::opened_from`]); anything else (a fresh directory, or a
+    /// boot that ignored the directory's contents) gets a full bootstrap
+    /// ([`SegmentStore::save`]) so a restart recovers what is being
     /// served.
     pub fn new(live: Arc<LiveEngine>, cfg: IngestConfig) -> Result<Ingestor, Error> {
         let store = cfg
@@ -122,24 +121,11 @@ impl Ingestor {
         let mut files = Vec::new();
         if let Some(store) = &store {
             let engine = live.load();
-            let adopted = store
-                .manifest()
-                .ok()
-                .filter(|m| {
-                    m.generation == engine.generation()
-                        && m.segments.len() == engine.shard_count()
-                        && m.num_docs() as usize == engine.num_docs()
-                })
-                .map(|m| m.segments.into_iter().map(|e| e.file).collect::<Vec<_>>());
-            files = match adopted {
-                Some(files) => files,
-                None => {
-                    let files = generation_files(&engine);
-                    let manifest = store.publish(&engine, &files, 0..engine.shard_count())?;
-                    store.gc(&manifest);
-                    files
-                }
+            let manifest = match store.manifest() {
+                Ok(m) if engine.opened_from() == Some((store.dir(), &m)) => m,
+                _ => store.save(&engine)?,
             };
+            files = manifest.segments.into_iter().map(|e| e.file).collect();
         }
         Ok(Ingestor {
             live,
@@ -265,7 +251,7 @@ impl Ingestor {
         let generation = next.generation();
         let mut files = state.files.clone();
         if self.store.is_some() {
-            files.push(ShardManifest::delta_file_name(generation));
+            files.push(store::delta_file(generation));
         }
         let delta = next.shard_count() - 1;
         self.commit(&mut state, &next, files, delta..delta + 1)?;
@@ -313,7 +299,7 @@ impl Ingestor {
             generation: next.generation(),
             docs: next.num_docs(),
         };
-        let files = generation_files(&next);
+        let files = store::fresh_files(&next, &state.files);
         self.commit(&mut state, &next, files, 0..next.shard_count())?;
         state.deltas = 0;
         self.merges.fetch_add(1, Ordering::Relaxed);
@@ -356,13 +342,6 @@ impl Ingestor {
             }
         }
     }
-}
-
-/// Fresh generation-stamped file names for every segment of `engine`.
-fn generation_files(engine: &Engine) -> Vec<String> {
-    (0..engine.shard_count())
-        .map(|i| ShardManifest::generation_file_name(engine.generation(), i))
-        .collect()
 }
 
 /// Handle to a background merger thread; join it after

@@ -156,6 +156,65 @@ fn crash_at_every_point_recovers_a_committed_generation() {
     }
 }
 
+/// Bootstrap a 3-document corpus A, then a 4-document corpus B into the
+/// same directory — both at generation 0, so the naive names collide.
+/// Returns how many of the two bootstraps committed.
+fn run_rebootstrap(vfs: &Arc<SimVfs>, dir: &Path) -> usize {
+    for (committed, docs) in [3usize, 4].into_iter().enumerate() {
+        let cfg = IngestConfig {
+            data_dir: Some(dir.to_path_buf()),
+            vfs: Some(vfs.clone() as Arc<dyn Vfs>),
+            ..IngestConfig::default()
+        };
+        let corpus =
+            Engine::from_xml_docs(&(0..docs).map(doc).collect::<Vec<_>>()).expect("corpus");
+        if Ingestor::new(Arc::new(LiveEngine::new(corpus)), cfg).is_err() {
+            return committed;
+        }
+    }
+    2
+}
+
+/// A bootstrap over a committed directory never replaces a file the
+/// committed manifest references: at every crash point, in every
+/// reboot style, a restart recovers corpus A or corpus B bit for bit.
+#[test]
+fn crash_while_bootstrapping_over_a_committed_corpus_recovers_a_or_b() {
+    let dir = PathBuf::from("/sim/rebootstrap");
+    let vfs = Arc::new(SimVfs::new(13));
+    let mut corpora: Vec<Vec<String>> = Vec::new();
+    for docs in [3usize, 4] {
+        let xml: Vec<String> = (0..docs).map(doc).collect();
+        corpora.push(fingerprint(&Engine::from_xml_docs(&xml).expect("corpus")));
+    }
+    assert_eq!(run_rebootstrap(&vfs, &dir), 2);
+    assert_eq!(
+        recovery_fingerprint(&vfs, &dir).expect("B recovers"),
+        corpora[1]
+    );
+    let total = vfs.mutations();
+
+    for style in [CrashStyle::Lose, CrashStyle::Keep, CrashStyle::Torn] {
+        for k in 1..=total {
+            let vfs = Arc::new(SimVfs::new(13));
+            vfs.set_crash_at(Some(k));
+            let m = run_rebootstrap(&vfs, &dir);
+            assert!(vfs.crashed(), "{style:?}/{k}: crash point never fired");
+            vfs.reboot(style);
+            match recovery_fingerprint(&vfs, &dir) {
+                Ok(fp) => assert!(
+                    corpora.contains(&fp),
+                    "{style:?}/{k}: recovered neither A nor B after {m} bootstraps:\n{fp:#?}"
+                ),
+                Err(err) => {
+                    assert_eq!(m, 0, "{style:?}/{k}: committed corpus A lost: {err}");
+                    assert!(!vfs.exists(&dir.join("MANIFEST")), "{style:?}/{k}: {err}");
+                }
+            }
+        }
+    }
+}
+
 /// A device that acknowledges fsyncs it never performs (or in-flight
 /// unsynced content at power-cut) must never panic recovery: torn
 /// artifacts surface as typed errors, quarantine clears the wreckage,

@@ -70,7 +70,9 @@ const ROOTS: &[(&str, &[&str], RootFns)] = &[
     // Crash recovery and scrubbing (DESIGN.md §17): everything that runs
     // between "the disk holds whatever a crash left" and "the engine is
     // serving" must degrade to typed errors — a panic during recovery or
-    // on the scrubber thread turns a survivable fault into an outage.
+    // on the scrubber thread turns a survivable fault into an outage. The
+    // segment directory verifier (`store::verify`, behind the scrubber and
+    // `snapshot inspect`) decodes the same untrusted bytes.
     ("serve", &["scrub"], RootFns::All),
     (
         "core",
@@ -80,7 +82,7 @@ const ROOTS: &[(&str, &[&str], RootFns)] = &[
     (
         "ingest",
         &["store"],
-        RootFns::Only(&["recover", "manifest", "quarantine_corrupt"]),
+        RootFns::Only(&["recover", "manifest", "quarantine_corrupt", "verify"]),
     ),
     (
         "faults",

@@ -414,107 +414,10 @@ fn snapshot_usage() -> ! {
          \x20        v4 file per doc-range segment plus a MANIFEST\n\
          inspect  print the header, section directory, and per-section CRC\n\
          \x20        verdicts of a v4 snapshot — or, for a sharded snapshot\n\
-         \x20        directory, the manifest plus per-segment verdicts; exit 1 if\n\
-         \x20        any check fails or the file is in an older format"
+         \x20        directory, one verdict per artifact by the loader's rules;\n\
+         \x20        exit 1 if any check fails or the file is in an older format"
     );
     std::process::exit(2)
-}
-
-/// `pimento snapshot inspect DIR`: validate a sharded snapshot directory
-/// — manifest grammar/contiguity, then every segment file's directory and
-/// per-section CRCs. One verdict line per segment; exit 1 if anything is
-/// BAD or unreadable.
-fn inspect_sharded(dir: &std::path::Path) -> ExitCode {
-    let manifest_path = dir.join(pimento::index::MANIFEST_FILE);
-    let text = match std::fs::read_to_string(&manifest_path) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("cannot read {}: {e}", manifest_path.display());
-            return ExitCode::FAILURE;
-        }
-    };
-    let manifest = match pimento::index::ShardManifest::parse(&text) {
-        Ok(m) => m,
-        Err(e) => {
-            eprintln!("{}: {e}", manifest_path.display());
-            return ExitCode::FAILURE;
-        }
-    };
-    println!(
-        "{}: sharded snapshot, generation {}, {} segments, {} docs",
-        dir.display(),
-        manifest.generation,
-        manifest.segments.len(),
-        manifest.num_docs()
-    );
-    println!(
-        "{:<22} {:>9} {:>7} {:>12}  verdict",
-        "segment", "doc_base", "docs", "bytes"
-    );
-    let mut failed = false;
-    for entry in &manifest.segments {
-        let path = dir.join(&entry.file);
-        let mut verdict = match std::fs::read(&path) {
-            Err(e) => {
-                failed = true;
-                format!("BAD (cannot read: {e})")
-            }
-            Ok(data) => match pimento::index::inspect(&data) {
-                Err(e) => {
-                    failed = true;
-                    format!("BAD ({e})")
-                }
-                Ok(report) => {
-                    let crc_ok = report.directory_ok && report.sections.iter().all(|s| s.crc_ok);
-                    if crc_ok {
-                        format!("ok (v{}, {} bytes)", report.version, report.file_len)
-                    } else {
-                        failed = true;
-                        let bad: Vec<&str> = report
-                            .sections
-                            .iter()
-                            .filter(|s| !s.crc_ok)
-                            .map(|s| s.name.as_str())
-                            .collect();
-                        format!(
-                            "BAD (directory {}, bad sections: [{}])",
-                            if report.directory_ok { "ok" } else { "BAD" },
-                            bad.join(", ")
-                        )
-                    }
-                }
-            },
-        };
-        if let Some(tomb) = &entry.tombstones {
-            // The sidecar must parse and its ids must fit the segment;
-            // a bad sidecar is as fatal as a bad segment (recovery
-            // would refuse the directory).
-            let checked = std::fs::read(dir.join(tomb))
-                .map_err(|e| e.to_string())
-                .and_then(|raw| entry.parse_tombstones(&raw).map_err(|e| e.to_string()));
-            match checked {
-                Ok(t) => {
-                    verdict.push_str(&format!(", {} deleted", t.deleted_count()));
-                }
-                Err(e) => {
-                    failed = true;
-                    verdict.push_str(&format!(", tombstones BAD ({e})"));
-                }
-            }
-        }
-        println!(
-            "{:<22} {:>9} {:>7} {:>12}  {verdict}",
-            entry.file,
-            entry.doc_base,
-            entry.docs,
-            std::fs::metadata(&path).map(|m| m.len()).unwrap_or(0)
-        );
-    }
-    if failed {
-        ExitCode::FAILURE
-    } else {
-        ExitCode::SUCCESS
-    }
 }
 
 fn run_snapshot(rest: Vec<String>) -> ExitCode {
@@ -547,8 +450,8 @@ fn run_snapshot(rest: Vec<String>) -> ExitCode {
                 let Some(sharded) = with_shards(engine, shards) else {
                     return ExitCode::FAILURE;
                 };
-                let dir = std::path::Path::new(&out);
-                if let Err(e) = sharded.save_sharded_snapshot(dir) {
+                let saved = pimento_ingest::SegmentStore::open(&out).and_then(|s| s.save(&sharded));
+                if let Err(e) = saved {
                     eprintln!("cannot write sharded snapshot {out}: {e}");
                     return ExitCode::FAILURE;
                 }
@@ -577,7 +480,22 @@ fn run_snapshot(rest: Vec<String>) -> ExitCode {
                 snapshot_usage()
             };
             if std::path::Path::new(&path).is_dir() {
-                return inspect_sharded(std::path::Path::new(&path));
+                // A sharded snapshot directory: the segment store's
+                // verifier, one verdict per artifact.
+                let verdicts =
+                    pimento_ingest::store::verify(&pimento_faults::vfs::StdVfs, path.as_ref());
+                println!("{path}: sharded snapshot directory");
+                for v in &verdicts {
+                    match &v.outcome {
+                        Ok(summary) => println!("{:<40} ok ({summary})", v.file),
+                        Err(why) => println!("{:<40} BAD ({why})", v.file),
+                    }
+                }
+                return if verdicts.iter().all(|v| v.outcome.is_ok()) {
+                    ExitCode::SUCCESS
+                } else {
+                    ExitCode::FAILURE
+                };
             }
             let data = match std::fs::read(&path) {
                 Ok(d) => d,

@@ -29,7 +29,7 @@ use pimento_faults::vfs::{enforce_quarantine_cap, quarantine_file, quarantine_st
 /// The quarantine retention policy, re-exported for callers that tune it
 /// via [`Scrubber::set_quarantine_cap`].
 pub use pimento_faults::vfs::QuarantineCap;
-use pimento_index::{inspect, MANIFEST_FILE};
+use pimento_ingest::store::verify;
 use pimento_ingest::Ingestor;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
@@ -236,81 +236,29 @@ impl Scrubber {
         ])
     }
 
-    /// Verify the segment store: manifest parse, per-segment v4 section
-    /// CRCs, and each tombstone sidecar by the loader's own rule
-    /// (`ManifestEntry::parse_tombstones`). Any damage quarantines the
-    /// artifact and re-publishes the whole generation from the live
-    /// engine (`Ingestor::repair_persist`).
+    /// Verify the segment store with the one directory verifier
+    /// ([`pimento_ingest::store::verify`]: the loader's rules). Any
+    /// damage quarantines the artifact and re-publishes the whole
+    /// generation from the live engine (`Ingestor::repair_persist`).
     fn scrub_corpus(&self, pass: &mut PassSummary) -> ComponentHealth {
         let Some(store) = self.ingest.store() else {
             return ComponentHealth::ok("corpus is memory-only (no data dir)");
         };
-        let vfs = Arc::clone(store.vfs());
-        let dir = store.dir().to_path_buf();
-        let mut damaged: Vec<(PathBuf, String)> = Vec::new();
-
-        match store.manifest() {
-            Ok(manifest) => {
-                pass.sections_verified += 1;
-                for entry in &manifest.segments {
-                    let path = dir.join(&entry.file);
-                    match vfs.read(&path) {
-                        Ok(bytes) => match inspect(&bytes) {
-                            Ok(report) => {
-                                let mut bad: Vec<&str> = Vec::new();
-                                if !report.directory_ok {
-                                    bad.push("section directory");
-                                }
-                                for s in &report.sections {
-                                    if s.crc_ok {
-                                        pass.sections_verified += 1;
-                                    } else {
-                                        bad.push(&s.name);
-                                    }
-                                }
-                                if !bad.is_empty() {
-                                    damaged.push((
-                                        path,
-                                        format!("checksum mismatch in {}", bad.join(", ")),
-                                    ));
-                                }
-                            }
-                            Err(e) => damaged.push((path, format!("uninspectable: {e}"))),
-                        },
-                        Err(e) => damaged.push((path, format!("unreadable: {e}"))),
-                    }
-                    if let Some(tomb) = &entry.tombstones {
-                        let path = dir.join(tomb);
-                        let parsed = vfs
-                            .read(&path)
-                            .map_err(|e| e.to_string())
-                            .and_then(|raw| {
-                                entry.parse_tombstones(&raw).map_err(|e| e.to_string())
-                            });
-                        match parsed {
-                            Ok(_) => pass.sections_verified += 1,
-                            Err(e) => damaged.push((path, format!("tombstone sidecar: {e}"))),
-                        }
-                    }
-                }
-            }
-            Err(e) => damaged.push((dir.join(MANIFEST_FILE), format!("manifest: {e}"))),
-        }
-
-        if damaged.is_empty() {
-            return ComponentHealth::ok("all segment sections, tombstones and the manifest verified");
-        }
+        let vfs = store.vfs();
         let mut details: Vec<String> = Vec::new();
-        for (path, why) in &damaged {
+        for verdict in verify(&**vfs, store.dir()) {
+            pass.sections_verified += verdict.verified;
+            let Err(why) = verdict.outcome else {
+                continue;
+            };
             pass.corrupt_artifacts += 1;
-            let name = path
-                .file_name()
-                .and_then(|n| n.to_str())
-                .unwrap_or("<artifact>");
-            if quarantine_file(&*vfs, path, self.cap).is_ok() {
+            if quarantine_file(&**vfs, &store.dir().join(&verdict.file), self.cap).is_ok() {
                 pass.quarantined += 1;
             }
-            details.push(format!("{name}: {why}"));
+            details.push(format!("{}: {why}", verdict.file));
+        }
+        if details.is_empty() {
+            return ComponentHealth::ok("all segment sections, tombstones and the manifest verified");
         }
         // The live engine is the last good generation — publishes only
         // swap it in after a durable commit — so one re-publish restores

@@ -155,3 +155,55 @@ fn cli_refuses_pre_columnar_snapshots() {
         assert!(stderr.contains(&expect), "{stderr}");
     }
 }
+
+/// `snapshot inspect DIR` applies the loader's rules: a segment file
+/// copied over another (every checksum intact, the document count
+/// wrong) fails inspection, as `serve --snapshot DIR` fails to open it.
+#[test]
+fn cli_inspect_refuses_a_segment_with_the_wrong_document_count() {
+    let docs: Vec<_> = (0..3)
+        .map(|i| write_temp(&format!("swap{i}.xml"), CARS))
+        .collect();
+    let dir = std::env::temp_dir().join(format!("pimento-cli-swap-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let build = pimento()
+        .args(["snapshot", "build", "--docs"])
+        .args(&docs)
+        .arg("--out")
+        .arg(&dir)
+        .args(["--shards", "2"])
+        .output()
+        .expect("binary runs");
+    assert!(
+        build.status.success(),
+        "{}",
+        String::from_utf8_lossy(&build.stderr)
+    );
+    let inspect = || {
+        pimento()
+            .args(["snapshot", "inspect"])
+            .arg(&dir)
+            .output()
+            .expect("binary runs")
+    };
+    assert_eq!(inspect().status.code(), Some(0));
+
+    let manifest = std::fs::read_to_string(dir.join("MANIFEST")).expect("manifest");
+    let files: Vec<&str> = manifest
+        .lines()
+        .filter_map(|l| l.split(' ').next().filter(|f| f.ends_with(".snap")))
+        .collect();
+    assert_eq!(files.len(), 2, "{manifest}");
+    std::fs::copy(dir.join(files[1]), dir.join(files[0])).expect("copy segment");
+    let out = inspect();
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(out.status.code(), Some(1), "{stdout}");
+    assert!(stdout.contains("document count"), "{stdout}");
+    let serve = pimento()
+        .args(["serve", "--addr", "127.0.0.1:0", "--snapshot"])
+        .arg(&dir)
+        .output()
+        .expect("binary runs");
+    assert_eq!(serve.status.code(), Some(1));
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -236,6 +236,40 @@ fn checksummed_sidecar_with_an_out_of_range_id_is_detected_and_repaired() {
     assert_eq!(scrubber.health().overall(), HealthLevel::Ok);
 }
 
+/// A segment file can carry valid checksums and still be unloadable: a
+/// copy of another segment whose document count disagrees with the
+/// manifest entry. A restart refuses such a directory, so the scrubber
+/// must not pass it either.
+#[test]
+fn segment_copied_over_another_is_detected_and_repaired() {
+    let dir = PathBuf::from("/sim/scrub-segment-swap");
+    let vfs = Arc::new(SimVfs::new(7));
+    let (live, ing) = boot_corpus(&vfs, &dir);
+    let scrubber = scrubber_for(&ing, None);
+    let reference = fingerprint(&live.load());
+    let manifest = ing.store().expect("store").manifest().expect("manifest");
+    let (to, from) = (&manifest.segments[0], &manifest.segments[1]);
+    assert_ne!(to.docs, from.docs);
+    let bytes = vfs.read(&dir.join(&from.file)).expect("read segment");
+    vfs.write_file(&dir.join(&to.file), &bytes)
+        .expect("copy segment");
+    assert!(
+        Engine::from_sharded_dir_vfs(&*vfs, &dir).is_err(),
+        "a restart refuses the directory"
+    );
+
+    let pass = scrubber.run_pass();
+    assert_eq!(pass.corrupt_artifacts, 1, "{pass:?}");
+    assert_eq!(pass.quarantined, 1, "{pass:?}");
+    assert_eq!(pass.repairs, 1, "{pass:?}");
+    assert_eq!(scrubber.health().overall(), HealthLevel::Degraded);
+    let recovered = Engine::from_sharded_dir_vfs(&*vfs, &dir).expect("recover");
+    assert_eq!(fingerprint(&recovered), reference);
+    let pass = scrubber.run_pass();
+    assert_eq!(pass.corrupt_artifacts, 0, "repair left damage");
+    assert_eq!(scrubber.health().overall(), HealthLevel::Ok);
+}
+
 /// A flipped profile file is quarantined and re-persisted from the
 /// in-memory registry (the durable store's source of truth for repair).
 #[test]

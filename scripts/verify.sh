@@ -56,6 +56,23 @@ cargo run -q -p pimento-serve --release --bin pimento -- \
 cargo run -q -p pimento-serve --release --bin pimento -- \
   snapshot inspect "$SNAP_DIR/sharded"
 
+echo "==> shard gate: one flipped byte in a segment fails inspect and scrub"
+cp -r "$SNAP_DIR/sharded" "$SNAP_DIR/damaged"
+SEGMENT="$(ls "$SNAP_DIR"/damaged/*.v4.snap | head -n 1)"
+OFFSET=$(( $(stat -c %s "$SEGMENT") / 2 ))
+BYTE=$(od -An -tu1 -j "$OFFSET" -N 1 "$SEGMENT" | tr -d ' ')
+printf "\\$(printf '%03o' $(( BYTE ^ 1 )))" |
+  dd of="$SEGMENT" bs=1 seek="$OFFSET" count=1 conv=notrunc status=none
+for verb in "snapshot inspect" "scrub --data-dir"; do
+  # shellcheck disable=SC2086
+  cargo run -q -p pimento-serve --release --bin pimento -- $verb "$SNAP_DIR/damaged" \
+    && rc=0 || rc=$?
+  if [ "$rc" -ne 1 ]; then
+    echo "pimento $verb exited $rc on a damaged segment (expected 1)" >&2
+    exit 1
+  fi
+done
+
 echo "==> ingest gate: chaos suite with write-path faults"
 cargo test -q -p pimento-ingest --features fault-injection
 cargo test -q -p pimento-serve --features fault-injection --test chaos -- ingest publish_crash

@@ -19,6 +19,7 @@ use pimento::profile::{
     Atom, KeywordOrderingRule, RankOrder, ScopingRule, UserProfile, ValueOrderingRule,
 };
 use pimento::{Engine, KorOrder, PlanStrategy, SearchOptions, SearchResults};
+use pimento_ingest::SegmentStore;
 use proptest::prelude::*;
 
 /// The paper's dealer corpus, one car per document so doc-range splits
@@ -275,7 +276,7 @@ fn sharded_snapshot_roundtrip_is_bit_identical() {
     let engine = Engine::from_xml_docs(&xmark_docs()).unwrap();
     let dir = std::env::temp_dir().join(format!("pimento-shard-roundtrip-{}", std::process::id()));
     let sharded = engine.reshard(4).unwrap();
-    sharded.save_sharded_snapshot(&dir).unwrap();
+    SegmentStore::open(&dir).unwrap().save(&sharded).unwrap();
     let reopened = Engine::from_sharded_dir(&dir).unwrap();
     assert_eq!(reopened.shard_count(), sharded.shard_count());
     assert_eq!(reopened.num_docs(), engine.num_docs());

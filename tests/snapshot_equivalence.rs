@@ -13,6 +13,7 @@ use pimento::index::{open_index, save_index, PersistError};
 use pimento::profile::{parse_profile, PrefRelRegistry, RankOrder, UserProfile};
 use pimento::algebra::ExecStats;
 use pimento::{Engine, PlanStrategy, SearchOptions};
+use pimento_ingest::store::{verify, SegmentStore};
 
 const FIG2_RULES: &str = include_str!("../profiles/fig2.rules");
 
@@ -48,7 +49,9 @@ fn fingerprint(
 fn through_sharded_dir(built: &Engine, tag: &str) -> Engine {
     let dir = std::env::temp_dir().join(format!("pimento-snap-equiv-{tag}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    built.save_sharded_snapshot(&dir).expect("sharded save");
+    SegmentStore::open(&dir)
+        .and_then(|s| s.save(built))
+        .expect("sharded save");
     let reopened = Engine::from_sharded_dir(&dir).expect("sharded dir opens");
     let _ = std::fs::remove_dir_all(&dir);
     reopened
@@ -286,15 +289,17 @@ fn checksummed_but_malformed_sections_are_refused_at_open() {
         // The same file as the one segment of a sharded directory.
         let dir = std::env::temp_dir().join(format!("pimento-forged-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        engine.save_sharded_snapshot(&dir).expect("sharded save");
-        std::fs::write(dir.join(pimento::index::ShardManifest::segment_file_name(0)), bytes)
-            .expect("overwrite segment");
+        let store = SegmentStore::open(&dir).expect("open store");
+        let manifest = store.save(&engine).expect("sharded save");
+        std::fs::write(dir.join(&manifest.segments[0].file), bytes).expect("overwrite segment");
         let reopened = Engine::from_sharded_dir(&dir);
+        let verdicts = verify(&**store.vfs(), &dir);
         let _ = std::fs::remove_dir_all(&dir);
         assert!(
             matches!(reopened, Err(pimento::Error::Snapshot(e)) if e == corrupt),
             "{what}: from_sharded_dir"
         );
+        assert!(verdicts.iter().any(|v| v.outcome.is_err()), "{what}: verify");
     }
 }
 

@@ -151,10 +151,10 @@ impl SegmentStore {
     /// After [`SegmentStore::recover`] fails, move every artifact of
     /// the damaged generation (`MANIFEST`, segment files, sidecars)
     /// aside as `*.quarantined` so a fresh bootstrap can proceed and an
-    /// operator can still inspect the wreckage. Quarantine-not-crash:
-    /// this is best-effort and never fails — it returns how many
-    /// artifacts were moved.
-    pub fn quarantine_corrupt(&self, cap: vfs::QuarantineCap) -> usize {
+    /// operator can still inspect the wreckage, under the default
+    /// retention cap. Quarantine-not-crash: this is best-effort and never
+    /// fails — it returns how many artifacts were moved.
+    pub fn quarantine_corrupt(&self) -> usize {
         let Ok(files) = self.vfs.list(&self.dir) else {
             return 0;
         };
@@ -163,6 +163,7 @@ impl SegmentStore {
             let Some(name) = path.file_name().and_then(|n| n.to_str()) else {
                 continue;
             };
+            let cap = vfs::QuarantineCap::default();
             if is_artifact(name) && vfs::quarantine_file(&*self.vfs, &path, cap).is_ok() {
                 moved += 1;
             }
@@ -491,7 +492,7 @@ mod tests {
         fs::write(dir.join(MANIFEST_FILE), b"pimento-shards v9\ngarbage").unwrap();
         let err = store.recover().unwrap_err();
         assert!(matches!(err, Error::Snapshot(_)), "typed: {err:?}");
-        let moved = store.quarantine_corrupt(vfs::QuarantineCap::default());
+        let moved = store.quarantine_corrupt();
         assert!(moved >= 2, "manifest + segment moved aside: {moved}");
         assert!(!store.has_manifest(), "dir ready for a fresh bootstrap");
         let _ = fs::remove_dir_all(&dir);

@@ -26,6 +26,14 @@
 //!
 //! Orphans are swept by [`SegmentStore::gc`] after the next successful
 //! publish; recovery itself never deletes anything.
+//!
+//! A commit that fails *after* its `MANIFEST` rename (the
+//! `ingest.publish.crash` point, or a directory fsync error) leaves a
+//! generation on disk that is never served. Until the next commit lands,
+//! every new name steps past that manifest: the next generation is
+//! numbered above it, so its delta and sidecar names are new, and a
+//! compaction's segment names avoid its files ([`store::fresh_files`]).
+//! No write ever replaces a file the manifest on disk lists.
 
 use crate::live::LiveEngine;
 use crate::store::{self, SegmentStore};
@@ -73,8 +81,26 @@ struct WriterState {
     files: Vec<String>,
     /// Delta segments published since the last compaction.
     deltas: usize,
+    /// The generation and segment files of a manifest a failed commit
+    /// left on disk ahead of the served generation (see the module
+    /// docs); `None` once a commit lands.
+    ahead: Option<(u64, Vec<String>)>,
     /// Tells the background merger to exit.
     shutdown: bool,
+}
+
+impl WriterState {
+    /// `next`, numbered past the manifest a failed commit left ahead on
+    /// disk, so none of its generation-stamped names can replace a file
+    /// that manifest lists.
+    fn past_ahead(&self, next: Engine) -> Engine {
+        match &self.ahead {
+            Some((generation, _)) if next.generation() <= *generation => {
+                next.at_generation(generation + 1)
+            }
+            _ => next,
+        }
+    }
 }
 
 /// The single-writer back office: serializes all mutations, persists
@@ -135,6 +161,7 @@ impl Ingestor {
             state: Mutex::new(WriterState {
                 files,
                 deltas: 0,
+                ahead: None,
                 shutdown: false,
             }),
             wake: Condvar::new(),
@@ -216,9 +243,10 @@ impl Ingestor {
     /// under `files` (writing the segment files in the `write` range;
     /// sidecars and the manifest always), pass the crash point, swap it in, record
     /// its file names, sweep what the new manifest no longer references.
-    /// Nothing before the swap touches `state` or the live cell, so an
-    /// error leaves the previous generation served and — if the manifest
-    /// rename already happened — the new one recoverable from disk.
+    /// Nothing before the swap touches the live cell, so an error leaves
+    /// the previous generation served and — if the manifest rename
+    /// already happened — the new one recoverable from disk, recorded in
+    /// `state.ahead` so later names step past it.
     /// Committing the generation that is already live (repair) is
     /// idempotent: the swap sees what it saw before.
     fn commit(
@@ -228,13 +256,34 @@ impl Ingestor {
         files: Vec<String>,
         write: Range<usize>,
     ) -> Result<(), Error> {
-        let manifest = match &self.store {
-            Some(store) => Some(store.publish(next, &files, write)?),
-            None => None,
+        let published = match &self.store {
+            Some(store) => store.publish(next, &files, write).map(Some),
+            None => Ok(None),
         };
-        self.fault_crash_point()?;
+        let manifest = match published.and_then(|m| self.fault_crash_point().map(|()| m)) {
+            Ok(m) => m,
+            Err(e) => {
+                // The `MANIFEST` rename may have landed. If the manifest
+                // on disk is now ahead of the served generation, new
+                // names step past it; an unreadable one is taken to be
+                // this attempt's. Reads only, and only on failure.
+                if let Some(store) = &self.store {
+                    let on_disk = store.manifest().map_or((next.generation(), files), |m| {
+                        (
+                            m.generation,
+                            m.segments.into_iter().map(|e| e.file).collect(),
+                        )
+                    });
+                    if on_disk.0 > self.live.load().generation() {
+                        state.ahead = Some(on_disk);
+                    }
+                }
+                return Err(e);
+            }
+        };
         self.live.swap(Arc::clone(next));
         state.files = files;
+        state.ahead = None;
         if let (Some(store), Some(m)) = (&self.store, &manifest) {
             store.gc(m);
         }
@@ -247,7 +296,7 @@ impl Ingestor {
     pub fn add_documents<S: AsRef<str>>(&self, docs: &[S]) -> Result<IngestReceipt, Error> {
         let mut state = self.lock_state();
         self.fault_panic_point();
-        let next = Arc::new(self.live.load().with_ingested(docs)?);
+        let next = Arc::new(state.past_ahead(self.live.load().with_ingested(docs)?));
         let generation = next.generation();
         let mut files = state.files.clone();
         if self.store.is_some() {
@@ -272,6 +321,7 @@ impl Ingestor {
         let mut state = self.lock_state();
         self.fault_panic_point();
         let (next, newly) = self.live.load().with_deletes(ids)?;
+        let next = state.past_ahead(next);
         let generation = next.generation();
         // Segment layout unchanged — the file names stay as they are;
         // only the sidecars move to new generation-stamped names.
@@ -294,12 +344,16 @@ impl Ingestor {
         if (state.deltas == 0 && engine.deleted_docs() == 0) || engine.live_docs() == 0 {
             return Ok(None);
         }
-        let next = Arc::new(engine.compacted(self.compact_shards)?);
+        let next = Arc::new(state.past_ahead(engine.compacted(self.compact_shards)?));
         let receipt = IngestReceipt {
             generation: next.generation(),
             docs: next.num_docs(),
         };
-        let files = store::fresh_files(&next, &state.files);
+        let mut taken = state.files.clone();
+        if let Some((_, files)) = &state.ahead {
+            taken.extend(files.iter().cloned());
+        }
+        let files = store::fresh_files(&next, &taken);
         self.commit(&mut state, &next, files, 0..next.shard_count())?;
         state.deltas = 0;
         self.merges.fetch_add(1, Ordering::Relaxed);

@@ -15,7 +15,7 @@
 
 use pimento::profile::UserProfile;
 use pimento::{Engine, Error, SearchOptions};
-use pimento_faults::vfs::{CrashStyle, QuarantineCap, SimVfs, Vfs};
+use pimento_faults::vfs::{CrashStyle, SimVfs, Vfs};
 use pimento_index::Collection;
 use pimento_ingest::{IngestConfig, Ingestor, LiveEngine, SegmentStore};
 use std::path::{Path, PathBuf};
@@ -242,7 +242,7 @@ fn lying_disk_quarantines_instead_of_crashing() {
                     "typed error required, got {err:?}"
                 );
                 saw_corruption = true;
-                let moved = store.quarantine_corrupt(QuarantineCap::default());
+                let moved = store.quarantine_corrupt();
                 assert!(moved > 0, "seed {seed}: nothing quarantined");
                 assert!(!store.has_manifest(), "seed {seed}: manifest left behind");
 

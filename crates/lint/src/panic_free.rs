@@ -72,8 +72,16 @@ const ROOTS: &[(&str, &[&str], RootFns)] = &[
     // serving" must degrade to typed errors — a panic during recovery or
     // on the scrubber thread turns a survivable fault into an outage. The
     // segment directory verifier (`store::verify`, behind the scrubber and
-    // `snapshot inspect`) decodes the same untrusted bytes.
+    // `snapshot inspect`) decodes the same untrusted bytes, and so does the
+    // profile registry's startup recovery and its one directory walk
+    // (`registry::verify`, behind recovery, the scrubber and `pimento
+    // scrub`).
     ("serve", &["scrub"], RootFns::All),
+    (
+        "serve",
+        &["registry"],
+        RootFns::Only(&["recover", "verify"]),
+    ),
     (
         "core",
         &["engine"],

@@ -247,13 +247,12 @@ fn run_serve(rest: Vec<String>) -> ExitCode {
         return ExitCode::FAILURE;
     };
     cfg.startup_load_ms = started.elapsed().as_millis() as u64;
-    cfg.startup_snapshot_format = engine.snapshot_format();
     let shard_note = if engine.shard_count() > 1 {
         format!(", {} shards", engine.shard_count())
     } else {
         String::new()
     };
-    match cfg.startup_snapshot_format {
+    match engine.snapshot_format() {
         Some(v) => eprintln!(
             "opened snapshot format v{v} in {} ms ({} docs{shard_note})",
             cfg.startup_load_ms,
@@ -298,16 +297,18 @@ fn scrub_usage() -> ! {
          Run one synchronous scrubber pass: re-verify the manifest, every\n\
          segment section CRC, tombstone sidecars and stored profiles;\n\
          quarantine damaged artifacts (bounded `*.quarantined` retention)\n\
-         and repair from the recovered state; print the health report as\n\
-         JSON. Exit 0 when everything verified (`ok`), 1 when damage was\n\
-         found (`degraded`: quarantined and repaired; `corrupt`: a repair\n\
-         failed or the corpus could not be recovered)."
+         and repair the corpus from its recovered generation (a damaged\n\
+         profile has no offline repair source: it is quarantined only);\n\
+         print the health report as JSON. Exit 0 when everything verified\n\
+         (`ok`), 1 when damage was found (`degraded`: quarantined, and\n\
+         repaired where a source exists; `corrupt`: a repair failed or the\n\
+         corpus could not be recovered)."
     );
     std::process::exit(2)
 }
 
 fn run_scrub(rest: Vec<String>) -> ExitCode {
-    use pimento_serve::{HealthLevel, Metrics, ProfileRegistry, ProfileStore, Scrubber};
+    use pimento_serve::{HealthLevel, Metrics, ProfileRegistry, Scrubber};
     let mut data_dir: Option<std::path::PathBuf> = None;
     let mut profile_dir: Option<std::path::PathBuf> = None;
     let mut it = rest.into_iter();
@@ -338,10 +339,8 @@ fn run_scrub(rest: Vec<String>) -> ExitCode {
             Err(e) => {
                 eprintln!("cannot recover corpus from {}: {e}", dir.display());
                 if let Ok(store) = pimento_ingest::SegmentStore::open(dir.clone()) {
-                    let moved = store.quarantine_corrupt(Default::default());
-                    eprintln!(
-                        "quarantined {moved} artifact(s); restore from a replica or re-seed"
-                    );
+                    let moved = store.quarantine_corrupt();
+                    eprintln!("quarantined {moved} artifact(s); restore from a replica or re-seed");
                 }
                 return ExitCode::FAILURE;
             }
@@ -364,37 +363,19 @@ fn run_scrub(rest: Vec<String>) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let store = match &profile_dir {
-        Some(dir) => match ProfileStore::open(dir.clone()) {
-            Ok(s) => Some(s),
+    // Profile side: nothing is preloaded — offline there is no session
+    // to repair from, so the pass verifies and quarantines only.
+    let profiles = match &profile_dir {
+        Some(dir) => match ProfileRegistry::open(dir.clone()) {
+            Ok(r) => r,
             Err(e) => {
-                eprintln!("cannot open profile store: {e}");
+                eprintln!("cannot open profile dir: {e}");
                 return ExitCode::FAILURE;
             }
         },
-        None => None,
+        None => ProfileRegistry::new(),
     };
-    // Pre-load intact profiles into the registry (without quarantining
-    // anything yet — that is the pass's job) so the scrubber can
-    // re-persist a profile whose file it quarantines.
-    let registry = Arc::new(ProfileRegistry::new());
-    if let Some(store) = &store {
-        let vfs = store.vfs();
-        for path in vfs.list(store.dir()).unwrap_or_default() {
-            let name = path.file_name().and_then(|n| n.to_str()).unwrap_or("");
-            if !name.ends_with(".profile") {
-                continue;
-            }
-            if let Ok(bytes) = vfs.read(&path) {
-                if let Ok((user, rules)) = ProfileStore::verify_bytes(&bytes) {
-                    if let Ok(profile) = parse_profile(&rules, &PrefRelRegistry::new()) {
-                        registry.register_with_rules(&user, profile, &rules);
-                    }
-                }
-            }
-        }
-    }
-    let scrubber = Scrubber::new(ingest, store, registry, Arc::new(Metrics::new()));
+    let scrubber = Scrubber::new(ingest, Arc::new(profiles), Arc::new(Metrics::new()));
     scrubber.run_pass();
     println!("{}", scrubber.health_body().render());
     if scrubber.health().overall() == HealthLevel::Ok {

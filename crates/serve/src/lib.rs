@@ -12,13 +12,14 @@
 //! ([`json`]), and a 4-byte length-delimited frame protocol
 //! ([`protocol`]). Layers:
 //!
-//! * [`registry`] — per-user profile sessions;
+//! * [`registry`] — per-user profile sessions and, with `--profile-dir`,
+//!   their crash-safe durable copy (write-temp + fsync + atomic rename,
+//!   checksummed, quarantine-on-corrupt) with the one verify walk behind
+//!   startup recovery, the scrubber and `pimento scrub`;
 //! * [`metrics`] — lock-cheap counters + latency histograms;
 //! * [`server`] — acceptor / reader / worker-pool topology with bounded
 //!   queueing, deadlines, per-request panic isolation, and draining
 //!   shutdown;
-//! * [`store`] — crash-safe durable profile persistence (write-temp +
-//!   fsync + atomic rename, checksummed, quarantine-on-corrupt);
 //! * [`scrub`] — online integrity scrubber: periodic re-verification of
 //!   every durable artifact with quarantine-and-repair and the `health`
 //!   verb (DESIGN.md §17);
@@ -38,7 +39,6 @@ pub mod protocol;
 pub mod registry;
 pub mod scrub;
 pub mod server;
-pub mod store;
 
 /// The deterministic fault-injection registry, re-exported so the chaos
 /// suite can install seeded [`pimento_faults::FaultPlan`]s against the
@@ -56,4 +56,3 @@ pub use scrub::{
     ScrubberHandle,
 };
 pub use server::{ServeConfig, ServeError, Server};
-pub use store::{ProfileStore, Recovered, StoreError};

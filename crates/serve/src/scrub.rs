@@ -23,16 +23,12 @@
 use crate::json::{obj, Value};
 use crate::metrics::Metrics;
 use crate::registry::ProfileRegistry;
-use crate::store::ProfileStore;
-use pimento_faults::vfs::{enforce_quarantine_cap, quarantine_file, quarantine_stats, Vfs};
-
-/// The quarantine retention policy, re-exported for callers that tune it
-/// via [`Scrubber::set_quarantine_cap`].
-pub use pimento_faults::vfs::QuarantineCap;
+use pimento_faults::vfs::{
+    enforce_quarantine_cap, quarantine_file, quarantine_stats, QuarantineCap,
+};
 use pimento_ingest::store::verify;
 use pimento_ingest::Ingestor;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::path::PathBuf;
 use std::sync::atomic::Ordering;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread;
@@ -136,41 +132,31 @@ pub struct PassSummary {
     pub repair_failures: u64,
 }
 
-/// The scrubber: owns handles to every durable store and the registry
-/// that backs profile repair. See the module docs for the pass
-/// algorithm and health semantics.
+/// The scrubber: owns handles to the two owners of durable state — the
+/// ingest pipeline (segment directory) and the profile registry
+/// (profile directory). See the module docs for the pass algorithm and
+/// health semantics.
 pub struct Scrubber {
     ingest: Arc<Ingestor>,
-    profiles: Option<ProfileStore>,
-    registry: Arc<ProfileRegistry>,
+    profiles: Arc<ProfileRegistry>,
     metrics: Arc<Metrics>,
     health: Mutex<HealthReport>,
-    cap: QuarantineCap,
 }
 
 impl Scrubber {
-    /// Wire a scrubber over the server's stores. `profiles` is `None`
-    /// when profile persistence is disabled; the corpus side is skipped
-    /// automatically when the ingestor has no data dir.
+    /// Wire a scrubber over the server's durable state. Each side is
+    /// skipped automatically when its owner has no directory.
     pub fn new(
         ingest: Arc<Ingestor>,
-        profiles: Option<ProfileStore>,
-        registry: Arc<ProfileRegistry>,
+        profiles: Arc<ProfileRegistry>,
         metrics: Arc<Metrics>,
     ) -> Scrubber {
         Scrubber {
             ingest,
             profiles,
-            registry,
             metrics,
             health: Mutex::new(HealthReport::initial()),
-            cap: QuarantineCap::default(),
         }
-    }
-
-    /// Override the quarantine retention policy (tests use tiny caps).
-    pub fn set_quarantine_cap(&mut self, cap: QuarantineCap) {
-        self.cap = cap;
     }
 
     /// One full scrub pass: verify → quarantine → repair → refresh
@@ -252,7 +238,8 @@ impl Scrubber {
                 continue;
             };
             pass.corrupt_artifacts += 1;
-            if quarantine_file(&**vfs, &store.dir().join(&verdict.file), self.cap).is_ok() {
+            let path = store.dir().join(&verdict.file);
+            if quarantine_file(&**vfs, &path, QuarantineCap::default()).is_ok() {
                 pass.quarantined += 1;
             }
             details.push(format!("{}: {why}", verdict.file));
@@ -287,51 +274,37 @@ impl Scrubber {
         }
     }
 
-    /// Verify every stored profile file, quarantine damage, then
-    /// re-persist any registry session whose rule text is known but
-    /// whose file is missing (covers both just-quarantined files and
-    /// files lost earlier).
+    /// Verify every stored profile file through the registry's one walk
+    /// ([`ProfileRegistry::verify`]), quarantine damage, then let the
+    /// registry re-persist any session whose file is missing (covers both
+    /// just-quarantined files and files lost earlier).
     fn scrub_profiles(&self, pass: &mut PassSummary) -> ComponentHealth {
-        let Some(store) = &self.profiles else {
+        let Some((dir, vfs)) = self.profiles.dir() else {
             return ComponentHealth::ok("profiles are memory-only (no profile dir)");
         };
-        let vfs = store.vfs();
         let mut details: Vec<String> = Vec::new();
         let mut corrupt = 0u64;
-        for path in vfs.list(store.dir()).unwrap_or_default() {
-            let name = path
-                .file_name()
-                .and_then(|n| n.to_str())
-                .unwrap_or_default();
-            if !name.ends_with(".profile") {
+        for verdict in self.profiles.verify().unwrap_or_default() {
+            let Err(damage) = verdict.outcome else {
+                pass.sections_verified += 1;
                 continue;
-            }
-            let verdict = match vfs.read(&path) {
-                Ok(bytes) => ProfileStore::verify_bytes(&bytes).map_err(|(_, d)| d),
-                Err(e) => Err(format!("unreadable: {e}")),
             };
-            match verdict {
-                Ok(_) => pass.sections_verified += 1,
-                Err(why) => {
-                    corrupt += 1;
-                    pass.corrupt_artifacts += 1;
-                    if store.quarantine(&path).is_ok() {
-                        pass.quarantined += 1;
-                    }
-                    details.push(format!("{name}: {why}"));
-                }
+            corrupt += 1;
+            pass.corrupt_artifacts += 1;
+            let path = dir.join(&verdict.file);
+            if quarantine_file(&**vfs, &path, QuarantineCap::default()).is_ok() {
+                pass.quarantined += 1;
             }
+            details.push(format!("{}: {}", verdict.file, damage.why));
         }
         let mut repaired = 0u64;
         let mut failures = 0u64;
-        for (user, rules) in self.registry.persisted_rules() {
-            if !vfs.exists(&store.path_for(&user)) {
-                match store.persist(&user, &rules) {
-                    Ok(_) => repaired += 1,
-                    Err(e) => {
-                        failures += 1;
-                        details.push(format!("re-persist `{user}`: {e}"));
-                    }
+        for (user, outcome) in self.profiles.repair() {
+            match outcome {
+                Ok(()) => repaired += 1,
+                Err(e) => {
+                    failures += 1;
+                    details.push(format!("re-persist `{user}`: {e}"));
                 }
             }
         }
@@ -360,16 +333,10 @@ impl Scrubber {
     fn refresh_quarantine_gauges(&self) {
         let mut files = 0u64;
         let mut bytes = 0u64;
-        let mut dirs: Vec<(Arc<dyn Vfs>, PathBuf)> = Vec::new();
-        if let Some(store) = self.ingest.store() {
-            dirs.push((Arc::clone(store.vfs()), store.dir().to_path_buf()));
-        }
-        if let Some(store) = &self.profiles {
-            dirs.push((Arc::clone(store.vfs()), store.dir().to_path_buf()));
-        }
-        for (vfs, dir) in dirs {
-            enforce_quarantine_cap(&*vfs, &dir, self.cap);
-            let q = quarantine_stats(&*vfs, &dir);
+        let corpus = self.ingest.store().map(|store| (store.dir(), store.vfs()));
+        for (dir, vfs) in corpus.into_iter().chain(self.profiles.dir()) {
+            enforce_quarantine_cap(&**vfs, dir, QuarantineCap::default());
+            let q = quarantine_stats(&**vfs, dir);
             files += q.len() as u64;
             bytes += q.iter().map(|f| f.len).sum::<u64>();
         }

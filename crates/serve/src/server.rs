@@ -40,7 +40,6 @@ use crate::protocol::{
 };
 use crate::registry::ProfileRegistry;
 use crate::scrub::{spawn_scrubber, Scrubber};
-use crate::store::{ProfileStore, Recovered, StoreError};
 use pimento::profile::{parse_profile, validate, PrefRelRegistry, UserProfile};
 use pimento::{Engine, Error, SearchOptions, SearchResults};
 use pimento_index::{effective_workers, resolve_threads};
@@ -94,7 +93,7 @@ pub struct ServeConfig {
     /// the acceptor's rejection frames): a client that stops reading
     /// must not wedge a worker — or the acceptor — forever.
     pub conn_timeout: Duration,
-    /// Directory for the durable profile store. `None` disables
+    /// Directory the profile registry persists to. `None` disables
     /// persistence; profiles live only in memory.
     pub profile_dir: Option<PathBuf>,
     /// Directory for the durable segment store: every published corpus
@@ -111,12 +110,9 @@ pub struct ServeConfig {
     /// `health` verb then reports the never-scrubbed initial state).
     pub scrub_interval: Option<Duration>,
     /// How long the engine took to build or open before `bind`, in
-    /// milliseconds — reported in the `stats` startup block.
+    /// milliseconds — reported in the `stats` startup block (beside the
+    /// engine's own `snapshot_format`).
     pub startup_load_ms: u64,
-    /// Snapshot format version the engine was opened from (`None` when
-    /// it was built by parsing XML) — reported in the `stats` startup
-    /// block.
-    pub startup_snapshot_format: Option<u32>,
 }
 
 impl Default for ServeConfig {
@@ -137,7 +133,6 @@ impl Default for ServeConfig {
             merge_threshold: 8,
             scrub_interval: None,
             startup_load_ms: 0,
-            startup_snapshot_format: None,
         }
     }
 }
@@ -156,9 +151,9 @@ pub enum ServeError {
     Spawn(io::Error),
     /// Listener configuration failed.
     Io(io::Error),
-    /// The durable profile store failed at the filesystem level
-    /// (corrupt *files* never produce this — they are quarantined).
-    Store(StoreError),
+    /// The profile directory failed at the filesystem level (corrupt
+    /// *files* never produce this — they are quarantined).
+    Store(Error),
     /// The ingest pipeline could not be attached (segment store I/O at
     /// startup, or the bootstrap persist of the boot corpus failed).
     Ingest(Error),
@@ -197,6 +192,7 @@ struct Shared {
     /// ingest jobs across the worker pool).
     ingest: Arc<Ingestor>,
     cfg: ServeConfig,
+    /// Profile sessions and, with `cfg.profile_dir`, their durable copy.
     registry: Arc<ProfileRegistry>,
     queue: BoundedQueue<Job>,
     metrics: Arc<Metrics>,
@@ -204,7 +200,6 @@ struct Shared {
     live_conns: AtomicUsize,
     addr: SocketAddr,
     empty_profile: Arc<UserProfile>,
-    store: Option<ProfileStore>,
     /// The online integrity scrubber. Always constructed (the `health`
     /// verb needs it); the periodic thread only runs when
     /// `cfg.scrub_interval` is set.
@@ -238,9 +233,10 @@ impl Conn {
 
 impl Server {
     /// Bind `cfg.addr`, prepare the shared state, and — when
-    /// `cfg.profile_dir` is set — recover persisted profiles. Corrupt
-    /// store files are quarantined and their users registered as
-    /// degraded sessions; only filesystem-level store failures abort the
+    /// `cfg.profile_dir` is set — recover persisted profiles
+    /// ([`ProfileRegistry::recover`]). Corrupt profile files are
+    /// quarantined and their users registered as degraded sessions; only
+    /// filesystem-level failures of the profile directory abort the
     /// bind. The server starts serving when [`Server::run`] is called.
     pub fn bind(engine: Arc<Engine>, cfg: ServeConfig) -> Result<Server, ServeError> {
         let listener = TcpListener::bind(&cfg.addr).map_err(|err| ServeError::Bind {
@@ -248,10 +244,11 @@ impl Server {
             err,
         })?;
         let addr = listener.local_addr().map_err(ServeError::Io)?;
-        let store = match &cfg.profile_dir {
-            Some(dir) => Some(ProfileStore::open(dir.clone()).map_err(ServeError::Store)?),
-            None => None,
-        };
+        let registry = Arc::new(match &cfg.profile_dir {
+            Some(dir) => ProfileRegistry::open(dir.clone()).map_err(ServeError::Store)?,
+            None => ProfileRegistry::new(),
+        });
+        let snapshot_format = engine.snapshot_format();
         let live = Arc::new(LiveEngine::from_arc(engine));
         let ingest = Arc::new(
             Ingestor::new(
@@ -273,10 +270,8 @@ impl Server {
         } else {
             None
         };
-        let registry = Arc::new(ProfileRegistry::new());
         let scrub = Arc::new(Scrubber::new(
             Arc::clone(&ingest),
-            store.clone(),
             Arc::clone(&registry),
             Arc::clone(&metrics),
         ));
@@ -288,16 +283,14 @@ impl Server {
             live_conns: AtomicUsize::new(0),
             addr,
             empty_profile: Arc::new(UserProfile::new()),
-            store,
             scrub,
             live,
             ingest,
             cfg,
         });
-        shared.metrics.set_startup(
-            shared.cfg.startup_load_ms,
-            shared.cfg.startup_snapshot_format,
-        );
+        shared
+            .metrics
+            .set_startup(shared.cfg.startup_load_ms, snapshot_format);
         let engine = shared.live.load();
         shared.metrics.set_shards(engine.shard_count());
         shared.metrics.set_ingest_gauges(
@@ -307,11 +300,10 @@ impl Server {
             0,
             0,
         );
-        if let Some(store) = &shared.store {
-            for outcome in store.recover().map_err(ServeError::Store)? {
-                recover_one(&shared, outcome);
-            }
-        }
+        shared
+            .registry
+            .recover(&shared.metrics)
+            .map_err(ServeError::Store)?;
         Ok(Server {
             listener,
             addr,
@@ -421,39 +413,6 @@ impl Server {
             s.stop();
         }
         Ok(shared.metrics.snapshot(shared.registry.len()))
-    }
-}
-
-/// Fold one store-recovery outcome into the registry + metrics. Corrupt
-/// rules with an intact header still name the user, so the user gets a
-/// degraded session (unpersonalized answers flagged `degraded: true`)
-/// instead of vanishing into `unknown_user` errors.
-fn recover_one(shared: &Shared, outcome: Recovered) {
-    let metrics = &shared.metrics;
-    match outcome {
-        Recovered::Profile { user, rules } => {
-            match parse_profile(&rules, &PrefRelRegistry::new()) {
-                Ok(profile) => {
-                    shared.registry.register_with_rules(&user, profile, &rules);
-                    metrics.inc(&metrics.profiles_recovered);
-                }
-                Err(e) => {
-                    // The bytes verified but no longer parse (e.g. the
-                    // rule grammar moved on): degrade, don't die.
-                    shared.registry.register_degraded(
-                        &user,
-                        &format!("persisted profile no longer parses: {e}"),
-                    );
-                }
-            }
-        }
-        Recovered::CorruptRules { user, detail, .. } => {
-            shared
-                .registry
-                .register_degraded(&user, &format!("persisted profile corrupt: {detail}"));
-            metrics.inc(&metrics.profiles_quarantined);
-        }
-        Recovered::CorruptFile { .. } => metrics.inc(&metrics.profiles_quarantined),
     }
 }
 
@@ -866,10 +825,6 @@ fn register_profile(shared: &Arc<Shared>, user: &str, rules: &str) -> Result<Val
         profile.vors.len(),
         profile.kors.len(),
     );
-    // The rule text rides along in the session so the scrubber can
-    // re-persist it if the on-disk copy is later damaged.
-    shared.registry.register_with_rules(user, profile, rules);
-    let metrics = &shared.metrics;
     let mut fields = vec![
         ("user".to_string(), user.into()),
         ("scoping".to_string(), counts.0.into()),
@@ -877,15 +832,17 @@ fn register_profile(shared: &Arc<Shared>, user: &str, rules: &str) -> Result<Val
         ("kors".to_string(), counts.2.into()),
         ("warnings".to_string(), Value::Arr(warnings)),
     ];
-    if let Some(store) = &shared.store {
-        // Persistence failure degrades durability, not availability: the
-        // registration is already live in memory, so report the failure
-        // in-band and keep serving.
-        match store.persist(user, rules) {
-            Ok(_) => fields.push(("persisted".to_string(), true.into())),
+    // The rule text rides along in the session so the scrubber can
+    // re-persist it if the on-disk copy is later damaged. Persistence
+    // failure degrades durability, not availability: the registration is
+    // live in memory either way, so report the failure in-band.
+    if let Some(persisted) = shared.registry.register(user, profile, rules) {
+        let metrics = &shared.metrics;
+        match persisted {
+            Ok(()) => fields.push(("persisted".to_string(), true.into())),
             Err(e) => {
                 metrics.inc(&metrics.store_errors);
-                if matches!(e, StoreError::DiskFull { .. }) {
+                if matches!(e, Error::DiskFull(_)) {
                     metrics.inc(&metrics.disk_full);
                 }
                 fields.push(("persisted".to_string(), false.into()));

@@ -11,7 +11,7 @@ use pimento::profile::{parse_profile, PrefRelRegistry, UserProfile};
 use pimento::{Engine, SearchOptions};
 use pimento_serve::faults::{self, FaultPlan};
 use pimento_serve::json::Value;
-use pimento_serve::{Client, ClientError, ProfileStore, ServeConfig, ServeError, Server};
+use pimento_serve::{Client, ClientError, ProfileRegistry, ServeConfig, ServeError, Server};
 use std::net::{SocketAddr, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -177,9 +177,13 @@ fn seeded_chaos_schedule_leaves_the_server_serving() {
     // region (the header checksum stays valid, so recovery must still
     // identify the user and degrade rather than drop the session).
     let dir = temp_dir("acceptance");
-    let store = ProfileStore::open(&dir).expect("open store");
-    store.persist("good", FIG2_RULES).expect("persist good");
-    let victim_path = store.persist("victim", FIG2_RULES).expect("persist victim");
+    let registry = ProfileRegistry::open(&dir).expect("open profile dir");
+    for user in ["good", "victim"] {
+        let profile = parse_profile(FIG2_RULES, &PrefRelRegistry::new()).expect("fig2 parses");
+        let persisted = registry.register(user, profile, FIG2_RULES);
+        persisted.expect("durable").expect("persist");
+    }
+    let victim_path = dir.join(ProfileRegistry::file_name("victim"));
     let mut bytes = std::fs::read(&victim_path).expect("read victim snapshot");
     let len = bytes.len();
     bytes[len - 8] ^= 0xFF;

@@ -207,3 +207,75 @@ fn cli_inspect_refuses_a_segment_with_the_wrong_document_count() {
     assert_eq!(serve.status.code(), Some(1));
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// A profile directory with `good` and `victim` registered, written by
+/// the registry a server persists through.
+fn profile_dir(name: &str) -> std::path::PathBuf {
+    use pimento::profile::{parse_profile, PrefRelRegistry};
+    let dir = std::env::temp_dir().join(format!("pimento-cli-{}-{name}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let registry = pimento_serve::ProfileRegistry::open(&dir).expect("open profile dir");
+    for user in ["good", "victim"] {
+        let profile = parse_profile(RULES, &PrefRelRegistry::new()).expect("rules parse");
+        let persisted = registry.register(user, profile, RULES);
+        persisted.expect("durable").expect("persist");
+    }
+    dir
+}
+
+/// `pimento scrub --profile-dir`: exit code and the JSON health report.
+fn scrub_profiles(dir: &std::path::Path) -> (Option<i32>, pimento_serve::Value) {
+    let out = pimento()
+        .args(["scrub", "--profile-dir"])
+        .arg(dir)
+        .output()
+        .expect("binary runs");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let report = pimento_serve::Value::parse(stdout.trim()).expect("JSON health report");
+    (out.status.code(), report)
+}
+
+fn profiles_status(report: &pimento_serve::Value) -> Option<&str> {
+    report.get("profiles")?.get("status")?.as_str()
+}
+
+#[test]
+fn scrub_passes_a_clean_profile_dir() {
+    let dir = profile_dir("scrub-clean");
+    let (code, report) = scrub_profiles(&dir);
+    assert_eq!(code, Some(0), "{report:?}");
+    assert_eq!(profiles_status(&report), Some("ok"), "{report:?}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn scrub_quarantines_a_flipped_profile_and_leaves_the_intact_one() {
+    use pimento_serve::ProfileRegistry;
+    let dir = profile_dir("scrub-flip");
+    let victim = dir.join(ProfileRegistry::file_name("victim"));
+    let good = dir.join(ProfileRegistry::file_name("good"));
+    let good_bytes = std::fs::read(&good).expect("read good");
+    let mut bytes = std::fs::read(&victim).expect("read victim");
+    let mid = bytes.len() / 2;
+    bytes[mid] ^= 0x01;
+    std::fs::write(&victim, &bytes).expect("flip a byte");
+
+    let (code, report) = scrub_profiles(&dir);
+    assert_eq!(code, Some(1), "{report:?}");
+    assert_eq!(profiles_status(&report), Some("degraded"), "{report:?}");
+    assert!(!victim.exists(), "the damaged file left the scan set");
+    let quarantined: Vec<_> = std::fs::read_dir(&dir)
+        .expect("list")
+        .map(|e| e.expect("entry").file_name().to_string_lossy().into_owned())
+        .filter(|n| n.ends_with(".quarantined"))
+        .collect();
+    let victim_name = ProfileRegistry::file_name("victim");
+    assert_eq!(quarantined.len(), 1, "{quarantined:?}");
+    assert!(quarantined[0].starts_with(&victim_name), "{quarantined:?}");
+    assert_eq!(
+        std::fs::read(&good).expect("read good"),
+        good_bytes,
+        "intact file untouched"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}

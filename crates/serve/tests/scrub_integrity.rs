@@ -8,13 +8,12 @@
 #![cfg(feature = "fault-injection")]
 
 use pimento::profile::UserProfile;
+use pimento::profile::{parse_profile, PrefRelRegistry};
 use pimento::{Engine, SearchOptions};
 use pimento_index::{inspect, Collection, DocId, TombstoneSet};
 use pimento_ingest::{IngestConfig, Ingestor, LiveEngine};
 use pimento_serve::faults::vfs::{QuarantineCap, SimVfs, Vfs};
-use pimento_serve::{
-    HealthLevel, Metrics, ProfileRegistry, ProfileStore, Scrubber,
-};
+use pimento_serve::{HealthLevel, Metrics, ProfileRegistry, Scrubber};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -70,14 +69,38 @@ fn boot_corpus(vfs: &Arc<SimVfs>, dir: &Path) -> (Arc<LiveEngine>, Arc<Ingestor>
     (live, ing)
 }
 
-fn scrubber_for(ing: &Arc<Ingestor>, profiles: Option<ProfileStore>) -> Scrubber {
+fn scrubber_for(ing: &Arc<Ingestor>) -> Scrubber {
     Scrubber::new(
         Arc::clone(ing),
-        profiles,
         Arc::new(ProfileRegistry::new()),
         Arc::new(Metrics::new()),
     )
 }
+
+/// A registry over `dir` with alice registered (and persisted), beside a
+/// memory-only ingestor, and the scrubber over both.
+fn profile_scrubber(
+    vfs: &Arc<SimVfs>,
+    dir: &Path,
+) -> (Arc<ProfileRegistry>, Arc<Metrics>, Scrubber) {
+    let registry = Arc::new(
+        ProfileRegistry::open_with(vfs.clone() as Arc<dyn Vfs>, dir).expect("open registry"),
+    );
+    let profile = parse_profile(ALICE, &PrefRelRegistry::new()).expect("parse");
+    registry
+        .register("alice", profile, ALICE)
+        .expect("durable")
+        .expect("persist");
+    // An ingestor with no data dir: the corpus side reports memory-only.
+    let live = Arc::new(LiveEngine::new(Engine::new(Collection::new())));
+    let ing =
+        Arc::new(Ingestor::new(Arc::clone(&live), IngestConfig::default()).expect("memory-only"));
+    let metrics = Arc::new(Metrics::new());
+    let scrubber = Scrubber::new(ing, Arc::clone(&registry), Arc::clone(&metrics));
+    (registry, metrics, scrubber)
+}
+
+const ALICE: &str = "pi1: x.tag = car & y.tag = car & ftcontains(x, \"red\") -> x < y\n";
 
 fn flip_bit(vfs: &SimVfs, path: &Path, offset: u64) {
     let mut bytes = vfs.read(path).expect("read artifact");
@@ -92,7 +115,7 @@ fn clean_pass_reports_ok_and_verifies_sections() {
     let dir = PathBuf::from("/sim/scrub-clean");
     let vfs = Arc::new(SimVfs::new(1));
     let (_live, ing) = boot_corpus(&vfs, &dir);
-    let scrubber = scrubber_for(&ing, None);
+    let scrubber = scrubber_for(&ing);
     let pass = scrubber.run_pass();
     assert!(pass.sections_verified > 4, "pass saw {pass:?}");
     assert_eq!(pass.corrupt_artifacts, 0);
@@ -115,7 +138,7 @@ fn single_bit_flip_in_every_section_is_detected_and_repaired() {
     let dir = PathBuf::from("/sim/scrub-flips");
     let vfs = Arc::new(SimVfs::new(2));
     let (live, ing) = boot_corpus(&vfs, &dir);
-    let scrubber = scrubber_for(&ing, None);
+    let scrubber = scrubber_for(&ing);
     let reference = fingerprint(&live.load());
 
     // Enumerate every (segment file, section) target up front; repair
@@ -170,7 +193,7 @@ fn manifest_and_tombstone_flips_are_detected_and_repaired() {
     let dir = PathBuf::from("/sim/scrub-meta");
     let vfs = Arc::new(SimVfs::new(3));
     let (live, ing) = boot_corpus(&vfs, &dir);
-    let scrubber = scrubber_for(&ing, None);
+    let scrubber = scrubber_for(&ing);
     let reference = fingerprint(&live.load());
     let manifest = ing.store().expect("store").manifest().expect("manifest");
     let tomb = manifest
@@ -204,7 +227,7 @@ fn checksummed_sidecar_with_an_out_of_range_id_is_detected_and_repaired() {
     let dir = PathBuf::from("/sim/scrub-sidecar-range");
     let vfs = Arc::new(SimVfs::new(6));
     let (live, ing) = boot_corpus(&vfs, &dir);
-    let scrubber = scrubber_for(&ing, None);
+    let scrubber = scrubber_for(&ing);
     let reference = fingerprint(&live.load());
     let manifest = ing.store().expect("store").manifest().expect("manifest");
     let entry = manifest
@@ -245,7 +268,7 @@ fn segment_copied_over_another_is_detected_and_repaired() {
     let dir = PathBuf::from("/sim/scrub-segment-swap");
     let vfs = Arc::new(SimVfs::new(7));
     let (live, ing) = boot_corpus(&vfs, &dir);
-    let scrubber = scrubber_for(&ing, None);
+    let scrubber = scrubber_for(&ing);
     let reference = fingerprint(&live.load());
     let manifest = ing.store().expect("store").manifest().expect("manifest");
     let (to, from) = (&manifest.segments[0], &manifest.segments[1]);
@@ -271,37 +294,14 @@ fn segment_copied_over_another_is_detected_and_repaired() {
 }
 
 /// A flipped profile file is quarantined and re-persisted from the
-/// in-memory registry (the durable store's source of truth for repair).
+/// in-memory registry (the durable copy's source of truth for repair).
 #[test]
 fn profile_flip_is_quarantined_and_repersisted_from_the_registry() {
     let dir = PathBuf::from("/sim/scrub-profiles");
     let vfs = Arc::new(SimVfs::new(4));
-    let store =
-        ProfileStore::open_with(vfs.clone() as Arc<dyn Vfs>, &dir).expect("open store");
-    let rules = "pi1: x.tag = car & y.tag = car & ftcontains(x, \"red\") -> x < y\n";
-    store.persist("alice", rules).expect("persist");
-    let registry = Arc::new(ProfileRegistry::new());
-    registry.register_with_rules(
-        "alice",
-        pimento::profile::parse_profile(rules, &pimento::profile::PrefRelRegistry::new())
-            .expect("parse"),
-        rules,
-    );
+    let (registry, metrics, scrubber) = profile_scrubber(&vfs, &dir);
 
-    // An ingestor with no data dir: the corpus side reports memory-only.
-    let live = Arc::new(LiveEngine::new(Engine::new(Collection::new())));
-    let ing = Arc::new(
-        Ingestor::new(Arc::clone(&live), IngestConfig::default()).expect("memory-only"),
-    );
-    let metrics = Arc::new(Metrics::new());
-    let scrubber = Scrubber::new(
-        ing,
-        Some(store.clone()),
-        Arc::clone(&registry),
-        Arc::clone(&metrics),
-    );
-
-    let path = store.path_for("alice");
+    let path = dir.join(ProfileRegistry::file_name("alice"));
     let len = vfs.read(&path).expect("read").len() as u64;
     flip_bit(&vfs, &path, len / 2);
     let pass = scrubber.run_pass();
@@ -312,64 +312,50 @@ fn profile_flip_is_quarantined_and_repersisted_from_the_registry() {
     assert!(metrics.quarantined_files.load(Ordering::Relaxed) >= 1);
 
     // The re-persisted file verifies and carries the original rules.
-    let bytes = vfs.read(&path).expect("repaired file exists");
-    let (user, recovered) = ProfileStore::verify_bytes(&bytes).expect("verifies");
-    assert_eq!((user.as_str(), recovered.as_str()), ("alice", rules));
+    let verdicts = registry.verify().expect("walk");
+    let decoded: Vec<_> = verdicts.into_iter().map(|v| v.outcome).collect();
+    assert_eq!(decoded, [Ok(("alice".to_string(), ALICE.to_string()))]);
     let pass = scrubber.run_pass();
     assert_eq!(pass.corrupt_artifacts, 0);
     assert_eq!(scrubber.health().overall(), HealthLevel::Ok);
 }
 
-/// Quarantine retention stays bounded: repeated damage ages out the
-/// oldest `*.quarantined` files instead of accumulating forever.
+/// Quarantine retention stays bounded: one more round of damage than
+/// the default cap keeps ages out the oldest `*.quarantined` file
+/// instead of accumulating forever.
 #[test]
 fn quarantine_retention_is_bounded_oldest_first() {
     let dir = PathBuf::from("/sim/scrub-cap");
     let vfs = Arc::new(SimVfs::new(5));
-    let store =
-        ProfileStore::open_with(vfs.clone() as Arc<dyn Vfs>, &dir).expect("open store");
-    let rules = "pi1: x.tag = car & y.tag = car & ftcontains(x, \"red\") -> x < y\n";
-    store.persist("alice", rules).expect("persist");
-    let registry = Arc::new(ProfileRegistry::new());
-    registry.register_with_rules(
-        "alice",
-        pimento::profile::parse_profile(rules, &pimento::profile::PrefRelRegistry::new())
-            .expect("parse"),
-        rules,
-    );
-    let live = Arc::new(LiveEngine::new(Engine::new(Collection::new())));
-    let ing = Arc::new(
-        Ingestor::new(Arc::clone(&live), IngestConfig::default()).expect("memory-only"),
-    );
-    let metrics = Arc::new(Metrics::new());
-    let mut scrubber = Scrubber::new(
-        ing,
-        Some(store.clone()),
-        Arc::clone(&registry),
-        Arc::clone(&metrics),
-    );
-    scrubber.set_quarantine_cap(QuarantineCap {
-        max_files: 2,
-        max_bytes: 1 << 20,
-    });
+    let (_registry, metrics, scrubber) = profile_scrubber(&vfs, &dir);
+    let cap = QuarantineCap::default();
 
-    let path = store.path_for("alice");
-    for round in 0..5 {
+    let path = dir.join(ProfileRegistry::file_name("alice"));
+    for round in 0..=cap.max_files {
         let len = vfs.read(&path).expect("read").len() as u64;
         flip_bit(&vfs, &path, len / 2);
         let pass = scrubber.run_pass();
         assert_eq!(pass.corrupt_artifacts, 1, "round {round}: {pass:?}");
         assert_eq!(pass.repairs, 1, "round {round}: not re-persisted");
     }
-    let quarantined = vfs
+    let mut quarantined: Vec<String> = vfs
         .list(&dir)
         .expect("list")
         .into_iter()
-        .filter(|p| p.to_string_lossy().ends_with(".quarantined"))
-        .count();
-    assert!(
-        quarantined <= 2,
-        "retention cap not enforced: {quarantined} quarantined files"
+        .map(|p| p.to_string_lossy().into_owned())
+        .filter(|p| p.ends_with(".quarantined"))
+        .collect();
+    quarantined.sort();
+    assert_eq!(
+        quarantined.len(),
+        cap.max_files,
+        "retention cap not enforced: {} quarantined files",
+        quarantined.len()
     );
-    assert_eq!(metrics.quarantined_files.load(Ordering::Relaxed), quarantined as u64);
+    assert!(
+        quarantined[0].ends_with(".q000002.quarantined"),
+        "the oldest file was evicted first: {}",
+        quarantined[0]
+    );
+    assert_eq!(metrics.quarantined_files.load(Ordering::Relaxed), quarantined.len() as u64);
 }

@@ -671,7 +671,6 @@ fn snapshot_backed_server_is_bit_identical_and_reports_format() {
     let reopened = Arc::new(Engine::from_snapshot(&snapshot).expect("v4 snapshot opens"));
     let cfg = ServeConfig {
         startup_load_ms: 1,
-        startup_snapshot_format: reopened.snapshot_format(),
         ..ServeConfig::default()
     };
     let (addr, handle) = start(reopened, cfg);

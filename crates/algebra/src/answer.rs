@@ -56,6 +56,7 @@ mod tests {
         ElemEntry {
             doc: DocId(doc),
             node: NodeId(0),
+            tag: pimento_xml::SymbolId(0),
             start,
             end: start + 10,
             level: 1,

@@ -9,16 +9,23 @@
 //! predicates' contributions). Optional (SR-contributed) parts are
 //! evaluated by the `SrPredJoin` operators above, via
 //! [`Matcher::eval_pred_near`].
+//!
+//! The matcher is compiled once per request and shared by every task; it
+//! holds flat per-pattern-node tables and nothing mutable. The joins seek
+//! through the tag and posting lists from positions kept in a [`Cursor`],
+//! which each operator probing through the matcher owns: its answers
+//! arrive in document order, so every position moves a short way forward
+//! per answer (DESIGN.md §8).
 
 use crate::context::Database;
+use pimento_index::tags::within;
 use pimento_index::{
-    content_value, count_in_element, score, ElemEntry, ElemRef, FieldValue, InvertedIndex,
+    content_value, count_at, ft_all_at, score, ElemEntry, ElemRef, FieldValue, InvertedIndex,
 };
 use pimento_profile::PersonalizedQuery;
 use pimento_tpq::{Axis, Predicate, RelOp, TagTest, TpqNodeId, Value};
 use pimento_xml::nav;
 use pimento_xml::{NodeId, NodeKind, SymbolId};
-use std::collections::HashMap;
 
 /// A pattern node's tag test resolved against the collection's symbol
 /// table at matcher build (tag tests are case-sensitive, so resolution is
@@ -48,6 +55,9 @@ pub struct PreparedPhrase {
     pub bound: f64,
     /// Score multiplier from the weighted-SR extension (1.0 by default).
     pub weight: f64,
+    /// Where this predicate's token positions start in a [`Cursor`]: its
+    /// tokens (every term's, back to back) hold consecutive positions.
+    slot: usize,
 }
 
 /// The analyzed form of a keyword predicate. The normalized idf of every
@@ -76,21 +86,39 @@ pub enum PreparedKind {
 }
 
 /// [`score::ft_score`] with the phrase's `nidf` supplied; `None` when the
-/// phrase does not occur in `elem`.
-fn phrase_score(db: &Database, elem: &ElemEntry, tokens: &[String], nidf: f64) -> Option<f64> {
-    let tf = count_in_element(&db.inverted, elem, tokens);
+/// phrase does not occur in `elem`. `at` holds a seek position per token.
+fn phrase_score(
+    db: &Database,
+    elem: &ElemEntry,
+    tokens: &[String],
+    nidf: f64,
+    at: &mut [usize],
+) -> Option<f64> {
+    let tf = count_at(&db.inverted, elem, tokens, at);
     (tf > 0).then(|| score::tf_component(tf) * nidf)
+}
+
+impl PreparedKind {
+    /// Number of analyzed tokens, every term's counted.
+    fn width(&self) -> usize {
+        match self {
+            PreparedKind::Phrase { tokens, .. } => tokens.len(),
+            PreparedKind::All { terms, .. } => terms.iter().map(Vec::len).sum(),
+        }
+    }
 }
 
 impl PreparedPhrase {
     /// One index probe deciding both questions: `None` when the predicate
     /// fails on `elem`, otherwise its score contribution, already
     /// weighted. For `ftall`, the score is the mean of the per-term phrase
-    /// scores — keeping it within the declared `bound`.
-    pub fn probe(&self, db: &Database, elem: &ElemEntry) -> Option<f64> {
+    /// scores — keeping it within the declared `bound`. Each token's
+    /// posting list is sought from its position in `at` (one per token,
+    /// as [`Cursor`] lays them out).
+    fn probe(&self, db: &Database, elem: &ElemEntry, at: &mut [usize]) -> Option<f64> {
         match &self.kind {
             PreparedKind::Phrase { tokens, nidf } => {
-                phrase_score(db, elem, tokens, *nidf).map(|s| self.weight * s)
+                phrase_score(db, elem, tokens, *nidf, at).map(|s| self.weight * s)
             }
             PreparedKind::All {
                 terms,
@@ -98,23 +126,20 @@ impl PreparedPhrase {
                 window,
                 ordered,
             } => {
-                if !pimento_index::ft_all(&db.inverted, elem, terms, *window, *ordered) {
+                if !ft_all_at(&db.inverted, elem, terms, *window, *ordered, at) {
                     return None;
                 }
-                let sum: f64 = terms
-                    .iter()
-                    .zip(nidfs)
-                    .map(|(t, &nidf)| phrase_score(db, elem, t, nidf).unwrap_or(0.0))
-                    .sum();
+                let mut rest = at;
+                let mut sum = 0.0;
+                for (t, &nidf) in terms.iter().zip(nidfs) {
+                    let n = t.len().min(rest.len());
+                    let (mine, others) = std::mem::take(&mut rest).split_at_mut(n);
+                    rest = others;
+                    sum += phrase_score(db, elem, t, nidf, mine).unwrap_or(0.0);
+                }
                 Some(self.weight * sum / terms.len() as f64)
             }
         }
-    }
-
-    /// Score contribution on `elem` (0.0 when the predicate fails), already
-    /// weighted.
-    pub fn score(&self, db: &Database, elem: &ElemEntry) -> f64 {
-        self.probe(db, elem).unwrap_or(0.0)
     }
 
     /// Display text for explain output.
@@ -147,17 +172,77 @@ impl PreparedPhrase {
     }
 }
 
+/// One task's seek positions for a [`Matcher`]: one per pattern node, in
+/// the tag list of the node's tag, and one per token of every keyword
+/// predicate, in the token's posting list. The matcher is shared and
+/// immutable; each operator probing through it owns a cursor, made by
+/// [`Matcher::cursor`], so the positions follow that operator's answers.
+/// A position is only ever a starting point for a search, so any value is
+/// correct and a good one is fast.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Cursor {
+    /// Per pattern node (indexed by [`TpqNodeId`]).
+    nodes: Vec<usize>,
+    /// Per keyword-predicate token ([`PreparedPhrase::slot`] onward).
+    tokens: Vec<usize>,
+}
+
+impl Cursor {
+    /// The token positions of `phrase` (empty when the cursor belongs to
+    /// another matcher: the probe then starts from position 0).
+    fn tokens_of(&mut self, phrase: &PreparedPhrase) -> &mut [usize] {
+        let end = phrase.slot.saturating_add(phrase.kind.width());
+        self.tokens.get_mut(phrase.slot..end).unwrap_or_default()
+    }
+
+    /// The elements of `list` (the tag list of `node`'s tag) strictly
+    /// inside `scope`, seeking from `node`'s position.
+    fn within<'a>(
+        &mut self,
+        node: TpqNodeId,
+        list: &'a [ElemEntry],
+        scope: &ElemEntry,
+    ) -> &'a [ElemEntry] {
+        let mut spare = 0;
+        let at = self.nodes.get_mut(node.0 as usize).unwrap_or(&mut spare);
+        within(list, at, scope.doc, scope.start, scope.end)
+    }
+}
+
+/// A required predicate of one pattern node.
+#[derive(Debug)]
+enum Check {
+    /// A keyword predicate: index into [`Matcher::phrases`].
+    Keyword(usize),
+    /// `content relOp value`.
+    Compare(RelOp, Value),
+}
+
+/// What matching one pattern node needs, compiled at matcher build.
+#[derive(Debug)]
+struct NodeTable {
+    tag: CompiledTag,
+    /// Axis of the edge from the node's parent.
+    axis: Axis,
+    /// The required predicates, in predicate order.
+    checks: Vec<Check>,
+    /// The required children; optional branches are the SR joins' part.
+    children: Vec<TpqNodeId>,
+}
+
 /// Precompiled matcher for one personalized query.
 #[derive(Debug)]
 pub struct Matcher {
     pq: PersonalizedQuery,
-    /// Tokens for every keyword predicate, keyed by (node, pred index).
-    kw_tokens: HashMap<(TpqNodeId, usize), PreparedPhrase>,
+    /// Every keyword predicate, required and optional, in
+    /// `(node, predicate index)` order.
+    phrases: Vec<PreparedPhrase>,
+    /// Per pattern node (indexed by [`TpqNodeId`]).
+    nodes: Vec<NodeTable>,
     /// Root → distinguished node path.
     path: Vec<TpqNodeId>,
-    /// Per pattern node (indexed by [`TpqNodeId`]), its tag test compiled
-    /// to a symbol id.
-    tags: Vec<CompiledTag>,
+    /// Token positions a [`Cursor`] holds: the phrases' widths summed.
+    token_slots: usize,
 }
 
 impl Matcher {
@@ -169,21 +254,20 @@ impl Matcher {
     /// here, once per compile; the matcher keeps only the resulting
     /// weights, which is what makes it valid for every segment.
     pub fn new(db: &Database, pq: PersonalizedQuery, corpus: &[&InvertedIndex]) -> Self {
-        let mut kw_tokens = HashMap::new();
+        let mut phrases = Vec::new();
+        let mut nodes = Vec::new();
+        let mut token_slots = 0;
         for id in pq.tpq.node_ids() {
-            for (i, p) in pq.tpq.node(id).predicates.iter().enumerate() {
+            let node = pq.tpq.node(id);
+            let mut checks = Vec::new();
+            for (i, p) in node.predicates.iter().enumerate() {
+                let required = !pq.pred_is_optional(id, i);
                 let weight = pq.pred_weight(id, i);
-                let prepared = match p {
+                let (kind, bound) = match p {
                     Predicate::FtContains { phrase } => {
                         let tokens = db.inverted.analyze(phrase);
                         let nidf = score::nidf(corpus, &tokens);
-                        PreparedPhrase {
-                            node: id,
-                            idx: i,
-                            kind: PreparedKind::Phrase { tokens, nidf },
-                            bound: nidf * weight,
-                            weight,
-                        }
+                        (PreparedKind::Phrase { tokens, nidf }, nidf * weight)
                     }
                     Predicate::FtAll {
                         terms,
@@ -192,29 +276,58 @@ impl Matcher {
                     } => {
                         let term_tokens: Vec<Vec<String>> =
                             terms.iter().map(|t| db.inverted.analyze(t)).collect();
-                        let nidfs: Vec<f64> = term_tokens
-                            .iter()
-                            .map(|t| score::nidf(corpus, t))
-                            .collect();
+                        let nidfs: Vec<f64> =
+                            term_tokens.iter().map(|t| score::nidf(corpus, t)).collect();
                         let bound =
                             weight * nidfs.iter().sum::<f64>() / term_tokens.len().max(1) as f64;
-                        PreparedPhrase {
-                            node: id,
-                            idx: i,
-                            kind: PreparedKind::All {
-                                terms: term_tokens,
-                                nidfs,
-                                window: *window,
-                                ordered: *ordered,
-                            },
-                            bound,
-                            weight,
-                        }
+                        let kind = PreparedKind::All {
+                            terms: term_tokens,
+                            nidfs,
+                            window: *window,
+                            ordered: *ordered,
+                        };
+                        (kind, bound)
                     }
-                    Predicate::Compare { .. } => continue,
+                    Predicate::Compare { op, value } => {
+                        if required {
+                            checks.push(Check::Compare(*op, value.clone()));
+                        }
+                        continue;
+                    }
                 };
-                kw_tokens.insert((id, i), prepared);
+                if required {
+                    checks.push(Check::Keyword(phrases.len()));
+                }
+                let slot = token_slots;
+                token_slots += kind.width();
+                phrases.push(PreparedPhrase {
+                    node: id,
+                    idx: i,
+                    kind,
+                    bound,
+                    weight,
+                    slot,
+                });
             }
+            let tag = match &node.tag {
+                TagTest::Star => CompiledTag::Star,
+                TagTest::Name(name) => match db.coll.symbols().get(name) {
+                    Some(sym) => CompiledTag::Sym(sym),
+                    None => CompiledTag::Unmatchable,
+                },
+            };
+            let children = node
+                .children
+                .iter()
+                .copied()
+                .filter(|c| !pq.optional_nodes.contains(c))
+                .collect();
+            nodes.push(NodeTable {
+                tag,
+                axis: node.axis,
+                checks,
+                children,
+            });
         }
         let mut path = vec![pq.tpq.distinguished()];
         let mut cursor = pq.tpq.distinguished();
@@ -223,22 +336,12 @@ impl Matcher {
             cursor = p;
         }
         path.reverse();
-        let tags = pq
-            .tpq
-            .node_ids()
-            .map(|id| match &pq.tpq.node(id).tag {
-                TagTest::Star => CompiledTag::Star,
-                TagTest::Name(name) => match db.coll.symbols().get(name) {
-                    Some(sym) => CompiledTag::Sym(sym),
-                    None => CompiledTag::Unmatchable,
-                },
-            })
-            .collect();
         Matcher {
             pq,
-            kw_tokens,
+            phrases,
+            nodes,
             path,
-            tags,
+            token_slots,
         }
     }
 
@@ -252,17 +355,31 @@ impl Matcher {
         self.pq.tpq.node(self.pq.tpq.distinguished()).tag.name()
     }
 
+    /// A fresh cursor for probing through this matcher, every position
+    /// at the start of its list.
+    pub(crate) fn cursor(&self) -> Cursor {
+        Cursor {
+            nodes: vec![0; self.nodes.len()],
+            tokens: vec![0; self.token_slots],
+        }
+    }
+
     /// All *optional* keyword predicates, each a score contributor realized
     /// as an `SrPredJoin` in the plan.
     pub fn optional_keywords(&self) -> Vec<PreparedPhrase> {
-        let mut out: Vec<PreparedPhrase> = self
-            .kw_tokens
-            .values()
+        self.phrases
+            .iter()
             .filter(|p| self.pq.pred_is_optional(p.node, p.idx))
             .cloned()
-            .collect();
-        out.sort_by_key(|p| (p.node, p.idx));
-        out
+            .collect()
+    }
+
+    fn table(&self, nid: TpqNodeId) -> Option<&NodeTable> {
+        self.nodes.get(nid.0 as usize)
+    }
+
+    fn tag_of(&self, nid: TpqNodeId) -> Option<CompiledTag> {
+        self.table(nid).map(|t| t.tag)
     }
 
     /// Does `elem` match the required part? Returns the base `S` if so.
@@ -273,10 +390,22 @@ impl Matcher {
         elem: &ElemEntry,
         ft_probes: &mut u64,
     ) -> Option<f64> {
+        self.match_at(db, elem, &mut self.cursor(), ft_probes)
+    }
+
+    /// [`Matcher::match_answer`], seeking from `cur`'s positions.
+    pub(crate) fn match_at(
+        &self,
+        db: &Database,
+        elem: &ElemEntry,
+        cur: &mut Cursor,
+        ft_probes: &mut u64,
+    ) -> Option<f64> {
         // Downward: the distinguished node's own subtree.
-        let down = self.embed_down(db, self.pq.tpq.distinguished(), elem, ft_probes)?;
+        let down = self.embed_down(db, self.pq.tpq.distinguished(), elem, cur, ft_probes)?;
         // Upward: assign the ancestors along the root path.
-        let up = self.match_up(db, self.path.len() - 1, elem, ft_probes)?;
+        let last = self.path.len().checked_sub(1)?;
+        let up = self.match_up(db, last, elem, cur, ft_probes)?;
         Some(down + up)
     }
 
@@ -287,31 +416,24 @@ impl Matcher {
         db: &Database,
         nid: TpqNodeId,
         elem: &ElemEntry,
+        cur: &mut Cursor,
         ft_probes: &mut u64,
     ) -> Option<f64> {
-        let node = self.pq.tpq.node(nid);
-        match (
-            self.tags.get(nid.0 as usize).copied(),
-            db.coll.node(elem.elem_ref()).tag(),
-        ) {
-            (Some(CompiledTag::Star), _) => {}
-            (Some(CompiledTag::Sym(want)), Some(have)) if want == have => {}
+        let table = self.table(nid)?;
+        match table.tag {
+            CompiledTag::Star => {}
+            CompiledTag::Sym(want) if want == elem.tag => {}
             _ => return None,
         }
         let mut score = 0.0;
-        for (i, pred) in node.predicates.iter().enumerate() {
-            if self.pq.pred_is_optional(nid, i) {
-                continue;
-            }
-            match pred {
-                Predicate::FtContains { .. } | Predicate::FtAll { .. } => {
-                    // Compiled for every required keyword predicate; a miss
-                    // means the node can't satisfy it.
-                    let prepared = self.kw_tokens.get(&(nid, i))?;
+        for check in &table.checks {
+            match check {
+                Check::Keyword(i) => {
+                    let phrase = self.phrases.get(*i)?;
                     *ft_probes += 1;
-                    score += prepared.probe(db, elem)?;
+                    score += phrase.probe(db, elem, cur.tokens_of(phrase))?;
                 }
-                Predicate::Compare { op, value } => {
+                Check::Compare(op, value) => {
                     if !compare_content(db, elem.elem_ref(), *op, value) {
                         return None;
                     }
@@ -327,14 +449,12 @@ impl Matcher {
         db: &Database,
         nid: TpqNodeId,
         elem: &ElemEntry,
+        cur: &mut Cursor,
         ft_probes: &mut u64,
     ) -> Option<f64> {
-        let mut score = self.check_local(db, nid, elem, ft_probes)?;
-        for &child in &self.pq.tpq.node(nid).children {
-            if self.pq.optional_nodes.contains(&child) {
-                continue; // optional branch: handled by SrPredJoin above
-            }
-            score += self.find_child_match(db, child, elem, ft_probes)?;
+        let mut score = self.check_local(db, nid, elem, cur, ft_probes)?;
+        for &child in &self.table(nid)?.children {
+            score += self.find_child_match(db, child, elem, cur, ft_probes)?;
         }
         Some(score)
     }
@@ -345,45 +465,41 @@ impl Matcher {
         db: &Database,
         child: TpqNodeId,
         parent_elem: &ElemEntry,
+        cur: &mut Cursor,
         ft_probes: &mut u64,
     ) -> Option<f64> {
-        let axis = self.pq.tpq.node(child).axis;
+        let table = self.table(child)?;
         let mut best: Option<f64> = None;
-        let mut consider = |m: &Matcher, cand: ElemEntry, probes: &mut u64| {
-            if let Some(s) = m.embed_down(db, child, &cand, probes) {
+        let mut consider = |cand: &ElemEntry, cur: &mut Cursor, probes: &mut u64| {
+            if let Some(s) = self.embed_down(db, child, cand, cur, probes) {
                 best = Some(best.map_or(s, |b: f64| b.max(s)));
             }
         };
-        match (self.tags.get(child.0 as usize).copied(), axis) {
-            (Some(CompiledTag::Sym(sym)), Axis::Descendant) => {
-                for cand in db.tags.elements_within(
-                    sym,
-                    parent_elem.doc,
-                    parent_elem.start,
-                    parent_elem.end,
-                ) {
-                    consider(self, *cand, ft_probes);
+        match (table.tag, table.axis) {
+            (CompiledTag::Sym(sym), axis) => {
+                // Both axes read the tag list: a child is a descendant one
+                // level down.
+                let inside = cur.within(child, db.tags.elements(sym), parent_elem);
+                for cand in inside {
+                    if axis == Axis::Child && cand.level.checked_sub(1) != Some(parent_elem.level) {
+                        continue;
+                    }
+                    consider(cand, cur, ft_probes);
                 }
             }
-            (Some(CompiledTag::Sym(sym)), Axis::Child) => {
-                let doc = db.coll.doc(parent_elem.doc);
-                for c in nav::children_with_tag(doc, parent_elem.node, sym) {
-                    consider(self, entry_of(db, parent_elem.doc, c), ft_probes);
-                }
-            }
-            (Some(CompiledTag::Star), Axis::Child) => {
+            (CompiledTag::Star, Axis::Child) => {
                 let doc = db.coll.doc(parent_elem.doc);
                 for c in nav::child_elements(doc, parent_elem.node) {
-                    consider(self, entry_of(db, parent_elem.doc, c), ft_probes);
+                    consider(&entry_of(db, parent_elem.doc, c), cur, ft_probes);
                 }
             }
-            (Some(CompiledTag::Star), Axis::Descendant) => {
+            (CompiledTag::Star, Axis::Descendant) => {
                 let doc = db.coll.doc(parent_elem.doc);
                 for c in doc.descendant_elements(parent_elem.node) {
-                    consider(self, entry_of(db, parent_elem.doc, c), ft_probes);
+                    consider(&entry_of(db, parent_elem.doc, c), cur, ft_probes);
                 }
             }
-            (Some(CompiledTag::Unmatchable) | None, _) => {}
+            (CompiledTag::Unmatchable, _) => {}
         }
         best
     }
@@ -396,40 +512,41 @@ impl Matcher {
         db: &Database,
         idx: usize,
         elem: &ElemEntry,
+        cur: &mut Cursor,
         ft_probes: &mut u64,
     ) -> Option<f64> {
-        // Branch subtrees hanging off path[idx] (its non-path required
-        // children) must embed under `elem`.
         let nid = *self.path.get(idx)?;
-        let next_on_path = self.path.get(idx + 1).copied();
+        let table = self.table(nid)?;
+        // Branch subtrees hanging off path[idx] (its non-path required
+        // children) must embed under `elem` — except off the distinguished
+        // node, whose whole subtree `embed_down` has matched already.
         let mut score = 0.0;
-        for &child in &self.pq.tpq.node(nid).children {
-            if Some(child) == next_on_path || self.pq.optional_nodes.contains(&child) {
-                continue;
+        if let Some(&next_on_path) = self.path.get(idx + 1) {
+            for &child in &table.children {
+                if child != next_on_path {
+                    score += self.find_child_match(db, child, elem, cur, ft_probes)?;
+                }
             }
-            score += self.find_child_match(db, child, elem, ft_probes)?;
         }
         if idx == 0 {
             // Root anchoring: Child-anchored root must be the document root.
-            let node = self.pq.tpq.node(nid);
-            if node.axis == Axis::Child && db.coll.doc(elem.doc).root() != elem.node {
+            if table.axis == Axis::Child && db.coll.doc(elem.doc).root() != elem.node {
                 return None;
             }
             return Some(score);
         }
         // Choose an element for path[idx - 1] among elem's ancestors.
-        let axis = self.pq.tpq.node(nid).axis; // axis of the edge into path[idx]
         let doc = db.coll.doc(elem.doc);
         let parent_nid = *self.path.get(idx - 1)?;
-        let candidates: Vec<NodeId> = match axis {
+        let candidates: Vec<NodeId> = match table.axis {
             Axis::Child => doc.node(elem.node).parent.into_iter().collect(),
             Axis::Descendant => nav::ancestors(doc, elem.node).collect(),
         };
         let mut best: Option<f64> = None;
         for anc in candidates {
             let cand = entry_of(db, elem.doc, anc);
-            if let Some(local) = self.check_local(db, parent_nid, &cand, ft_probes) {
-                if let Some(up) = self.match_up(db, idx - 1, &cand, ft_probes) {
+            if let Some(local) = self.check_local(db, parent_nid, &cand, cur, ft_probes) {
+                if let Some(up) = self.match_up(db, idx - 1, &cand, cur, ft_probes) {
                     let total = local + up;
                     best = Some(best.map_or(total, |b: f64| b.max(total)));
                 }
@@ -451,21 +568,34 @@ impl Matcher {
         answer: &ElemEntry,
         ft_probes: &mut u64,
     ) -> f64 {
+        self.eval_pred_near_at(db, phrase, answer, &mut self.cursor(), ft_probes)
+    }
+
+    /// [`Matcher::eval_pred_near`], seeking from `cur`'s positions.
+    pub(crate) fn eval_pred_near_at(
+        &self,
+        db: &Database,
+        phrase: &PreparedPhrase,
+        answer: &ElemEntry,
+        cur: &mut Cursor,
+        ft_probes: &mut u64,
+    ) -> f64 {
         *ft_probes += 1;
+        let score = |cur: &mut Cursor, e: &ElemEntry| {
+            phrase.probe(db, e, cur.tokens_of(phrase)).unwrap_or(0.0)
+        };
         let node = phrase.node;
-        let tpq = &self.pq.tpq;
-        let dist = tpq.distinguished();
+        let dist = self.pq.tpq.distinguished();
         // Case 1: on the distinguished node itself.
         if node == dist {
-            return phrase.score(db, answer);
+            return score(cur, answer);
         }
         // Case 2: on a pattern ancestor of the distinguished node.
         if self.path.contains(&node) {
-            if let Some(CompiledTag::Sym(sym)) = self.tags.get(node.0 as usize).copied() {
+            if let Some(CompiledTag::Sym(sym)) = self.tag_of(node) {
                 let doc = db.coll.doc(answer.doc);
                 if let Some(anc) = nav::ancestor_or_self_with_tag(doc, answer.node, sym) {
-                    let e = entry_of(db, answer.doc, anc);
-                    return phrase.score(db, &e);
+                    return score(cur, &entry_of(db, answer.doc, anc));
                 }
             }
             return 0.0;
@@ -474,19 +604,16 @@ impl Matcher {
         // path ancestor.
         let scope = self.branch_scope(db, node, answer);
         let Some(scope) = scope else { return 0.0 };
-        let Some(CompiledTag::Sym(sym)) = self.tags.get(node.0 as usize).copied() else {
+        let Some(CompiledTag::Sym(sym)) = self.tag_of(node) else {
             return 0.0;
         };
         let mut best = 0.0f64;
-        for cand in db
-            .tags
-            .elements_within(sym, scope.doc, scope.start, scope.end)
-        {
-            best = best.max(phrase.score(db, cand));
+        for cand in cur.within(node, db.tags.elements(sym), &scope) {
+            best = best.max(score(cur, cand));
         }
         // The scope element itself may carry the tag.
-        if db.coll.node(scope.elem_ref()).tag() == Some(sym) {
-            best = best.max(phrase.score(db, &scope));
+        if scope.tag == sym {
+            best = best.max(score(cur, &scope));
         }
         best
     }
@@ -508,7 +635,7 @@ impl Matcher {
             }
             cur = tpq.node(c).parent;
         };
-        let Some(CompiledTag::Sym(sym)) = self.tags.get(anchor.0 as usize).copied() else {
+        let Some(CompiledTag::Sym(sym)) = self.tag_of(anchor) else {
             return None;
         };
         let doc = db.coll.doc(answer.doc);
@@ -517,13 +644,15 @@ impl Matcher {
     }
 }
 
-/// Build an [`ElemEntry`] for a node.
+/// Build an [`ElemEntry`] for an element node.
 pub fn entry_of(db: &Database, doc: pimento_index::DocId, node: NodeId) -> ElemEntry {
     let n = db.coll.doc(doc).node(node);
     debug_assert!(matches!(n.kind, NodeKind::Element { .. }));
     ElemEntry {
         doc,
         node,
+        // Only elements are entries; no symbol table reaches `u32::MAX`.
+        tag: n.tag().unwrap_or(SymbolId(u32::MAX)),
         start: n.start,
         end: n.end,
         level: n.level,
@@ -614,6 +743,23 @@ mod tests {
         let found = candidates(&db, &m);
         assert_eq!(found.len(), 1);
         assert!(found[0].1 > 0.0, "keyword predicates contribute to S");
+    }
+
+    #[test]
+    fn a_required_branch_of_the_distinguished_node_is_scored_once() {
+        let db = db("<r><p><b>yes</b></p></r>");
+        let s_and_probes = |query: &str| {
+            let m = matcher(&db, query);
+            let sym = db.coll.tag(m.distinguished_tag().unwrap()).unwrap();
+            let mut probes = 0;
+            let s = m.match_answer(&db, &db.tags.elements(sym)[0], &mut probes);
+            (s.unwrap(), probes)
+        };
+        let (branch, branch_probes) = s_and_probes(r#"//p[ftcontains(./b, "yes")]"#);
+        let (own, own_probes) = s_and_probes(r#"//b[ftcontains(., "yes")]"#);
+        assert!(own > 0.0);
+        assert_eq!(branch.to_bits(), own.to_bits(), "{branch} vs {own}");
+        assert_eq!((branch_probes, own_probes), (1, 1));
     }
 
     #[test]

@@ -46,7 +46,8 @@ pub use answer::{Answer, VorKey};
 pub use context::{Database, ExecStats, Indexes};
 pub use eval::{compare_content, entry_of, Matcher, PreparedKind, PreparedPhrase};
 pub use ops::{
-    gather_candidates, BoxedOp, KorJoin, Operator, QueryEval, Sort, SrPredJoin, VorFetch,
+    cut_candidates, live_candidates, BoxedOp, KorJoin, Operator, QueryEval, Sort, SrPredJoin,
+    VorFetch,
 };
 pub use par::{merge_survivors, run_in_lanes};
 pub use plan::{

@@ -4,11 +4,13 @@
 
 use crate::answer::Answer;
 use crate::context::{Database, ExecStats};
-use crate::eval::{entry_of, Matcher, PreparedPhrase};
+use crate::eval::{entry_of, Cursor, Matcher, PreparedPhrase};
 use crate::rank::RankContext;
-use pimento_index::{field_value_sym, ft_contains, ElemEntry, FieldValue};
+use pimento_index::seek::seek;
+use pimento_index::{contains_at, field_value_indexed, ElemEntry, FieldValue};
 use pimento_profile::{AttrValue, KeywordOrderingRule};
 use pimento_xml::SymbolId;
+use std::ops::Range;
 use std::sync::Arc;
 
 /// A pull-based operator producing answers one at a time.
@@ -25,87 +27,162 @@ pub type BoxedOp = Box<dyn Operator>;
 
 // ---------------------------------------------------------------------------
 
+/// The candidate bindings of a matcher's distinguished node in one
+/// database, in document order: the tag index's list for the node's tag,
+/// read in place, or for a `*` node every element, gathered. Tombstoned
+/// documents stay in the list; the scan skips them.
+enum Candidates {
+    /// The tag list of this symbol (`None`: the tag is not interned in
+    /// this database, so there are no candidates).
+    Tag(Option<SymbolId>),
+    /// Every element, for a `*` distinguished node.
+    Every(Vec<ElemEntry>),
+}
+
+impl Candidates {
+    fn of(db: &Database, matcher: &Matcher) -> Self {
+        match matcher.distinguished_tag() {
+            Some(tag) => Candidates::Tag(db.coll.tag(tag)),
+            None => Candidates::Every(
+                db.coll
+                    .iter()
+                    .flat_map(|(doc_id, doc)| {
+                        doc.node_ids()
+                            .filter(move |&n| doc.node(n).tag().is_some())
+                            .map(move |n| (doc_id, n))
+                    })
+                    .map(|(d, n)| entry_of(db, d, n))
+                    .collect(),
+            ),
+        }
+    }
+
+    fn list<'a>(&'a self, db: &'a Database) -> &'a [ElemEntry] {
+        match self {
+            Candidates::Tag(Some(sym)) => db.tags.elements(*sym),
+            Candidates::Tag(None) => &[],
+            Candidates::Every(all) => all,
+        }
+    }
+}
+
+/// The number of candidates [`QueryEval`] examines on `db`: the
+/// candidate list less the tombstoned documents' entries.
+pub fn live_candidates(db: &Database, matcher: &Matcher) -> usize {
+    let candidates = Candidates::of(db, matcher);
+    let list = candidates.list(db);
+    match db.tombstones().filter(|t| !t.is_empty()) {
+        None => list.len(),
+        Some(tombs) => list.iter().filter(|e| !tombs.contains(e.doc)).count(),
+    }
+}
+
+/// Cut the candidate list [`QueryEval`] walks on `db` into contiguous
+/// position ranges of `size` live (not tombstoned) candidates each, the
+/// last holding the rest — one range over the whole list when it holds at
+/// most `size`. The ranges tile the list, so every candidate is in
+/// exactly one.
+pub fn cut_candidates(db: &Database, matcher: &Matcher, size: usize) -> Vec<Range<usize>> {
+    let candidates = Candidates::of(db, matcher);
+    let list = candidates.list(db);
+    let size = size.max(1);
+    // Where each range but the last ends: just past its `size`-th live
+    // candidate.
+    let mut cuts = Vec::new();
+    match db.tombstones().filter(|t| !t.is_empty()) {
+        None => cuts.extend((1..list.len().div_ceil(size)).map(|i| i * size)),
+        Some(tombs) => {
+            let mut live = 0;
+            for (at, e) in list.iter().enumerate() {
+                if !tombs.contains(e.doc) {
+                    live += 1;
+                    if live % size == 0 {
+                        cuts.push(at + 1);
+                    }
+                }
+            }
+            // A cut just past the last live candidate would leave the
+            // last range with none.
+            if live % size == 0 {
+                cuts.pop();
+            }
+        }
+    }
+    let mut ranges = Vec::with_capacity(cuts.len() + 1);
+    let mut from = 0;
+    for cut in cuts {
+        ranges.push(from..cut);
+        from = cut;
+    }
+    ranges.push(from..list.len());
+    ranges
+}
+
 /// Bottom of every plan: enumerate candidate bindings of the distinguished
 /// node from the tag index and keep those matching the query's required
 /// part, with their base score `S` — the paper's pipelined indexed
 /// nested-loop join (§6.4).
+///
+/// The scan walks positions of the candidate list in place — the whole
+/// list, or the range of it a lane task was given ([`cut_candidates`]) —
+/// and skips the candidates of tombstoned documents there, at the base of
+/// the plan, before any prune sees an answer: deleting candidates only
+/// ever *relaxes* top-k bounds, so every pruning strategy stays sound.
 pub struct QueryEval {
     matcher: Arc<Matcher>,
-    candidates: Vec<ElemEntry>,
-    cursor: usize,
-    initialized: bool,
+    /// Positions for the matcher's joins below each candidate.
+    cursor: Cursor,
+    /// The next position to examine.
+    at: usize,
+    /// The end of the task's range (`None`: the end of the list).
+    end: Option<usize>,
+    /// Resolved against the database at the first pull.
+    candidates: Option<Candidates>,
 }
 
 impl QueryEval {
-    /// Create the scan for `matcher`'s query.
+    /// Create the scan for `matcher`'s query over every candidate.
     pub fn new(matcher: Arc<Matcher>) -> Self {
         QueryEval {
+            cursor: matcher.cursor(),
             matcher,
-            candidates: Vec::new(),
-            cursor: 0,
-            initialized: false,
+            at: 0,
+            end: None,
+            candidates: None,
         }
     }
 
-    /// Scan over a precomputed chunk of the list [`gather_candidates`]
-    /// returned (a lane task: the list is gathered once and split across
-    /// lanes).
-    pub fn over_candidates(matcher: Arc<Matcher>, candidates: Vec<ElemEntry>) -> Self {
+    /// Scan over one range of positions of the candidate list (a lane
+    /// task: see [`cut_candidates`]).
+    pub fn over_range(matcher: Arc<Matcher>, range: Range<usize>) -> Self {
         QueryEval {
-            matcher,
-            candidates,
-            cursor: 0,
-            initialized: true,
+            at: range.start,
+            end: Some(range.end),
+            ..QueryEval::new(matcher)
         }
     }
-
-    fn init(&mut self, db: &Database) {
-        self.initialized = true;
-        self.candidates = gather_candidates(db, &self.matcher);
-    }
-}
-
-/// The candidate bindings of `matcher`'s distinguished node that
-/// [`QueryEval`] scans, in document order: the tag index's list for the
-/// node's tag, or every element for a `*` node. Tombstoned documents are
-/// filtered out here, at the base of the plan — before any prune sees an
-/// answer — so deleting candidates only ever *relaxes* top-k bounds and
-/// every pruning strategy stays sound.
-pub fn gather_candidates(db: &Database, matcher: &Matcher) -> Vec<ElemEntry> {
-    let mut candidates = match matcher.distinguished_tag() {
-        Some(tag) => match db.coll.tag(tag) {
-            Some(sym) => db.tags.elements(sym).to_vec(),
-            None => Vec::new(),
-        },
-        None => db
-            .coll
-            .iter()
-            .flat_map(|(doc_id, doc)| {
-                doc.node_ids()
-                    .filter(move |&n| doc.node(n).tag().is_some())
-                    .map(move |n| (doc_id, n))
-            })
-            .map(|(d, n)| entry_of(db, d, n))
-            .collect(),
-    };
-    if let Some(tombs) = db.tombstones() {
-        if !tombs.is_empty() {
-            candidates.retain(|e| !tombs.contains(e.doc));
-        }
-    }
-    candidates
 }
 
 impl Operator for QueryEval {
     fn next(&mut self, db: &Database, stats: &mut ExecStats) -> Option<Answer> {
-        if !self.initialized {
-            self.init(db);
-        }
-        while let Some(&elem) = self.candidates.get(self.cursor) {
-            self.cursor += 1;
-            if let Some(s) = self.matcher.match_answer(db, &elem, &mut stats.ft_probes) {
+        let matcher = &self.matcher;
+        let list = self
+            .candidates
+            .get_or_insert_with(|| Candidates::of(db, matcher))
+            .list(db);
+        let end = self.end.map_or(list.len(), |end| end.min(list.len()));
+        let tombs = db.tombstones().filter(|t| !t.is_empty());
+        while self.at < end {
+            let Some(elem) = list.get(self.at) else { break };
+            if tombs.is_some_and(|t| t.contains(elem.doc)) {
+                // A document's candidates are one run: skip all of it.
+                self.at = seek(list, self.at, |e| e.doc <= elem.doc);
+                continue;
+            }
+            self.at += 1;
+            if let Some(s) = matcher.match_at(db, elem, &mut self.cursor, &mut stats.ft_probes) {
                 stats.base_answers += 1;
-                return Some(Answer::new(elem, s));
+                return Some(Answer::new(*elem, s));
             }
         }
         None
@@ -128,6 +205,7 @@ pub struct SrPredJoin {
     input: BoxedOp,
     matcher: Arc<Matcher>,
     phrase: PreparedPhrase,
+    cursor: Cursor,
 }
 
 impl SrPredJoin {
@@ -135,6 +213,7 @@ impl SrPredJoin {
     pub fn new(input: BoxedOp, matcher: Arc<Matcher>, phrase: PreparedPhrase) -> Self {
         SrPredJoin {
             input,
+            cursor: matcher.cursor(),
             matcher,
             phrase,
         }
@@ -149,9 +228,13 @@ impl SrPredJoin {
 impl Operator for SrPredJoin {
     fn next(&mut self, db: &Database, stats: &mut ExecStats) -> Option<Answer> {
         let mut a = self.input.next(db, stats)?;
-        a.s += self
-            .matcher
-            .eval_pred_near(db, &self.phrase, &a.elem, &mut stats.ft_probes);
+        a.s += self.matcher.eval_pred_near_at(
+            db,
+            &self.phrase,
+            &a.elem,
+            &mut self.cursor,
+            &mut stats.ft_probes,
+        );
         Some(a)
     }
 
@@ -172,6 +255,8 @@ pub struct KorJoin {
     input: BoxedOp,
     rule: KeywordOrderingRule,
     tokens: Vec<String>,
+    /// Seek position per token, following the answers.
+    at: Vec<usize>,
     /// `tag_match[sym]` ⇔ the rule applies to elements with that interned
     /// tag — the case-insensitive name comparison runs once per symbol at
     /// plan build instead of once per answer.
@@ -193,6 +278,7 @@ impl KorJoin {
         KorJoin {
             input,
             rule,
+            at: vec![0; tokens.len()],
             tokens,
             tag_match,
         }
@@ -207,13 +293,14 @@ impl KorJoin {
 impl Operator for KorJoin {
     fn next(&mut self, db: &Database, stats: &mut ExecStats) -> Option<Answer> {
         let mut a = self.input.next(db, stats)?;
-        let tag_matches = match db.coll.node(a.elem.elem_ref()).tag() {
-            Some(t) => self.tag_match.get(t.0 as usize).copied().unwrap_or(false),
-            None => false,
-        };
+        let tag_matches = self
+            .tag_match
+            .get(a.elem.tag.0 as usize)
+            .copied()
+            .unwrap_or(false);
         if tag_matches {
             stats.ft_probes += 1;
-            if ft_contains(&db.inverted, &a.elem, &self.tokens) {
+            if contains_at(&db.inverted, &a.elem, &self.tokens, &mut self.at) {
                 a.k += self.rule.weight;
             }
         }
@@ -264,20 +351,15 @@ impl VorFetch {
 impl Operator for VorFetch {
     fn next(&mut self, db: &Database, stats: &mut ExecStats) -> Option<Answer> {
         let mut a = self.input.next(db, stats)?;
-        let elem = a.elem.elem_ref();
-        let tag = db
-            .coll
-            .node(elem)
-            .tag()
-            .map(|t| db.coll.symbols().name(t))
-            .unwrap_or("");
+        let elem = a.elem;
+        let tag = db.coll.symbols().name(elem.tag);
         let attr_syms = &self.attr_syms;
         let key = self.rank.make_key(tag, |slot, _| {
             attr_syms
                 .get(slot)
                 .copied()
                 .flatten()
-                .and_then(|sym| field_value_sym(&db.coll, elem, sym))
+                .and_then(|sym| field_value_indexed(&db.coll, &db.tags, &elem, sym))
                 .map(|v| match v {
                     FieldValue::Num(n) => AttrValue::Num(n),
                     FieldValue::Str(s) => AttrValue::Str(s),
@@ -484,6 +566,56 @@ mod op_edge_tests {
             out.push(a);
         }
         out
+    }
+
+    /// Tombstoned documents' candidates are skipped, by the whole scan and
+    /// by every range of a cut alike, and the cut counts live candidates
+    /// only: `size` per range but the last, which is never empty of them.
+    #[test]
+    fn ranges_hold_live_candidates_and_skip_tombstoned_runs() {
+        let mut coll = Collection::new();
+        for d in 0..7 {
+            let cars: String = (0..=d % 3).map(|_| "<car/>").collect();
+            coll.add_xml(&format!("<lot>{cars}</lot>")).unwrap();
+        }
+        let mut tombs = pimento_index::TombstoneSet::new();
+        for d in [0, 3, 4, 6] {
+            tombs.insert(pimento_index::DocId(d));
+        }
+        let db = Database::index_plain(coll).with_tombstones(Some(Arc::new(tombs)));
+        let m = Arc::new(Matcher::new(
+            &db,
+            PersonalizedQuery::unpersonalized(parse_tpq("//car").unwrap()),
+            &[&db.inverted],
+        ));
+        let docs = |out: Vec<Answer>| out.iter().map(|a| a.elem.doc.0).collect::<Vec<_>>();
+        let whole = docs(drain(Box::new(QueryEval::new(Arc::clone(&m))), &db));
+        assert_eq!(whole, [1, 1, 2, 2, 2, 5, 5, 5]);
+        assert_eq!(live_candidates(&db, &m), whole.len());
+        for size in 1..=9 {
+            let ranges = cut_candidates(&db, &m, size);
+            assert_eq!(
+                ranges.len(),
+                whole.len().div_ceil(size).max(1),
+                "size {size}"
+            );
+            let mut joined = Vec::new();
+            for (i, r) in ranges.iter().enumerate() {
+                let part = docs(drain(
+                    Box::new(QueryEval::over_range(Arc::clone(&m), r.clone())),
+                    &db,
+                ));
+                if i + 1 < ranges.len() {
+                    assert_eq!(part.len(), size, "size {size}, range {r:?}");
+                } else {
+                    assert!(!part.is_empty(), "size {size}");
+                }
+                joined.extend(part);
+            }
+            assert_eq!(joined, whole, "size {size}");
+            assert_eq!(ranges.first().map(|r| r.start), Some(0));
+            assert!(ranges.windows(2).all(|w| w[0].end == w[1].start));
+        }
     }
 
     #[test]

@@ -514,9 +514,9 @@ pub fn build_plan(
     build_task_plan(db, matcher, kors, rank, spec, None, false)
 }
 
-/// Build the plan one lane task runs. `candidates` is the task's chunk of
-/// `db`'s [`crate::ops::gather_candidates`] list (`None`: the scan gathers
-/// the whole list itself). `merge_safe` selects the final stage for a task
+/// Build the plan one lane task runs. `candidates` is the task's range of
+/// positions in `db`'s candidate list ([`crate::ops::cut_candidates`];
+/// `None`: the whole list). `merge_safe` selects the final stage for a task
 /// that is one of several: when VORs are in play, a *survivor* prune
 /// instead of the positional top-`k` cut — the form whose task-local
 /// outputs [`crate::par::merge_survivors`] can recombine into the global
@@ -527,11 +527,11 @@ pub fn build_task_plan(
     kors: &[KeywordOrderingRule],
     rank: Arc<RankContext>,
     spec: PlanSpec,
-    candidates: Option<Vec<pimento_index::ElemEntry>>,
+    candidates: Option<std::ops::Range<usize>>,
     merge_safe: bool,
 ) -> Plan {
     let scan = match candidates {
-        Some(chunk) => QueryEval::over_candidates(Arc::clone(&matcher), chunk),
+        Some(range) => QueryEval::over_range(Arc::clone(&matcher), range),
         None => QueryEval::new(Arc::clone(&matcher)),
     };
     assemble(db, Box::new(scan), matcher, kors, rank, spec, merge_safe)

@@ -278,6 +278,7 @@ mod tests {
         let elem = ElemEntry {
             doc: DocId(0),
             node: NodeId(start),
+            tag: pimento_xml::SymbolId(0),
             start,
             end: start + 1,
             level: 1,
@@ -539,6 +540,7 @@ mod class_layering {
         let elem = ElemEntry {
             doc: DocId(0),
             node: NodeId(i as u32),
+            tag: pimento_xml::SymbolId(0),
             start: i as u32,
             end: i as u32 + 1,
             level: 1,

@@ -287,6 +287,7 @@ mod tests {
         let elem = ElemEntry {
             doc: DocId(0),
             node: NodeId(0),
+            tag: pimento_xml::SymbolId(0),
             start,
             end: start + 1,
             level: 1,

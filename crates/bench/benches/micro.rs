@@ -259,6 +259,7 @@ fn bench_topk_prune(c: &mut Criterion) {
             let elem = ElemEntry {
                 doc: DocId(0),
                 node: pimento::xml::NodeId(0),
+                tag: pimento::xml::SymbolId(0),
                 start: i,
                 end: i + 1,
                 level: 1,
@@ -340,6 +341,7 @@ fn bench_rank_layering(c: &mut Criterion) {
                     let elem = ElemEntry {
                         doc: DocId(0),
                         node: pimento::xml::NodeId(0),
+                        tag: pimento::xml::SymbolId(0),
                         start: i,
                         end: i + 1,
                         level: 1,

@@ -7,10 +7,10 @@
 //! segment-agnostic — symbol ids are corpus-global by construction, and
 //! the corpus-wide scoring statistics were summed into the compiled
 //! matcher at prepare — so [`execute_lanes`], the one query executor, cuts a
-//! request into tasks (one per segment; a segment's candidate list split
-//! into contiguous chunks when there are more lanes than segments), runs
-//! the *same* compiled matcher/spec in every task, remaps answers to
-//! global doc ids, and recombines with [`merge_survivors`]. A lone task
+//! request into tasks (one per segment; a segment's candidate list cut
+//! into contiguous position ranges when there are more lanes than
+//! segments), runs the *same* compiled matcher/spec in every task, remaps
+//! answers to global doc ids, and recombines with [`merge_survivors`]. A lone task
 //! runs the plain plan with the positional final cut and there is nothing
 //! to merge. For a weak-order `≺_V` the result is bit-identical whatever
 //! the segment layout and lane count (see [`pimento_algebra::par`]).
@@ -20,11 +20,12 @@
 //! panic on the serving path.
 
 use pimento_algebra::{
-    build_task_plan, gather_candidates, merge_survivors, run_in_lanes, Answer, Database, ExecStats,
-    Matcher, Plan, PlanSpec, RankContext,
+    build_task_plan, cut_candidates, live_candidates, merge_survivors, run_in_lanes, Answer,
+    Database, ExecStats, Matcher, Plan, PlanSpec, RankContext,
 };
-use pimento_index::{effective_workers, resolve_threads, DocId, ElemEntry};
+use pimento_index::{effective_workers, resolve_threads, DocId};
 use pimento_profile::KeywordOrderingRule;
+use std::ops::Range;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -72,7 +73,7 @@ impl Segment {
 /// What one lane task did.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct LaneStats {
-    /// Index of the segment the task scanned (all of it, or one chunk of
+    /// Index of the segment the task scanned (all of it, or one range of
     /// its candidate list).
     pub segment: usize,
     /// The task's counters.
@@ -95,13 +96,12 @@ pub(crate) struct LaneRun {
     pub trace: String,
 }
 
-/// One unit of lane work: a whole segment (`chunk: None`, the scan
-/// gathers its own candidates), or one contiguous chunk of the segment's
-/// candidate list.
+/// One unit of lane work: a whole segment (`range: None`), or one
+/// contiguous range of positions in the segment's candidate list.
 struct Task<'a> {
     segment: usize,
     seg: &'a Segment,
-    chunk: Option<Vec<ElemEntry>>,
+    range: Option<Range<usize>>,
 }
 
 /// The lane count a `SearchOptions::threads` value stands for: `0` is the
@@ -113,8 +113,8 @@ pub(crate) fn resolve_lanes(threads: usize) -> usize {
 /// Cut a request into tasks for `lanes` lanes, returning the tasks and
 /// the number of lanes that will run them. Up to one lane per segment,
 /// every segment is one task. Beyond that, each segment's candidate list
-/// is cut into chunks of `⌈all candidates / lanes⌉`, so the tasks are
-/// about equal and about `lanes` many.
+/// is cut into ranges of `⌈all live candidates / lanes⌉` live candidates,
+/// so the tasks are about equal and about `lanes` many.
 fn plan_tasks<'a>(
     segments: &'a [Arc<Segment>],
     matcher: &Matcher,
@@ -125,29 +125,24 @@ fn plan_tasks<'a>(
         tasks.extend(segments.iter().enumerate().map(|(segment, seg)| Task {
             segment,
             seg,
-            chunk: None,
+            range: None,
         }));
     } else {
-        let lists: Vec<Vec<ElemEntry>> = segments
+        let total: usize = segments
             .iter()
-            .map(|seg| gather_candidates(&seg.db, matcher))
-            .collect();
-        let total: usize = lists.iter().map(Vec::len).sum();
+            .map(|seg| live_candidates(&seg.db, matcher))
+            .sum();
         let size = total.div_ceil(lanes).max(1);
-        for (segment, (seg, list)) in segments.iter().zip(lists).enumerate() {
-            if list.len() <= size {
-                tasks.push(Task {
-                    segment,
-                    seg,
-                    chunk: Some(list),
-                });
-            } else {
-                tasks.extend(list.chunks(size).map(|chunk| Task {
-                    segment,
-                    seg,
-                    chunk: Some(chunk.to_vec()),
-                }));
-            }
+        for (segment, seg) in segments.iter().enumerate() {
+            tasks.extend(
+                cut_candidates(&seg.db, matcher, size)
+                    .into_iter()
+                    .map(|range| Task {
+                        segment,
+                        seg,
+                        range: Some(range),
+                    }),
+            );
         }
     }
     let lanes = lanes.clamp(1, tasks.len().max(1));
@@ -170,7 +165,7 @@ fn task_plan(
         kors,
         Arc::clone(rank),
         spec,
-        task.chunk,
+        task.range,
         merge_safe,
     );
     debug_assert!(
@@ -417,7 +412,7 @@ mod tests {
         let four = execute_lanes(&segments, &matcher, &kors(), &rank, spec, 4);
         assert_eq!(full_key(&one.answers), full_key(&four.answers));
         assert_eq!(one.lanes.len(), 1);
-        assert_eq!(four.lanes.len(), 4, "four candidate chunks expected");
+        assert_eq!(four.lanes.len(), 4, "four candidate ranges expected");
     }
 
     #[test]

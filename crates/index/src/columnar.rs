@@ -474,17 +474,21 @@ fn decode_tags(b: &[u8], sym_count: u32, coll: &Collection) -> Result<TagIndex, 
     let corrupt = || PersistError::SnapshotCorrupt { section: "tags" };
     // Element rows address nodes of the documents just decoded; a row
     // pointing outside them would panic the first query that follows it.
-    let node_counts: Vec<usize> = coll.iter().map(|(_, d)| d.len()).collect();
-    let decode_row = |row: &[u8]| {
+    // A row's tag is not stored: it is the symbol of the span holding the
+    // row, and the node must be an element with that tag, because queries
+    // test tags on the entry and never look at the node again.
+    let docs: Vec<_> = coll.iter().map(|(_, d)| d.nodes()).collect();
+    let decode_row = |row: &[u8], tag: SymbolId| {
         let e = ElemEntry {
             doc: DocId(u32_at(row, 0)),
             node: NodeId(u32_at(row, 4)),
+            tag,
             start: u32_at(row, 8),
             end: u32_at(row, 12),
             level: u16_at(row, 16),
         };
-        let nodes = node_counts.get(e.doc.0 as usize)?;
-        ((e.node.0 as usize) < *nodes).then_some(e)
+        let node = docs.get(e.doc.0 as usize)?.get(e.node.0 as usize)?;
+        (node.tag() == Some(tag)).then_some(e)
     };
     if b.len() < 8 {
         return Err(corrupt());
@@ -522,7 +526,7 @@ fn decode_tags(b: &[u8], sym_count: u32, coll: &Collection) -> Result<TagIndex, 
         }
         let mut list = Vec::with_capacity(count);
         for row in rows.by_ref().take(count) {
-            list.push(decode_row(row).ok_or_else(corrupt)?);
+            list.push(decode_row(row, SymbolId(sym)).ok_or_else(corrupt)?);
         }
         next_row = next_row.checked_add(count).ok_or_else(corrupt)?;
         by_tag.insert(SymbolId(sym), list);

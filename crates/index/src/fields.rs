@@ -8,6 +8,7 @@
 //! the text content of the first child element of that name.
 
 use crate::store::{Collection, ElemRef};
+use crate::tags::{ElemEntry, TagIndex};
 use pimento_xml::nav::children_with_tag;
 use pimento_xml::SymbolId;
 
@@ -112,6 +113,29 @@ pub fn field_value_sym(coll: &Collection, elem: ElemRef, sym: SymbolId) -> Optio
     None
 }
 
+/// [`field_value_sym`] for an indexed element, found through `tags`
+/// instead of by walking `elem`'s subtree: the attribute, then the first
+/// entry of `sym`'s list inside `elem` one level below it (its first such
+/// child), then the first entry inside it. The list holds `elem`'s
+/// descendants in document order, so the answer is the same.
+pub fn field_value_indexed(
+    coll: &Collection,
+    tags: &TagIndex,
+    elem: &ElemEntry,
+    sym: SymbolId,
+) -> Option<FieldValue> {
+    let doc = coll.doc(elem.doc);
+    if let Some(v) = doc.node(elem.node).attr(sym) {
+        return Some(FieldValue::parse(v));
+    }
+    let inside = tags.elements_within(sym, elem.doc, elem.start, elem.end);
+    let found = inside
+        .iter()
+        .find(|e| e.level.checked_sub(1) == Some(elem.level))
+        .or(inside.first())?;
+    Some(FieldValue::parse(&doc.text_content(found.node)))
+}
+
 /// Resolve `elem.field` only when it parses as a number.
 pub fn numeric_field(coll: &Collection, elem: ElemRef, field: &str) -> Option<f64> {
     field_value(coll, elem, field).and_then(|v| v.as_num())
@@ -197,6 +221,71 @@ mod tests {
         assert!(FieldValue::parse("500").eq_const("500"));
         assert!(!FieldValue::parse("500").eq_const("501"));
         assert!(!FieldValue::parse("red").eq_const("blue"));
+    }
+
+    /// A random element tree over a three-tag alphabet, with attributes
+    /// and numeric or word text, read off a list of steps: open a tag
+    /// (maybe with an attribute), close the innermost open one, or add
+    /// text.
+    fn tree_xml(steps: &[(u8, u32)]) -> String {
+        const TAGS: [&str; 3] = ["a", "b", "c"];
+        let mut xml = String::from("<r>");
+        let mut open: Vec<&str> = Vec::new();
+        for &(op, v) in steps {
+            match op {
+                0..=2 => {
+                    let tag = TAGS[op as usize];
+                    let attr = if v % 3 == 0 {
+                        format!(r#" b="{v}""#)
+                    } else {
+                        String::new()
+                    };
+                    xml.push_str(&format!("<{tag}{attr}>"));
+                    open.push(tag);
+                }
+                3 => {
+                    if let Some(tag) = open.pop() {
+                        xml.push_str(&format!("</{tag}>"));
+                    }
+                }
+                4 => xml.push_str(&format!("{v} ")),
+                _ => xml.push_str(&format!("w{v} ")),
+            }
+        }
+        while let Some(tag) = open.pop() {
+            xml.push_str(&format!("</{tag}>"));
+        }
+        xml.push_str("</r>");
+        xml
+    }
+
+    proptest::proptest! {
+        /// Through the tag index or through the subtree walk, every
+        /// element resolves every field to the same value.
+        #[test]
+        fn indexed_lookup_equals_the_subtree_walk(
+            docs in proptest::collection::vec(
+                proptest::collection::vec((0u8..6, 0u32..50), 0..60),
+                1..4,
+            ),
+        ) {
+            let mut c = Collection::new();
+            for steps in &docs {
+                c.add_xml(&tree_xml(steps)).unwrap();
+            }
+            let tags = TagIndex::build(&c);
+            let syms: Vec<SymbolId> = ["a", "b", "c", "r"].iter().filter_map(|t| c.tag(t)).collect();
+            for &tag in &syms {
+                for e in tags.elements(tag) {
+                    for &sym in &syms {
+                        proptest::prop_assert_eq!(
+                            field_value_indexed(&c, &tags, e, sym),
+                            field_value_sym(&c, e.elem_ref(), sym)
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -3,8 +3,8 @@
 //! For every token we store `(doc, global token position, region label of
 //! the containing text node)`. Global positions run across the whole
 //! document, so phrase matching is "consecutive positions"; region labels
-//! make `ftcontains(e, kw)` a binary-searchable range check against `e`'s
-//! `(start, end)` region. This mirrors the paper's reliance on "inverted
+//! make `ftcontains(e, kw)` a range check against `e`'s `(start, end)`
+//! region, one [`crate::seek::seek`] into the posting list. This mirrors the paper's reliance on "inverted
 //! indices on keywords" (§6.4).
 //!
 //! An index is produced exactly once — [`InvertedIndex::build`] scans a
@@ -99,15 +99,6 @@ impl InvertedIndex {
             .unwrap_or(&[])
     }
 
-    /// Postings of `token` within document `doc`: a sub-slice of the
-    /// global list.
-    pub fn doc_postings(&self, token: &str, doc: DocId) -> &[Posting] {
-        let all = self.postings(token);
-        let lo = all.partition_point(|p| p.doc < doc);
-        let hi = all.partition_point(|p| p.doc <= doc);
-        all.get(lo..hi).unwrap_or(&[])
-    }
-
     /// Number of documents containing `token`.
     pub fn doc_freq(&self, token: &str) -> u32 {
         self.tokens.get(token).map(|e| e.doc_freq).unwrap_or(0)
@@ -170,11 +161,11 @@ mod tests {
     }
 
     #[test]
-    fn doc_postings_slices_per_document() {
+    fn postings_and_doc_freq_span_documents() {
         let (_, idx) = index(&["<a>x y</a>", "<a>y z</a>"]);
-        assert_eq!(idx.doc_postings("y", DocId(0)).len(), 1);
-        assert_eq!(idx.doc_postings("y", DocId(1)).len(), 1);
-        assert_eq!(idx.doc_postings("x", DocId(1)).len(), 0);
+        let docs = |t: &str| idx.postings(t).iter().map(|p| p.doc.0).collect::<Vec<_>>();
+        assert_eq!(docs("y"), [0, 1]);
+        assert_eq!(docs("x"), [0]);
         assert_eq!(idx.doc_freq("y"), 2);
         assert_eq!(idx.doc_freq("x"), 1);
         assert_eq!(idx.doc_freq("missing"), 0);

@@ -11,6 +11,8 @@
 //!   carry region labels, so `ftcontains` is a range check,
 //! * [`tags::TagIndex`] — per-tag element lists sorted by `(doc, start)`,
 //!   the candidate lists of the indexed nested-loop scan,
+//! * [`seek`] — the one search over those sorted lists, a galloping
+//!   `partition_point` from a caller-held position,
 //! * [`phrase`] — phrase adjacency + containment,
 //! * [`score`] — per-predicate scores normalized to [0, 1] so top-k
 //!   pruning bounds are exact,
@@ -41,6 +43,7 @@ pub mod parallel;
 pub mod persist;
 pub mod phrase;
 pub mod score;
+pub mod seek;
 pub mod segment;
 pub mod stats;
 pub mod store;
@@ -53,13 +56,15 @@ pub use columnar::{
     inspect, open_index, save_index, OpenedIndex, SectionReport, SnapshotReport,
     COLUMNAR_VERSION,
 };
-pub use fields::{content_value, field_value, field_value_sym, numeric_field, FieldValue};
+pub use fields::{
+    content_value, field_value, field_value_indexed, field_value_sym, numeric_field, FieldValue,
+};
 pub use inverted::{InvertedIndex, Posting};
 pub use parallel::{build_collection_parallel, effective_workers, resolve_threads};
 pub use persist::{crc32, PersistError};
 pub use phrase::{
-    count_in_element, ft_all, ft_contains, occurrences_in_element, phrase_occurrences,
-    postings_in_element,
+    contains_at, count_at, count_in_element, ft_all, ft_all_at, ft_contains,
+    occurrences_in_element, postings_in_element, postings_within,
 };
 pub use segment::{
     split_ranges, ManifestEntry, ShardManifest, MANIFEST_FILE, MANIFEST_HEADER_V2,

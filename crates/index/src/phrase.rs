@@ -1,65 +1,106 @@
 //! Phrase matching: finding occurrences of multi-token phrases and testing
 //! `ftcontains(element, "phrase")` against region labels.
+//!
+//! Every probe here [`seek`]s through the token's whole posting list by
+//! `(doc, label)` or `(doc, pos)`. The `*_at` forms take one seek position
+//! per token from the caller, who keeps them between probes: an operator
+//! probing its answers in document order then moves each position a few
+//! entries forward per answer. The plain forms start every token from
+//! position 0.
 
 use crate::inverted::{InvertedIndex, Posting};
-use crate::store::DocId;
+use crate::seek::seek;
 use crate::tags::ElemEntry;
 
 /// One occurrence of a phrase: the posting of its first token.
 pub type PhraseHit = Posting;
 
-/// Find all occurrences of `tokens` (already analyzed) in document `doc`:
-/// consecutive global token positions.
-///
-/// Positions are numbered continuously across text nodes, so a phrase may
-/// span inline markup (`good <b>condition</b>` matches "good condition") —
-/// the behaviour XQuery Full-Text's tokenization prescribes.
-pub fn phrase_occurrences(index: &InvertedIndex, doc: DocId, tokens: &[String]) -> Vec<PhraseHit> {
-    match tokens {
-        [] => Vec::new(),
-        [single] => index.doc_postings(single, doc).to_vec(),
-        [first, rest @ ..] => {
-            let firsts = index.doc_postings(first, doc);
-            let rest_lists: Vec<&[Posting]> = rest
-                .iter()
-                .map(|tok| index.doc_postings(tok, doc))
-                .collect();
-            let mut hits = Vec::new();
-            'outer: for p in firsts.iter() {
-                for (i, list) in rest_lists.iter().enumerate() {
-                    let want = p.pos + 1 + i as u32;
-                    if list.binary_search_by_key(&want, |q| q.pos).is_err() {
-                        continue 'outer;
-                    }
-                }
-                hits.push(*p);
-            }
-            hits
-        }
-    }
-}
-
 /// Postings of `token` whose occurrence lies strictly inside `elem`'s
-/// region. Labels are monotone in token position (both follow document
-/// order), so the region is a binary-searchable slice of the per-document
-/// posting list — this is what keeps `ftcontains` probes cheap on large
-/// documents.
+/// region.
 pub fn postings_in_element<'a>(
     index: &'a InvertedIndex,
     elem: &ElemEntry,
     token: &str,
 ) -> &'a [Posting] {
-    let in_doc = index.doc_postings(token, elem.doc);
-    debug_assert!(in_doc.is_sorted_by_key(|p| p.label));
-    let lo = in_doc.partition_point(|p| p.label <= elem.start);
-    let hi = in_doc.partition_point(|p| p.label < elem.end);
-    in_doc.get(lo..hi).unwrap_or(&[])
+    postings_within(index.postings(token), &mut 0, elem)
+}
+
+/// The postings of the `(doc, pos)`-sorted `list` that lie strictly inside
+/// `elem`'s region, found by seeking from `*at`, which is left on the
+/// first of them. Labels are monotone in token position within a document
+/// (both follow document order), so the list is `(doc, label)`-sorted too
+/// and the region is one contiguous slice of it.
+pub fn postings_within<'a>(list: &'a [Posting], at: &mut usize, elem: &ElemEntry) -> &'a [Posting] {
+    let lo = seek(list, *at, |p| (p.doc, p.label) <= (elem.doc, elem.start));
+    let hi = seek(list, lo, |p| (p.doc, p.label) < (elem.doc, elem.end));
+    *at = lo;
+    list.get(lo..hi).unwrap_or(&[])
+}
+
+/// Visit the occurrences of `tokens` strictly inside `elem` in document
+/// order — the first token in `elem`'s region, the rest at the following
+/// positions and also inside it (a phrase straddling the element boundary
+/// is not contained) — until `hit` returns `false`. `at` holds one seek
+/// position per token.
+fn scan_occurrences(
+    index: &InvertedIndex,
+    elem: &ElemEntry,
+    tokens: &[String],
+    at: &mut [usize],
+    mut hit: impl FnMut(&Posting) -> bool,
+) {
+    if at.len() < tokens.len() {
+        return scan_occurrences(index, elem, tokens, &mut vec![0; tokens.len()], hit);
+    }
+    let (Some((first, rest)), Some((at_first, at_rest))) =
+        (tokens.split_first(), at.split_first_mut())
+    else {
+        return;
+    };
+    let firsts = postings_within(index.postings(first), at_first, elem);
+    if firsts.is_empty() {
+        return;
+    }
+    let rest_lists: Vec<&[Posting]> = rest.iter().map(|tok| index.postings(tok)).collect();
+    'outer: for p in firsts {
+        for ((list, pos), want) in rest_lists.iter().zip(at_rest.iter_mut()).zip(p.pos + 1..) {
+            *pos = seek(list, *pos, |q| (q.doc, q.pos) < (elem.doc, want));
+            let found = list
+                .get(*pos)
+                .is_some_and(|q| q.doc == elem.doc && q.pos == want && q.label < elem.end);
+            if !found {
+                continue 'outer;
+            }
+        }
+        if !hit(p) {
+            return;
+        }
+    }
 }
 
 /// Count occurrences of `tokens` strictly inside element `elem`
 /// (the `tf` used by scoring).
 pub fn count_in_element(index: &InvertedIndex, elem: &ElemEntry, tokens: &[String]) -> u32 {
-    occurrences_in_element(index, elem, tokens).len() as u32
+    count_at(index, elem, tokens, &mut vec![0; tokens.len()])
+}
+
+/// [`count_in_element`], seeking each token's list from its position in
+/// `at` (one per token).
+pub fn count_at(
+    index: &InvertedIndex,
+    elem: &ElemEntry,
+    tokens: &[String],
+    at: &mut [usize],
+) -> u32 {
+    if let ([single], [pos, ..]) = (tokens, &mut *at) {
+        return postings_within(index.postings(single), pos, elem).len() as u32;
+    }
+    let mut n = 0u32;
+    scan_occurrences(index, elem, tokens, at, |_| {
+        n += 1;
+        true
+    });
+    n
 }
 
 /// Occurrences of `tokens` strictly inside element `elem`: the first token
@@ -69,27 +110,22 @@ pub fn occurrences_in_element(
     elem: &ElemEntry,
     tokens: &[String],
 ) -> Vec<PhraseHit> {
-    let [first, rest @ ..] = tokens else {
-        return Vec::new();
-    };
-    let firsts = postings_in_element(index, elem, first);
-    let rest_lists: Vec<&[Posting]> = rest
-        .iter()
-        .map(|tok| index.doc_postings(tok, elem.doc))
-        .collect();
+    occurrences_at(index, elem, tokens, &mut vec![0; tokens.len()])
+}
+
+/// [`occurrences_in_element`], seeking each token's list from its position
+/// in `at` (one per token).
+fn occurrences_at(
+    index: &InvertedIndex,
+    elem: &ElemEntry,
+    tokens: &[String],
+    at: &mut [usize],
+) -> Vec<PhraseHit> {
     let mut hits = Vec::new();
-    'outer: for p in firsts.iter() {
-        for (i, list) in rest_lists.iter().enumerate() {
-            let want = p.pos + 1 + i as u32;
-            match list.binary_search_by_key(&want, |q| q.pos) {
-                // The continuation must also fall inside the element — a
-                // phrase straddling the element boundary is not contained.
-                Ok(idx) if list.get(idx).is_some_and(|q| q.label < elem.end) => {}
-                _ => continue 'outer,
-            }
-        }
+    scan_occurrences(index, elem, tokens, at, |p| {
         hits.push(*p);
-    }
+        true
+    });
     hits
 }
 
@@ -97,11 +133,23 @@ pub fn occurrences_in_element(
 /// subtree (paper §3: "contains an occurrence of the keyword at any
 /// document depth")?
 pub fn ft_contains(index: &InvertedIndex, elem: &ElemEntry, tokens: &[String]) -> bool {
-    match tokens {
-        [] => false,
-        [single] => !postings_in_element(index, elem, single).is_empty(),
-        _ => !occurrences_in_element(index, elem, tokens).is_empty(),
-    }
+    contains_at(index, elem, tokens, &mut vec![0; tokens.len()])
+}
+
+/// [`ft_contains`], seeking each token's list from its position in `at`
+/// (one per token).
+pub fn contains_at(
+    index: &InvertedIndex,
+    elem: &ElemEntry,
+    tokens: &[String],
+    at: &mut [usize],
+) -> bool {
+    let mut found = false;
+    scan_occurrences(index, elem, tokens, at, |_| {
+        found = true;
+        false
+    });
+    found
 }
 
 #[cfg(test)]
@@ -123,29 +171,61 @@ mod tests {
         index.analyze(s)
     }
 
+    /// Occurrences of `phrase` anywhere in the document rooted at `<a>`.
+    fn in_root(xml: &str, phrase: &str) -> Vec<PhraseHit> {
+        let (c, inv, tags) = setup(xml);
+        let root = tags.elements(c.tag("a").unwrap())[0];
+        occurrences_in_element(&inv, &root, &toks(&inv, phrase))
+    }
+
     #[test]
     fn single_token_occurrences() {
-        let (_, inv, _) = setup("<a>good car good</a>");
-        let hits = phrase_occurrences(&inv, DocId(0), &toks(&inv, "good"));
-        assert_eq!(hits.len(), 2);
+        assert_eq!(in_root("<a>good car good</a>", "good").len(), 2);
     }
 
     #[test]
     fn phrase_requires_adjacency() {
-        let (_, inv, _) = setup("<a>good condition and good old condition</a>");
-        assert_eq!(
-            phrase_occurrences(&inv, DocId(0), &toks(&inv, "good condition")).len(),
-            1
-        );
-        assert!(phrase_occurrences(&inv, DocId(0), &toks(&inv, "condition good")).is_empty());
+        let xml = "<a>good condition and good old condition</a>";
+        assert_eq!(in_root(xml, "good condition").len(), 1);
+        assert!(in_root(xml, "condition good").is_empty());
     }
 
     #[test]
     fn three_token_phrase() {
-        let (_, inv, _) = setup("<a>it is in good condition as always</a>");
+        let xml = "<a>it is in good condition as always</a>";
+        assert_eq!(in_root(xml, "in good condition").len(), 1);
+    }
+
+    #[test]
+    fn held_positions_give_the_cold_answers_in_any_order() {
+        let (c, inv, tags) = setup(
+            "<d><a>good condition <a>good condition good</a></a><a>good</a><a>condition good condition</a></d>",
+        );
+        let elems = tags.elements(c.tag("a").unwrap());
+        let phrase = toks(&inv, "good condition");
+        let mut at = [0, 0];
+        // Forward through the elements, then back, then forward again.
+        let order: Vec<usize> = (0..elems.len())
+            .chain((0..elems.len()).rev())
+            .chain(0..elems.len())
+            .collect();
+        for i in order {
+            let e = &elems[i];
+            assert_eq!(
+                count_at(&inv, e, &phrase, &mut at),
+                count_in_element(&inv, e, &phrase)
+            );
+            assert_eq!(
+                contains_at(&inv, e, &phrase, &mut at),
+                ft_contains(&inv, e, &phrase)
+            );
+        }
         assert_eq!(
-            phrase_occurrences(&inv, DocId(0), &toks(&inv, "in good condition")).len(),
-            1
+            elems
+                .iter()
+                .map(|e| count_in_element(&inv, e, &phrase))
+                .collect::<Vec<_>>(),
+            [2, 1, 0, 1]
         );
     }
 
@@ -223,16 +303,34 @@ pub fn ft_all(
     window: Option<u32>,
     ordered: bool,
 ) -> bool {
+    let width = terms.iter().map(Vec::len).sum();
+    ft_all_at(index, elem, terms, window, ordered, &mut vec![0; width])
+}
+
+/// [`ft_all`], seeking each token's list from its position in `at`: one
+/// per token of every term, the terms' tokens back to back.
+pub fn ft_all_at(
+    index: &InvertedIndex,
+    elem: &ElemEntry,
+    terms: &[Vec<String>],
+    window: Option<u32>,
+    ordered: bool,
+    at: &mut [usize],
+) -> bool {
     if terms.is_empty() {
         return false;
     }
     // Occurrences per term: (start position, end position) pairs.
     let mut occs: Vec<Vec<(u32, u32)>> = Vec::with_capacity(terms.len());
+    let mut rest = at;
     for t in terms {
         if t.is_empty() {
             return false;
         }
-        let hits = occurrences_in_element(index, elem, t);
+        let n = t.len().min(rest.len());
+        let (mine, others) = std::mem::take(&mut rest).split_at_mut(n);
+        rest = others;
+        let hits = occurrences_at(index, elem, t, mine);
         if hits.is_empty() {
             return false;
         }

@@ -2,24 +2,28 @@
 //!
 //! [`TagIndex`] maps each tag to its elements in `(doc, start)` order —
 //! the candidate list of the bottom scan, and the lists the matcher
-//! binary-searches by document and region to bind a pattern node below a
-//! candidate. It is produced exactly once, by
+//! [`seek`]s through by document and region to bind a pattern node below
+//! a candidate. It is produced exactly once, by
 //! [`TagIndex::build`] or by [`crate::columnar::open_index`] decoding the
 //! `tags` section of a `PIMCOL4` snapshot into the same map, and never
 //! mutated afterwards.
 
+use crate::seek::seek;
 use crate::store::{Collection, DocId, ElemRef};
 use pimento_xml::{NodeId, NodeKind, SymbolId};
 use std::collections::HashMap;
 
-/// An element occurrence with its region label, the unit the candidate
-/// scan and the matcher in `pimento-algebra` operate on.
+/// An element occurrence with its tag and region label, the unit the
+/// candidate scan and the matcher in `pimento-algebra` operate on: enough
+/// to test a tag and a containment without reading the node arena.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ElemEntry {
     /// Owning document.
     pub doc: DocId,
     /// The element node.
     pub node: NodeId,
+    /// The element's tag.
+    pub tag: SymbolId,
     /// Region start label.
     pub start: u32,
     /// Region end label.
@@ -58,6 +62,7 @@ impl TagIndex {
                     index.by_tag.entry(*tag).or_default().push(ElemEntry {
                         doc: doc_id,
                         node: node_id,
+                        tag: *tag,
                         start: node.start,
                         end: node.end,
                         level: node.level,
@@ -73,25 +78,11 @@ impl TagIndex {
         self.by_tag.get(&tag).map(Vec::as_slice).unwrap_or(&[])
     }
 
-    /// Elements with tag `tag` inside document `doc`.
-    pub fn doc_elements(&self, tag: SymbolId, doc: DocId) -> &[ElemEntry] {
-        let all = self.elements(tag);
-        let lo = all.partition_point(|e| e.doc < doc);
-        let hi = all.partition_point(|e| e.doc <= doc);
-        all.get(lo..hi).unwrap_or(&[])
-    }
-
     /// Elements with tag `tag` whose region lies strictly inside
     /// `(doc, start, end)` — the descendant step of the matcher.
     pub fn elements_within(&self, tag: SymbolId, doc: DocId, start: u32, end: u32) -> &[ElemEntry] {
-        let in_doc = self.doc_elements(tag, doc);
-        let lo = in_doc.partition_point(|e| e.start <= start);
-        let hi = in_doc.partition_point(|e| e.start < end);
-        // Entries in [lo, hi) start inside the region; starting inside a
-        // well-nested region implies ending inside it.
-        in_doc.get(lo..hi).unwrap_or(&[])
+        within(self.elements(tag), &mut 0, doc, start, end)
     }
-
     /// Number of distinct tags.
     pub fn num_tags(&self) -> usize {
         self.by_tag.len()
@@ -101,6 +92,25 @@ impl TagIndex {
     pub fn count(&self, tag: SymbolId) -> usize {
         self.elements(tag).len()
     }
+}
+
+/// The entries of the `(doc, start)`-sorted `list` whose region lies
+/// strictly inside `(doc, start, end)`, found by [`seek`]ing from `*at`,
+/// which is left on the first of them — where the next region of a
+/// caller walking in document order starts its search.
+pub fn within<'a>(
+    list: &'a [ElemEntry],
+    at: &mut usize,
+    doc: DocId,
+    start: u32,
+    end: u32,
+) -> &'a [ElemEntry] {
+    let lo = seek(list, *at, |e| (e.doc, e.start) <= (doc, start));
+    // Entries from `lo` on start after the region does, so the ones that
+    // start before it ends are inside it: regions are well nested.
+    let hi = seek(list, lo, |e| (e.doc, e.start) < (doc, end));
+    *at = lo;
+    list.get(lo..hi).unwrap_or(&[])
 }
 
 #[cfg(test)]
@@ -126,11 +136,12 @@ mod tests {
     }
 
     #[test]
-    fn doc_elements_slice() {
+    fn entries_carry_their_tag() {
         let (c, t) = setup();
-        let car = c.tag("car").unwrap();
-        assert_eq!(t.doc_elements(car, DocId(0)).len(), 2);
-        assert_eq!(t.doc_elements(car, DocId(1)).len(), 1);
+        for name in ["car", "price", "dealer"] {
+            let sym = c.tag(name).unwrap();
+            assert!(t.elements(sym).iter().all(|e| e.tag == sym));
+        }
     }
 
     #[test]
@@ -138,11 +149,33 @@ mod tests {
         let (c, t) = setup();
         let car = c.tag("car").unwrap();
         let price = c.tag("price").unwrap();
-        let first_car = t.doc_elements(car, DocId(0))[0];
+        let dealer = c.tag("dealer").unwrap();
+        let second_dealer = t.elements(dealer)[1];
+        let cars = t.elements_within(car, DocId(1), second_dealer.start, second_dealer.end);
+        assert_eq!(cars.len(), 1);
+        assert_eq!(cars[0].doc, DocId(1));
+        let first_car = t.elements(car)[0];
         let prices = t.elements_within(price, DocId(0), first_car.start, first_car.end);
         assert_eq!(prices.len(), 1);
         assert!(first_car.start < prices[0].start && prices[0].end < first_car.end);
         assert_eq!(prices[0].level, first_car.level + 1);
+    }
+
+    #[test]
+    fn within_moves_a_held_position_both_ways() {
+        let (c, t) = setup();
+        let car = c.tag("car").unwrap();
+        let cars = t.elements(car);
+        let dealers = t.elements(c.tag("dealer").unwrap());
+        let mut at = 0;
+        // Forward to the second document, then back to the first.
+        for (d, want) in [(1, 1), (0, 2), (1, 1)] {
+            let r = dealers[d];
+            let got = within(cars, &mut at, r.doc, r.start, r.end);
+            assert_eq!(got.len(), want);
+            assert_eq!(got, t.elements_within(car, r.doc, r.start, r.end));
+            assert_eq!(at, cars.iter().position(|e| e.doc == r.doc).unwrap());
+        }
     }
 
     #[test]

@@ -4,9 +4,14 @@
 //! bit rot, or a hostile edit leaves on disk must surface as a typed
 //! [`PersistError`] — never a panic — and a mutated artifact that still
 //! parses must parse to *exactly* the original meaning (the crc
-//! trailers make anything else a checksum mismatch).
+//! trailers make anything else a checksum mismatch). A snapshot whose
+//! bytes were edited *and* re-checksummed must still be refused when the
+//! edit breaks what queries trust about it.
 
-use pimento_index::{PersistError, ShardManifest, TombstoneSet};
+use pimento_index::{
+    inspect, open_index, save_index, Collection, InvertedIndex, PersistError, ShardManifest,
+    TagIndex, Tokenizer, TombstoneSet,
+};
 use proptest::prelude::*;
 
 /// A canonical v2 manifest (generation line, tombstone sidecar column,
@@ -136,5 +141,67 @@ proptest! {
         if let Ok(parsed) = TombstoneSet::parse(&tomb[..cut]) {
             prop_assert_eq!(parsed, orig_set);
         }
+    }
+}
+
+fn le32(b: &[u8], at: usize) -> u32 {
+    u32::from_le_bytes(b[at..at + 4].try_into().unwrap())
+}
+
+fn put32(b: &mut [u8], at: usize, v: u32) {
+    b[at..at + 4].copy_from_slice(&v.to_le_bytes());
+}
+
+/// Move one element row of a snapshot's `tags` section from its span to
+/// the neighbouring span — the spans still tile the rows — and recompute
+/// the section and directory checksums, as a deliberate edit would. The
+/// row's tag is its span's symbol, so the row now claims the wrong tag
+/// for its node, and the open must refuse the section.
+#[test]
+fn a_tags_row_moved_to_another_span_is_refused_at_open() {
+    let mut c = Collection::new();
+    c.add_xml("<r><a>x</a><b>y</b><a>z</a></r>").unwrap();
+    let inv = InvertedIndex::build(&c, Tokenizer::plain());
+    let tags = TagIndex::build(&c);
+    let mut snap = save_index(&c, &inv, &tags).to_vec();
+    open_index(&snap).expect("the untouched snapshot opens");
+
+    let report = inspect(&snap).unwrap();
+    let (index, section) = report
+        .sections
+        .iter()
+        .enumerate()
+        .find(|(_, s)| s.name == "tags")
+        .unwrap();
+    let base = section.offset as usize;
+    let domain = le32(&snap, base) as usize;
+    // The first two neighbouring non-empty spans: give the first row of
+    // the second to the first.
+    let span = |sym: usize| base + 8 + 8 * sym;
+    let sym = (0..domain - 1)
+        .find(|&s| le32(&snap, span(s) + 4) > 0 && le32(&snap, span(s + 1) + 4) > 0)
+        .unwrap();
+    let (first, second) = (span(sym), span(sym + 1));
+    let first_count = le32(&snap, first + 4);
+    let (second_start, second_count) = (le32(&snap, second), le32(&snap, second + 4));
+    put32(&mut snap, first + 4, first_count + 1);
+    put32(&mut snap, second, second_start + 1);
+    put32(&mut snap, second + 4, second_count - 1);
+
+    // Re-checksum: the section's crc in its directory row, then the
+    // directory's crc in the header.
+    let crc = pimento_index::crc32(&snap[base..base + section.len as usize]);
+    let row = 24 + 32 * index;
+    put32(&mut snap, row + 24, crc);
+    let dir_crc = pimento_index::crc32(&snap[24..24 + 32 * report.sections.len()]);
+    put32(&mut snap, 16, dir_crc);
+
+    assert_eq!(
+        inspect(&snap).unwrap().sections.len(),
+        report.sections.len()
+    );
+    match open_index(&snap) {
+        Err(PersistError::SnapshotCorrupt { section }) => assert_eq!(section, "tags"),
+        other => panic!("a row under the wrong tag opened: {:?}", other.map(|_| ())),
     }
 }

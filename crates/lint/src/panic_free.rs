@@ -45,6 +45,15 @@ const ROOTS: &[(&str, &[&str], RootFns)] = &[
         RootFns::Only(&["get_varint", "get_delta_run"]),
     ),
     ("index", &["phrase"], RootFns::All),
+    // The one seek over the sorted tag and posting lists, and the region
+    // lookup on the tag list: every join of the per-answer path runs
+    // through them.
+    ("index", &["seek"], RootFns::All),
+    (
+        "index",
+        &["tags"],
+        RootFns::Only(&["within", "elements_within"]),
+    ),
     // Sharded-snapshot manifest decoding: parses untrusted on-disk text.
     ("index", &["segment"], RootFns::Only(&["parse"])),
     // The lane executor (`execute_lanes` and everything beside it): runs

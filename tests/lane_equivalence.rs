@@ -304,6 +304,81 @@ fn forced_lanes_and_offset_are_transparent() {
     }
 }
 
+/// Documents of `sec` elements nested up to four deep, each with a `p`
+/// of two words and a numeric `n` attribute: every `sec` candidate but
+/// the outermost lies inside another, so the joins below consecutive
+/// candidates seek backward as well as forward.
+fn nested_docs() -> Vec<String> {
+    const WORDS: [&str; 5] = ["alpha", "beta", "gamma", "delta", "alpha beta"];
+    fn sec(seed: u32, depth: u32, out: &mut String) {
+        let word = |shift: u32| WORDS[(seed >> shift) as usize % WORDS.len()];
+        out.push_str(&format!(
+            r#"<sec n="{}"><p>{} {}</p>"#,
+            seed % 4,
+            word(3),
+            word(7)
+        ));
+        if depth < 4 {
+            for child in 0..(seed >> 11) % 4 {
+                let seed = seed
+                    .wrapping_mul(2_654_435_761)
+                    .wrapping_add(child * 97 + 1)
+                    >> 3;
+                sec(seed, depth + 1, out);
+            }
+        }
+        out.push_str("</sec>");
+    }
+    (0..12u32)
+        .map(|d| {
+            let mut xml = String::from("<doc>");
+            for top in 0..3 {
+                sec(d * 7919 + top * 104_729 + 12_345, 1, &mut xml);
+            }
+            xml.push_str("</doc>");
+            xml
+        })
+        .collect()
+}
+
+const NESTED_QUERY: &str = r#"//sec[ftcontains(.//sec, "alpha") and ftcontains(./p, "beta")]"#;
+
+/// Nested candidates of one tag: `sec` answers inside `sec` answers,
+/// matched through a descendant and a child step of the same kind of
+/// element, with a multi-token KOR — lane- and segment-independent like
+/// every other query.
+#[test]
+fn nested_same_tag_candidates_are_lane_and_segment_independent() {
+    let docs = nested_docs();
+    let profile = UserProfile::new()
+        .with_kor(KeywordOrderingRule::weighted(
+            "ab",
+            "sec",
+            "alpha beta",
+            1.5,
+        ))
+        .with_kor(KeywordOrderingRule::weighted("g", "sec", "gamma", 1.0))
+        .with_vor(ValueOrderingRule::prefer_value("n", "sec", "n", "2"));
+    let engine = Engine::from_xml_docs(&docs).unwrap();
+    let all = engine
+        .search(NESTED_QUERY, &profile, &SearchOptions::top(1000))
+        .unwrap();
+    // The fixture does what it is for: many answers, some inside others.
+    assert!(all.hits.len() > 20, "{} answers", all.hits.len());
+    let region = |elem| {
+        let node = engine.db().coll.node(elem);
+        (node.start, node.end)
+    };
+    let nested = all.hits.iter().any(|outer| {
+        all.hits.iter().any(|inner| {
+            let (o, i) = (region(outer.elem), region(inner.elem));
+            outer.elem.doc == inner.elem.doc && o.0 < i.0 && i.1 < o.1
+        })
+    });
+    assert!(nested, "no answer lies inside another");
+    assert_lane_equivalent(&docs, NESTED_QUERY, &profile, 10);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 

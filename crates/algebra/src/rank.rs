@@ -107,30 +107,6 @@ impl RankContext {
         }
     }
 
-    /// Mid-plan sort by current `(K, V, S)` — what `S-ILtpkP` inserts
-    /// before each interleaved prune.
-    pub fn sort_current(&self, answers: &mut Vec<Answer>, stats: &mut ExecStats) {
-        self.rank(answers, stats);
-    }
-
-    /// Chomicki's **winnow** (paper §2's qualitative-preference operator):
-    /// keep only the `≺_V`-maximal answers — those no other answer is
-    /// strictly preferred to — ordered by the remaining components.
-    pub fn winnow(&self, answers: Vec<Answer>, stats: &mut ExecStats) -> Vec<Answer> {
-        let mut layers = self.layer(answers, stats);
-        let mut top = if layers.is_empty() {
-            Vec::new()
-        } else {
-            layers.swap_remove(0)
-        };
-        top.sort_by(|a, b| {
-            cmp_f64_desc(a.k, b.k)
-                .then_with(|| cmp_f64_desc(a.s, b.s))
-                .then_with(|| a.tiebreak().cmp(&b.tiebreak()))
-        });
-        top
-    }
-
     fn layer_and_sort_s(&self, group: Vec<Answer>, stats: &mut ExecStats) -> Vec<Answer> {
         let mut out = Vec::with_capacity(group.len());
         for mut layer in self.layer(group, stats) {

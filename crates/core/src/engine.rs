@@ -3,7 +3,7 @@
 
 use crate::error::Error;
 use crate::result::{SearchOptions, SearchResult, SearchResults};
-use crate::segment::{execute_lanes, explain_lanes, resolve_lanes, LaneStats, Segment};
+use crate::segment::{execute_lanes, explain_lanes, resolve_lanes, Segment};
 use pimento_algebra::{build_plan, Answer, Database, Matcher, PlanSpec, RankContext};
 use pimento_index::ft_contains;
 use pimento_faults::vfs::Vfs;
@@ -12,7 +12,7 @@ use pimento_index::{
     MANIFEST_FILE,
 };
 use pimento_profile::{PersonalizedQuery, UserProfile};
-use pimento_tpq::{minimized, parse_tpq, simplify_predicates, Tpq};
+use pimento_tpq::{parse_tpq, Tpq};
 use std::ops::Range;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -496,7 +496,7 @@ impl Engine {
         profile: &UserProfile,
         opts: &SearchOptions,
     ) -> Result<SearchResults, Error> {
-        let prepared = self.prepare_tpq(query, profile, opts.minimize)?;
+        let prepared = self.prepare_tpq(query, profile)?;
         self.run_prepared(&prepared, opts)
     }
 
@@ -506,33 +506,19 @@ impl Engine {
     /// (k, strategy, pagination) without re-preparing.
     pub fn prepare(&self, query: &str, profile: &UserProfile) -> Result<PreparedSearch, Error> {
         let tpq = parse_tpq(query)?;
-        self.prepare_tpq(&tpq, profile, false)
+        self.prepare_tpq(&tpq, profile)
     }
 
-    fn prepare_tpq(
-        &self,
-        query: &Tpq,
-        profile: &UserProfile,
-        minimize: bool,
-    ) -> Result<PreparedSearch, Error> {
-        let query = if minimize {
-            let mut q = minimized(query);
-            // Keyword predicates stay (they contribute to S); implied
-            // comparisons are dead weight.
-            simplify_predicates(&mut q, false);
-            q
-        } else {
-            query.clone()
-        };
-        let pq = profile.enforce_scoping(&query)?;
+    fn prepare_tpq(&self, query: &Tpq, profile: &UserProfile) -> Result<PreparedSearch, Error> {
+        let pq = profile.enforce_scoping(query)?;
         // Static-verifier consistency (debug builds): scoping succeeded,
         // so the combined verifier must not report an unresolvable SR
         // conflict cycle for the same profile/query pair. (VOR ambiguity
-        // is deliberately not asserted here — `winnow` legitimately
-        // executes ambiguous profiles over the incomparable frontier; the
+        // is deliberately not asserted here — an ambiguous profile still
+        // executes under top-k, over its incomparable frontier; the
         // `pimento lint` subcommand is the gate for those.)
         if cfg!(debug_assertions) {
-            let report = profile.verify(&query);
+            let report = profile.verify(query);
             debug_assert!(
                 !report.has_sr_cycle(),
                 "enforce_scoping succeeded but Profile::verify reports an SR conflict cycle:\n{report}"
@@ -686,74 +672,6 @@ impl Engine {
                 (strategy, plan.verify())
             })
             .collect()
-    }
-
-    /// Chomicki's *winnow* over the personalized answers (paper §2): the
-    /// `≺_V`-maximal answers only — every answer no other answer is
-    /// strictly preferred to — instead of a top-k cut. KOR scores and the
-    /// query score order the winnowed set.
-    pub fn winnow(
-        &self,
-        query: &str,
-        profile: &UserProfile,
-        limit: usize,
-    ) -> Result<SearchResults, Error> {
-        use pimento_algebra::{ExecStats, VorFetch};
-        use pimento_algebra::{BoxedOp, QueryEval};
-        let PreparedSearch {
-            matcher,
-            kors,
-            rank,
-            ..
-        } = self.prepare(query, profile)?;
-        // Materialize all personalized answers (no pruning — winnow needs
-        // the full dominance picture) from every segment, then layer-0
-        // filter the union. Winnow is a set operation over the complete
-        // answer set, so draining segments sequentially and globalizing
-        // doc ids reproduces the monolithic input exactly.
-        let mut stats = ExecStats::default();
-        let mut answers: Vec<Answer> = Vec::new();
-        for seg in &self.segments {
-            let db = seg.db();
-            let mut op: BoxedOp = Box::new(QueryEval::new(Arc::clone(&matcher)));
-            for phrase in matcher.optional_keywords() {
-                op = Box::new(pimento_algebra::SrPredJoin::new(
-                    op,
-                    Arc::clone(&matcher),
-                    phrase,
-                ));
-            }
-            for kor in kors.iter().cloned() {
-                op = Box::new(pimento_algebra::KorJoin::new(op, db, kor));
-            }
-            if !rank.vors.is_empty() {
-                op = Box::new(VorFetch::new(op, db, &rank));
-            }
-            while let Some(a) = op.next(db, &mut stats) {
-                answers.push(seg.globalize(a));
-            }
-        }
-        let winnowed = rank.winnow(answers, &mut stats);
-        stats.emitted = winnowed.len().min(limit) as u64;
-        let hits = winnowed
-            .into_iter()
-            .take(limit)
-            .enumerate()
-            .map(|(i, a)| self.materialize_hit(&matcher, profile, i + 1, a))
-            .collect::<Result<Vec<_>, Error>>()?;
-        Ok(SearchResults {
-            hits,
-            stats,
-            lanes: vec![LaneStats {
-                stats,
-                ..LaneStats::default()
-            }],
-            explain: "winnow(≺_V-maximal) -> kor* -> SrPredJoin* -> QueryEval".to_string(),
-            trace: String::new(),
-            applied_rules: matcher.personalized().flock.applied_rules.clone(),
-            skipped_rules: matcher.personalized().flock.skipped_rules.clone(),
-            flock_size: matcher.personalized().flock.members.len(),
-        })
     }
 
     /// Post-hoc provenance: which KORs and which SR-contributed optional
@@ -950,19 +868,6 @@ mod tests {
     }
 
     #[test]
-    fn minimize_option_simplifies_query() {
-        let e = engine();
-        let opts = SearchOptions {
-            minimize: true,
-            ..SearchOptions::top(2)
-        };
-        let res = e
-            .search("//car[./price and ./price]", &UserProfile::new(), &opts)
-            .unwrap();
-        assert_eq!(res.hits.len(), 2);
-    }
-
-    #[test]
     fn stats_populated() {
         let e = engine();
         let res = e
@@ -1110,50 +1015,6 @@ mod trace_tests {
             .search(r#"//car"#, &profile, &SearchOptions::top(5))
             .unwrap();
         assert!(res2.trace.is_empty());
-    }
-}
-
-#[cfg(test)]
-mod winnow_tests {
-    use super::*;
-    use pimento_profile::{UserProfile, ValueOrderingRule};
-
-    #[test]
-    fn winnow_returns_only_maximal_answers() {
-        let e = Engine::from_xml_docs(&[r#"<dealer>
-            <car><color>red</color><mileage>90000</mileage><price>1</price></car>
-            <car><color>blue</color><mileage>10000</mileage><price>2</price></car>
-            <car><color>red</color><mileage>10000</mileage><price>3</price></car>
-        </dealer>"#])
-        .unwrap();
-        // Priorities: mileage first, then red — car 3 dominates both others.
-        let profile = UserProfile::new()
-            .with_vor(ValueOrderingRule::prefer_smaller("m", "car", "mileage").with_priority(0))
-            .with_vor(ValueOrderingRule::prefer_value("c", "car", "color", "red").with_priority(1));
-        let res = e.winnow("//car", &profile, 10).unwrap();
-        assert_eq!(res.hits.len(), 1, "one dominant answer");
-        assert!(res.hits[0].xml.contains("<price>3</price>"));
-        // Without priorities π1/π2 are ambiguous: red-high-mileage and
-        // blue-low-mileage are mutually unordered, so winnow keeps the
-        // incomparable frontier.
-        let ambiguous = UserProfile::new()
-            .with_vor(ValueOrderingRule::prefer_smaller("m", "car", "mileage"))
-            .with_vor(ValueOrderingRule::prefer_value("c", "car", "color", "red"));
-        let res2 = e.winnow("//car", &ambiguous, 10).unwrap();
-        assert!(!res2.hits.is_empty());
-        assert!(res2
-            .hits
-            .iter()
-            .all(|h| !h.xml.contains("<price>1</price>") || res2.hits.len() > 1));
-    }
-
-    #[test]
-    fn winnow_without_vors_keeps_everything() {
-        let e = Engine::from_xml_docs(&["<a><b>x</b><b>y</b></a>"]).unwrap();
-        let res = e.winnow("//b", &UserProfile::new(), 10).unwrap();
-        assert_eq!(res.hits.len(), 2);
-        let limited = e.winnow("//b", &UserProfile::new(), 1).unwrap();
-        assert_eq!(limited.hits.len(), 1);
     }
 }
 

@@ -18,8 +18,6 @@ pub struct SearchOptions {
     pub strategy: PlanStrategy,
     /// KOR application order.
     pub kor_order: KorOrder,
-    /// Minimize the pattern before planning (drops redundant branches).
-    pub minimize: bool,
     /// Collect a per-operator `EXPLAIN ANALYZE` trace into
     /// `SearchResults::trace`.
     pub trace: bool,
@@ -33,6 +31,10 @@ pub struct SearchOptions {
 }
 
 impl SearchOptions {
+    /// The `k` of a search whose caller names none: the CLI's `--k`, a
+    /// `search` frame's `k`, `pimento lint --k`.
+    pub const DEFAULT_K: usize = 10;
+
     /// Top-`k` with the default (PushTopkPrune) strategy.
     pub fn top(k: usize) -> Self {
         SearchOptions {
@@ -40,7 +42,6 @@ impl SearchOptions {
             offset: 0,
             strategy: PlanStrategy::Push,
             kor_order: KorOrder::HighestWeightFirst,
-            minimize: false,
             trace: false,
             threads: 0,
         }
@@ -158,7 +159,6 @@ mod tests {
         let o = SearchOptions::top(5).with_strategy(PlanStrategy::Naive);
         assert_eq!(o.k, 5);
         assert_eq!(o.strategy, PlanStrategy::Naive);
-        assert!(!o.minimize);
     }
 
     #[test]

@@ -404,8 +404,8 @@ fn tag_name(query: &Tpq, id: TpqNodeId) -> String {
 }
 
 /// Delete an atom from the query: predicate atoms remove **all** matching
-/// predicate occurrences on nodes with the tag; structural atoms remove the
-/// matching child when it has become a bare leaf (no predicates, no
+/// predicate occurrences on nodes with the tag; structural atoms remove
+/// **every** matching child that is a bare leaf (no predicates, no
 /// children, not distinguished).
 pub fn delete_atom(query: &mut Tpq, atom: &Atom) -> Vec<Edit> {
     let mut edits = Vec::new();
@@ -422,19 +422,24 @@ pub fn delete_atom(query: &mut Tpq, atom: &Atom) -> Vec<Edit> {
             anc: parent,
             desc: child,
         } => {
-            // Remove a bare leaf `child` attached under a `parent` node.
-            let victim = query.node_ids().find(|&id| {
-                tag_is(query, id, child)
-                    && id != query.root()
-                    && id != query.distinguished()
-                    && query.node(id).children.is_empty()
-                    && query.node(id).predicates.is_empty()
-                    && query
-                        .node(id)
-                        .parent
-                        .is_some_and(|p| query.node(p).tag.matches(parent))
-            });
-            if let Some(id) = victim {
+            // Remove every bare leaf `child` attached under a `parent`
+            // node. Highest id first: `remove_leaf` renumbers only the
+            // ids above the one it removes.
+            let victims: Vec<TpqNodeId> = query
+                .node_ids()
+                .filter(|&id| {
+                    tag_is(query, id, child)
+                        && id != query.root()
+                        && id != query.distinguished()
+                        && query.node(id).children.is_empty()
+                        && query.node(id).predicates.is_empty()
+                        && query
+                            .node(id)
+                            .parent
+                            .is_some_and(|p| query.node(p).tag.matches(parent))
+                })
+                .collect();
+            for id in victims.into_iter().rev() {
                 query.remove_leaf(id);
                 edits.push(Edit::RemovedNode { tag: child.clone() });
             }
@@ -685,6 +690,15 @@ mod tests {
         let r2 = ScopingRule::delete("noprice", vec![], vec![Atom::pc("car", "price")]);
         r2.apply(&mut q);
         assert!(q.find_by_tag("price").is_some());
+    }
+
+    #[test]
+    fn delete_structural_atom_removes_every_bare_leaf() {
+        let mut q = parse_tpq("//car[./price and ./price]").unwrap();
+        let r = ScopingRule::delete("noprice", vec![], vec![Atom::pc("car", "price")]);
+        let edits = r.apply(&mut q);
+        assert_eq!(q, parse_tpq("//car").unwrap(), "{q}");
+        assert_eq!(edits.len(), 2);
     }
 
     #[test]

@@ -16,11 +16,20 @@
 //! ```
 
 use pimento::profile::{parse_profile, PrefRelRegistry, UserProfile};
-use pimento::{Engine, KorOrder, PlanStrategy, SearchOptions};
+use pimento::{Engine, SearchOptions};
 use pimento_serve::{ServeConfig, Server};
 use std::process::ExitCode;
+use std::str::FromStr;
 use std::sync::Arc;
 use std::time::Duration;
+
+/// The value after a flag, parsed; a missing or unparsable value prints
+/// `usage` and exits 2.
+fn value<T: FromStr>(it: &mut impl Iterator<Item = String>, usage: fn() -> !) -> T {
+    it.next()
+        .and_then(|s| s.parse().ok())
+        .unwrap_or_else(|| usage())
+}
 
 /// `--docs FILE...`: append every argument up to the next `--flag`.
 fn take_docs(it: &mut std::iter::Peekable<impl Iterator<Item = String>>, docs: &mut Vec<String>) {
@@ -114,63 +123,29 @@ fn run_serve(rest: Vec<String>) -> ExitCode {
     while let Some(a) = it.next() {
         match a.as_str() {
             "--docs" => take_docs(&mut it, &mut docs),
-            "--snapshot" => snapshot_path = Some(it.next().unwrap_or_else(|| serve_usage())),
-            "--shards" => {
-                shards = it
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| serve_usage())
-            }
-            "--addr" => cfg.addr = it.next().unwrap_or_else(|| serve_usage()),
-            "--threads" => {
-                cfg.workers = it
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| serve_usage())
-            }
-            "--queue-capacity" => {
-                cfg.queue_capacity = it
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| serve_usage())
-            }
-            "--query-threads" => {
-                cfg.query_threads = it
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| serve_usage())
-            }
+            "--snapshot" => snapshot_path = Some(value(&mut it, serve_usage)),
+            "--shards" => shards = value(&mut it, serve_usage),
+            "--addr" => cfg.addr = value(&mut it, serve_usage),
+            "--threads" => cfg.workers = value(&mut it, serve_usage),
+            "--queue-capacity" => cfg.queue_capacity = value(&mut it, serve_usage),
+            "--query-threads" => cfg.query_threads = value(&mut it, serve_usage),
             "--timeout-ms" => {
-                let ms: u64 = it
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| serve_usage());
+                let ms: u64 = value(&mut it, serve_usage);
                 cfg.default_timeout = Some(Duration::from_millis(ms));
             }
             "--conn-timeout-ms" => {
-                let ms: u64 = it
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| serve_usage());
+                let ms: u64 = value(&mut it, serve_usage);
                 cfg.conn_timeout = Duration::from_millis(ms.max(1));
             }
             "--profile-dir" => {
-                cfg.profile_dir = Some(it.next().unwrap_or_else(|| serve_usage()).into());
+                cfg.profile_dir = Some(value(&mut it, serve_usage));
             }
             "--data-dir" => {
-                cfg.data_dir = Some(it.next().unwrap_or_else(|| serve_usage()).into());
+                cfg.data_dir = Some(value(&mut it, serve_usage));
             }
-            "--merge-threshold" => {
-                cfg.merge_threshold = it
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| serve_usage())
-            }
+            "--merge-threshold" => cfg.merge_threshold = value(&mut it, serve_usage),
             "--scrub-interval-ms" => {
-                let ms: u64 = it
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| serve_usage());
+                let ms: u64 = value(&mut it, serve_usage);
                 cfg.scrub_interval = (ms > 0).then(|| Duration::from_millis(ms));
             }
             "--help" | "-h" => serve_usage(),
@@ -314,10 +289,8 @@ fn run_scrub(rest: Vec<String>) -> ExitCode {
     let mut it = rest.into_iter();
     while let Some(a) = it.next() {
         match a.as_str() {
-            "--data-dir" => data_dir = Some(it.next().unwrap_or_else(|| scrub_usage()).into()),
-            "--profile-dir" => {
-                profile_dir = Some(it.next().unwrap_or_else(|| scrub_usage()).into())
-            }
+            "--data-dir" => data_dir = Some(value(&mut it, scrub_usage)),
+            "--profile-dir" => profile_dir = Some(value(&mut it, scrub_usage)),
             "--help" | "-h" => scrub_usage(),
             other => {
                 eprintln!("unknown argument {other:?}");
@@ -411,13 +384,8 @@ fn run_snapshot(rest: Vec<String>) -> ExitCode {
             while let Some(a) = it.next() {
                 match a.as_str() {
                     "--docs" => take_docs(&mut it, &mut docs),
-                    "--out" => out = Some(it.next().unwrap_or_else(|| snapshot_usage())),
-                    "--shards" => {
-                        shards = it
-                            .next()
-                            .and_then(|s| s.parse().ok())
-                            .unwrap_or_else(|| snapshot_usage())
-                    }
+                    "--out" => out = Some(value(&mut it, snapshot_usage)),
+                    "--shards" => shards = value(&mut it, snapshot_usage),
                     _ => snapshot_usage(),
                 }
             }
@@ -550,8 +518,8 @@ fn run_lint_workspace(rest: Vec<String>) -> ExitCode {
     while let Some(a) = it.next() {
         match a.as_str() {
             "--workspace" => {}
-            "--root" => root = Some(it.next().unwrap_or_else(|| lint_usage()).into()),
-            "--allowlist" => allowlist = Some(it.next().unwrap_or_else(|| lint_usage()).into()),
+            "--root" => root = Some(value(&mut it, lint_usage)),
+            "--allowlist" => allowlist = Some(value(&mut it, lint_usage)),
             "--format" => match it.next().as_deref() {
                 Some("json") => json = true,
                 Some("text") => json = false,
@@ -605,19 +573,14 @@ fn run_lint(rest: Vec<String>) -> ExitCode {
     let mut profile_path: Option<String> = None;
     let mut query = String::from(r#"//car[ftcontains(., "good condition")]"#);
     let mut docs: Vec<String> = Vec::new();
-    let mut k = 10usize;
+    let mut k = SearchOptions::DEFAULT_K;
     let mut it = rest.into_iter().peekable();
     while let Some(a) = it.next() {
         match a.as_str() {
-            "--profile" => profile_path = Some(it.next().unwrap_or_else(|| lint_usage())),
-            "--query" => query = it.next().unwrap_or_else(|| lint_usage()),
+            "--profile" => profile_path = Some(value(&mut it, lint_usage)),
+            "--query" => query = value(&mut it, lint_usage),
             "--docs" => take_docs(&mut it, &mut docs),
-            "--k" => {
-                k = it
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| lint_usage())
-            }
+            "--k" => k = value(&mut it, lint_usage),
             "--help" | "-h" => lint_usage(),
             other => {
                 eprintln!("unknown argument {other:?}");
@@ -698,19 +661,16 @@ struct Args {
     docs: Vec<String>,
     query: String,
     profile: Option<String>,
-    k: usize,
-    strategy: PlanStrategy,
-    explain: bool,
+    /// `--k`, `--strategy`, `--threads` and `--explain` (as `trace`).
+    opts: SearchOptions,
     analyze: bool,
-    winnow: bool,
-    threads: usize,
     shards: usize,
 }
 
 fn usage() -> ! {
     eprintln!(
         "usage: pimento --docs FILE... --query QUERY [--profile RULES_FILE] \
-         [--k N] [--strategy naive|il|sil|push] [--threads N] [--shards N] [--explain] [--analyze] [--winnow]\n\
+         [--k N] [--strategy naive|il|sil|push] [--threads N] [--shards N] [--explain] [--analyze]\n\
          --threads N   lanes (threads) for query execution (0 = all cores, 1 = the\n\
          \x20             calling thread only; see DESIGN.md §8)\n\
          --shards N    lay the corpus out as N doc-range segments before searching\n\
@@ -734,28 +694,19 @@ fn parse_args() -> Args {
         docs: Vec::new(),
         query: String::new(),
         profile: None,
-        k: 10,
-        strategy: PlanStrategy::Push,
-        explain: false,
+        opts: SearchOptions::top(SearchOptions::DEFAULT_K),
         analyze: false,
-        winnow: false,
-        threads: 0,
         shards: 0,
     };
     let mut it = std::env::args().skip(1).peekable();
     while let Some(a) = it.next() {
         match a.as_str() {
             "--docs" => take_docs(&mut it, &mut args.docs),
-            "--query" => args.query = it.next().unwrap_or_else(|| usage()),
-            "--profile" => args.profile = Some(it.next().unwrap_or_else(|| usage())),
-            "--k" => {
-                args.k = it
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| usage())
-            }
+            "--query" => args.query = value(&mut it, usage),
+            "--profile" => args.profile = Some(value(&mut it, usage)),
+            "--k" => args.opts.k = value(&mut it, usage),
             "--strategy" => {
-                args.strategy = match it.next().map(|s| s.parse()) {
+                args.opts.strategy = match it.next().map(|s| s.parse()) {
                     Some(Ok(strategy)) => strategy,
                     Some(Err(e)) => {
                         eprintln!("{e}");
@@ -764,21 +715,10 @@ fn parse_args() -> Args {
                     None => usage(),
                 }
             }
-            "--threads" => {
-                args.threads = it
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| usage())
-            }
-            "--shards" => {
-                args.shards = it
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| usage())
-            }
-            "--explain" => args.explain = true,
+            "--threads" => args.opts.threads = value(&mut it, usage),
+            "--shards" => args.shards = value(&mut it, usage),
+            "--explain" => args.opts.trace = true,
             "--analyze" => args.analyze = true,
-            "--winnow" => args.winnow = true,
             "--help" | "-h" => usage(),
             other => {
                 eprintln!("unknown argument {other:?}");
@@ -857,29 +797,11 @@ fn main() -> ExitCode {
         println!();
     }
 
-    let opts = SearchOptions {
-        strategy: args.strategy,
-        trace: args.explain,
-        minimize: true,
-        kor_order: KorOrder::HighestWeightFirst,
-        threads: args.threads,
-        ..SearchOptions::top(args.k)
-    };
-    let results = if args.winnow {
-        match engine.winnow(&args.query, &profile, args.k) {
-            Ok(r) => r,
-            Err(e) => {
-                eprintln!("{e}");
-                return ExitCode::FAILURE;
-            }
-        }
-    } else {
-        match engine.search(&args.query, &profile, &opts) {
-            Ok(r) => r,
-            Err(e) => {
-                eprintln!("{e}");
-                return ExitCode::FAILURE;
-            }
+    let results = match engine.search(&args.query, &profile, &args.opts) {
+        Ok(r) => r,
+        Err(e) => {
+            eprintln!("{e}");
+            return ExitCode::FAILURE;
         }
     };
 
@@ -906,7 +828,7 @@ fn main() -> ExitCode {
     if results.hits.is_empty() {
         println!("(no answers)");
     }
-    if args.explain {
+    if args.opts.trace {
         println!("\nplan: {}", results.explain);
         if !results.trace.is_empty() {
             println!("\n{}", results.trace);

@@ -23,8 +23,7 @@
 //! * [`scrub`] — online integrity scrubber: periodic re-verification of
 //!   every durable artifact with quarantine-and-repair and the `health`
 //!   verb (DESIGN.md §17);
-//! * [`client`] — a small blocking client with bounded-backoff retry for
-//!   tests and tooling.
+//! * [`client`] — a small blocking client for tests and tooling.
 //!
 //! The failure model — which fault can fire where, and what typed error
 //! or degradation each one maps to — is cataloged in DESIGN.md §12.
@@ -46,7 +45,7 @@ pub mod server;
 #[cfg(feature = "fault-injection")]
 pub use pimento_faults as faults;
 
-pub use client::{Client, ClientError, RetryPolicy};
+pub use client::{Client, ClientError};
 pub use json::Value;
 pub use metrics::Metrics;
 pub use protocol::{err_kind, Request};

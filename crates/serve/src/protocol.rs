@@ -7,7 +7,7 @@
 //! responses are `{"ok": …}` or `{"err": {"kind": …, "msg": …}}`.
 
 use crate::json::{obj, Value};
-use pimento::PlanStrategy;
+use pimento::{PlanStrategy, SearchOptions};
 use std::io::{self, Read, Write};
 
 /// Hard cap a frame may declare regardless of configuration (16 MiB) —
@@ -254,7 +254,7 @@ fn query_spec(v: &Value) -> Result<QuerySpec, String> {
     Ok(QuerySpec {
         user,
         query,
-        k: opt_u64(v, "k")?.unwrap_or(10) as usize,
+        k: opt_u64(v, "k")?.map_or(SearchOptions::DEFAULT_K, |k| k as usize),
         offset: opt_u64(v, "offset")?.unwrap_or(0) as usize,
         strategy,
         threads: opt_u64(v, "threads")?.map(|n| n as usize),

@@ -901,13 +901,14 @@ fn run_query(
         }
         Err(e) => return Err(map_engine_err(e)),
     };
-    let mut opts = SearchOptions::top(spec.k.max(1));
-    opts.k = spec.k; // k == 0 surfaces as the engine's typed InvalidK
-    opts.offset = spec.offset;
-    opts.threads = spec.threads.unwrap_or(shared.cfg.query_threads);
-    if let Some(strategy) = spec.strategy {
-        opts.strategy = strategy;
-    }
+    // k == 0 surfaces as the engine's typed InvalidK.
+    let defaults = SearchOptions::top(spec.k);
+    let opts = SearchOptions {
+        offset: spec.offset,
+        strategy: spec.strategy.unwrap_or(defaults.strategy),
+        threads: spec.threads.unwrap_or(shared.cfg.query_threads),
+        ..defaults
+    };
     if explain_only {
         let plan = engine
             .explain_prepared(&prepared, &opts)

@@ -1,7 +1,10 @@
 //! Process-level tests of the `pimento` CLI binary.
 
+use pimento::{Engine, SearchOptions};
+use pimento_serve::{Client, ServeConfig, Server, Value};
 use std::io::Write;
 use std::process::Command;
+use std::sync::Arc;
 
 fn write_temp(name: &str, content: &str) -> std::path::PathBuf {
     let dir = std::env::temp_dir().join("pimento-cli-tests");
@@ -53,24 +56,78 @@ fn cli_searches_with_profile() {
     assert!(stdout.contains("collection: 1 document(s)"), "{stdout}");
 }
 
+/// Three cars, two with a `price`: the fixture on which a query with a
+/// duplicated branch once got different answers from the two front ends.
+const DUP_CARS: &str = r#"<dealer>
+<car><description>good condition</description><price>500</price></car>
+<car><description>garaged</description><price>900</price></car>
+<car><description>rusty</description></car>
+</dealer>"#;
+
+const DUP_RULES: &str = "rho1: if pc(car, price) then remove pc(car, price)\n";
+
+const DUP_QUERY: &str = "//car[./price and ./price]";
+
+/// The CLI and a `search` frame run one query path: the same corpus,
+/// rules and query give the same hits, whichever front end answers.
 #[test]
-fn cli_winnow_mode() {
-    let docs = write_temp("cars2.xml", CARS);
-    let rules = write_temp("profile2.rules", RULES);
+fn cli_and_server_return_the_same_hits() {
+    let docs = write_temp("dup-cars.xml", DUP_CARS);
+    let rules = write_temp("dup.rules", DUP_RULES);
     let out = pimento()
         .args(["--docs"])
         .arg(&docs)
-        .args(["--query", "//car"])
-        .args(["--profile"])
+        .args(["--query", DUP_QUERY, "--profile"])
         .arg(&rules)
-        .args(["--winnow", "--k", "5"])
         .output()
         .expect("binary runs");
-    assert!(out.status.success());
+    assert!(
+        out.status.success(),
+        "stderr: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
     let stdout = String::from_utf8_lossy(&out.stdout);
-    // Winnow keeps the red car (the only ≺_V-maximal under pi1 among
-    // colored answers) plus incomparable colorless ones.
-    assert!(stdout.contains("#1"), "{stdout}");
+    let cli: Vec<&str> = stdout.lines().filter(|l| l.starts_with('#')).collect();
+
+    let engine = Arc::new(Engine::from_xml_docs(&[DUP_CARS]).expect("corpus parses"));
+    let cfg = ServeConfig {
+        addr: "127.0.0.1:0".to_string(),
+        ..ServeConfig::default()
+    };
+    let server = Server::bind(engine, cfg).expect("bind");
+    let addr = server.local_addr();
+    let handle = std::thread::spawn(move || server.run());
+    let mut client = Client::connect(addr).expect("connect");
+    client.register_profile("u", DUP_RULES).expect("register");
+    let reply = client
+        .search(Some("u"), DUP_QUERY, SearchOptions::DEFAULT_K)
+        .expect("search");
+    client.shutdown().expect("shutdown");
+    handle.join().expect("server thread").expect("server run");
+
+    // Each hit as the CLI prints it: (rank, K, S, doc, text).
+    let served: Vec<String> = reply
+        .get("hits")
+        .and_then(Value::as_arr)
+        .expect("hits")
+        .iter()
+        .map(|h| {
+            format!(
+                "#{:<3} K={:<6.2} S={:<6.3} doc{} {}",
+                h.get("rank").and_then(Value::as_u64).expect("rank"),
+                h.get("k").and_then(Value::as_f64).expect("k"),
+                h.get("s").and_then(Value::as_f64).expect("s"),
+                h.get("doc").and_then(Value::as_u64).expect("doc"),
+                h.get("text").and_then(Value::as_str).expect("text"),
+            )
+        })
+        .collect();
+    assert_eq!(cli, served, "CLI stdout:\n{stdout}");
+    assert_eq!(
+        cli.len(),
+        3,
+        "the rule deletes both `price` branches: {stdout}"
+    );
 }
 
 #[test]
@@ -126,6 +183,15 @@ fn cli_rejects_bad_inputs() {
         .expect("binary runs");
     assert_eq!(out.status.code(), Some(2));
     assert!(String::from_utf8_lossy(&out.stderr).contains("unknown argument \"--cache-capacity\""));
+    // Search has one path: there is no `--winnow` side path to select.
+    let out = pimento()
+        .args(["--docs"])
+        .arg(&docs)
+        .args(["--query", "//car", "--winnow", "--k", "0"])
+        .output()
+        .expect("binary runs");
+    assert_eq!(out.status.code(), Some(2));
+    assert!(String::from_utf8_lossy(&out.stderr).contains("unknown argument \"--winnow\""));
 }
 
 /// A snapshot in any pre-columnar format is refused with the typed

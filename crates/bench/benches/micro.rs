@@ -6,7 +6,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use pimento::algebra::Database;
 use pimento::index::Collection;
 use pimento::profile::{analyze_conflicts, detect_ambiguity, Atom, ScopingRule, ValueOrderingRule};
-use pimento::tpq::{contains, minimized, parse_tpq};
+use pimento::tpq::{contains, parse_tpq};
 use pimento_datagen::{carsale, xmark};
 
 fn bench_parse_index(c: &mut Criterion) {
@@ -31,13 +31,6 @@ fn bench_containment(c: &mut Criterion) {
         b.iter(|| {
             assert!(contains(&wide, &narrow));
             assert!(!contains(&narrow, &wide));
-        })
-    });
-    let redundant = parse_tpq("//car[./price and ./price and .//price and ./color]").unwrap();
-    c.bench_function("tpq_minimization", |b| {
-        b.iter(|| {
-            let m = minimized(&redundant);
-            assert_eq!(m.len(), 3);
         })
     });
 }

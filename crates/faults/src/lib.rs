@@ -124,11 +124,6 @@ pub fn clear() {
     *registry() = None;
 }
 
-/// Is a fault plan currently installed?
-pub fn is_active() -> bool {
-    registry().is_some()
-}
-
 /// Record one arrival at `point` and decide whether it fires under the
 /// installed plan. Always `false` when no plan is installed.
 pub fn should_fire(point: &str) -> bool {
@@ -200,7 +195,7 @@ mod tests {
     fn no_plan_never_fires() {
         let _g = serialized();
         clear();
-        assert!(!is_active());
+        assert!(registry().is_none());
         assert!(!should_fire("io.read"));
         assert_eq!(hits("io.read"), 0);
         assert_eq!(fired("io.read"), 0);

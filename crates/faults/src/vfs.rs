@@ -36,7 +36,6 @@
 use std::fmt;
 use std::io;
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
 
 /// Abstract filesystem operations for durable state.
 ///
@@ -72,11 +71,6 @@ pub trait Vfs: Send + Sync + fmt::Debug {
 /// The production [`Vfs`]: a thin veneer over `std::fs`.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct StdVfs;
-
-/// A ready-to-share handle to the production filesystem.
-pub fn std_vfs() -> Arc<dyn Vfs> {
-    Arc::new(StdVfs)
-}
 
 impl Vfs for StdVfs {
     fn create_dir_all(&self, dir: &Path) -> io::Result<()> {
@@ -464,11 +458,6 @@ mod sim {
             s.crashed = false;
             s.crash_at = None;
             s.ops = 0;
-        }
-
-        /// The set of paths a `Lose`-style crash would preserve.
-        pub fn durable_paths(&self) -> Vec<PathBuf> {
-            self.lock().durable_ns.keys().cloned().collect()
         }
     }
 

@@ -794,7 +794,7 @@ mod tests {
         let opened = open_index(&save_index(&c, &inv, &tags)).unwrap();
         assert!(opened.collection.is_empty());
         assert_eq!(opened.inverted.num_docs(), 0);
-        assert_eq!(opened.tags.num_tags(), 0);
+        assert_eq!(opened.tags, tags);
     }
 
     #[test]

@@ -83,11 +83,6 @@ impl TagIndex {
     pub fn elements_within(&self, tag: SymbolId, doc: DocId, start: u32, end: u32) -> &[ElemEntry] {
         within(self.elements(tag), &mut 0, doc, start, end)
     }
-    /// Number of distinct tags.
-    pub fn num_tags(&self) -> usize {
-        self.by_tag.len()
-    }
-
     /// Total element count for `tag` (0 when absent).
     pub fn count(&self, tag: SymbolId) -> usize {
         self.elements(tag).len()
@@ -132,7 +127,7 @@ mod tests {
         assert_eq!(t.count(c.tag("car").unwrap()), 3);
         assert_eq!(t.count(c.tag("price").unwrap()), 2);
         assert_eq!(t.count(c.tag("dealer").unwrap()), 2);
-        assert_eq!(t.num_tags(), 3);
+        assert_eq!(t.by_tag.len(), 3);
     }
 
     #[test]

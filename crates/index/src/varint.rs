@@ -1,4 +1,4 @@
-//! Shared LEB128 varint + delta-pack codec for the columnar snapshot.
+//! Shared LEB128 varint codec for the columnar snapshot.
 //!
 //! Posting runs in the `PIMCOL4` snapshot (see [`crate::columnar`]) are
 //! stored as delta-encoded varints: within one `(token, document)` run,
@@ -47,36 +47,6 @@ pub fn get_varint(mut buf: &[u8]) -> Option<(u32, &[u8])> {
         }
     }
     None
-}
-
-/// Delta-pack a nondecreasing run: the first element absolute, each
-/// subsequent element as its difference from the predecessor.
-///
-/// Panics in debug builds if `run` is not nondecreasing (the snapshot
-/// writer's invariant); release builds would produce bytes that fail the
-/// round-trip property, which the corruption tests catch.
-pub fn put_delta_run(out: &mut Vec<u8>, run: &[u32]) {
-    let mut prev = 0u32;
-    for (i, &v) in run.iter().enumerate() {
-        debug_assert!(i == 0 || v >= prev, "delta runs must be nondecreasing");
-        put_varint(out, if i == 0 { v } else { v - prev });
-        prev = v;
-    }
-}
-
-/// Decode `count` delta-packed values from the front of `buf`, appending
-/// the reconstructed absolutes to `into`. Returns the remaining bytes, or
-/// `None` on truncation/overflow (a corrupt run).
-pub fn get_delta_run<'a>(buf: &'a [u8], count: usize, into: &mut Vec<u32>) -> Option<&'a [u8]> {
-    let mut rest = buf;
-    let mut prev = 0u32;
-    for i in 0..count {
-        let (d, r) = get_varint(rest)?;
-        rest = r;
-        prev = if i == 0 { d } else { prev.checked_add(d)? };
-        into.push(prev);
-    }
-    Some(rest)
 }
 
 #[cfg(test)]
@@ -134,56 +104,6 @@ mod tests {
         );
     }
 
-    #[test]
-    fn empty_run_roundtrips() {
-        let mut out = Vec::new();
-        put_delta_run(&mut out, &[]);
-        assert!(out.is_empty());
-        let mut decoded = Vec::new();
-        let rest = get_delta_run(&out, 0, &mut decoded).unwrap();
-        assert!(rest.is_empty() && decoded.is_empty());
-    }
-
-    #[test]
-    fn single_element_run_roundtrips() {
-        for v in [0, 1, 127, 128, u32::MAX] {
-            let mut out = Vec::new();
-            put_delta_run(&mut out, &[v]);
-            let mut decoded = Vec::new();
-            get_delta_run(&out, 1, &mut decoded).unwrap();
-            assert_eq!(decoded, [v]);
-        }
-    }
-
-    #[test]
-    fn max_delta_run_roundtrips() {
-        // 0 → u32::MAX is the largest possible delta.
-        let run = [0, u32::MAX, u32::MAX, u32::MAX];
-        let mut out = Vec::new();
-        put_delta_run(&mut out, &run);
-        let mut decoded = Vec::new();
-        get_delta_run(&out, run.len(), &mut decoded).unwrap();
-        assert_eq!(decoded, run);
-    }
-
-    #[test]
-    fn overflowing_delta_sum_rejected() {
-        // Absolute u32::MAX followed by a delta of 1 overflows on decode.
-        let mut out = Vec::new();
-        put_varint(&mut out, u32::MAX);
-        put_varint(&mut out, 1);
-        let mut decoded = Vec::new();
-        assert!(get_delta_run(&out, 2, &mut decoded).is_none());
-    }
-
-    #[test]
-    fn truncated_run_rejected() {
-        let mut out = Vec::new();
-        put_delta_run(&mut out, &[5, 10, 500]);
-        let mut decoded = Vec::new();
-        assert!(get_delta_run(&out[..out.len() - 1], 3, &mut decoded).is_none());
-    }
-
     proptest! {
         /// Any u32 round-trips through the varint codec, and the encoded
         /// length matches the 7-bits-per-byte schedule.
@@ -196,28 +116,6 @@ mod tests {
             let (decoded, rest) = get_varint(&bytes).unwrap();
             prop_assert_eq!(decoded, v);
             prop_assert!(rest.is_empty());
-        }
-
-        /// Any nondecreasing run — empty, single-element, and runs with
-        /// u32::MAX-sized deltas included — round-trips through the delta
-        /// pack, and concatenated runs decode independently.
-        #[test]
-        fn delta_run_roundtrip(raw in proptest::collection::vec(any::<u32>(), 0..64)) {
-            // Sort to satisfy the nondecreasing invariant; duplicates stay
-            // (delta 0 is a valid encoding).
-            let mut run = raw;
-            run.sort_unstable();
-            let mut out = Vec::new();
-            put_delta_run(&mut out, &run);
-            // A second run directly after the first must not disturb it.
-            put_delta_run(&mut out, &run);
-            let mut decoded = Vec::new();
-            let rest = get_delta_run(&out, run.len(), &mut decoded).unwrap();
-            prop_assert_eq!(&decoded, &run);
-            let mut decoded2 = Vec::new();
-            let rest2 = get_delta_run(rest, run.len(), &mut decoded2).unwrap();
-            prop_assert_eq!(&decoded2, &run);
-            prop_assert!(rest2.is_empty());
         }
     }
 }

@@ -5,7 +5,7 @@
 //! buffer using directory-supplied offsets and lengths, and decodes
 //! every row, span and varint run of them. Inside the decoder functions
 //! of `columnar.rs` / `varint.rs` — everything reachable from
-//! `open_index` / `inspect` / `get_varint` / `get_delta_run`, which
+//! `open_index` / `inspect` / `get_varint`, which
 //! includes the per-section decoders — raw `+`/`*` arithmetic on
 //! offset-like values and direct `[…]` indexing are banned: a corrupted
 //! directory must route through `checked_add`/`checked_mul`/`.get(…)`
@@ -26,7 +26,7 @@ const DECODERS: &[(&str, &[&str], &[&str])] = &[
         &["columnar"],
         &["open_index", "inspect"],
     ),
-    ("index", &["varint"], &["get_varint", "get_delta_run"]),
+    ("index", &["varint"], &["get_varint"]),
 ];
 
 /// Identifier fragments that mark a value as an offset/length in the

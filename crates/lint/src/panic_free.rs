@@ -39,11 +39,7 @@ const ROOTS: &[(&str, &[&str], RootFns)] = &[
         &["columnar"],
         RootFns::Only(&["open_index", "inspect"]),
     ),
-    (
-        "index",
-        &["varint"],
-        RootFns::Only(&["get_varint", "get_delta_run"]),
-    ),
+    ("index", &["varint"], RootFns::Only(&["get_varint"])),
     ("index", &["phrase"], RootFns::All),
     // The one seek over the sorted tag and posting lists, and the region
     // lookup on the tag list: every join of the per-answer path runs

@@ -92,23 +92,6 @@ pub fn detect_ambiguity_with_priorities(rules: &[ValueOrderingRule]) -> Ambiguit
     report
 }
 
-/// Assign priorities that break every alternating cycle, mimicking the
-/// paper's suggestion ("by assigning a priority to the rules, alternating
-/// cycles can be broken"): each rule gets its index as priority, making
-/// every class a singleton. Returns the adjusted rules. Callers who want a
-/// semantically chosen order should set priorities themselves.
-pub fn break_ambiguity_by_index(rules: &[ValueOrderingRule]) -> Vec<ValueOrderingRule> {
-    rules
-        .iter()
-        .enumerate()
-        .map(|(i, r)| {
-            let mut r = r.clone();
-            r.priority = i as u32;
-            r
-        })
-        .collect()
-}
-
 /// Enumerate simple cycles of a small digraph (Johnson-style DFS restricted
 /// to cycles whose smallest node is the DFS root), capped at `max`.
 fn enumerate_simple_cycles(arcs: &[Vec<usize>], max: usize) -> Vec<Vec<usize>> {
@@ -207,10 +190,6 @@ mod tests {
         ValueOrderingRule::prefer_smaller("pi2", "car", "mileage")
     }
 
-    fn pi3() -> ValueOrderingRule {
-        ValueOrderingRule::prefer_larger("pi3", "car", "hp").with_equal_attr("make")
-    }
-
     #[test]
     fn paper_pi1_pi2_is_ambiguous() {
         let report = detect_ambiguity(&[pi1(), pi2()]);
@@ -300,15 +279,6 @@ mod tests {
         assert!(!detect_ambiguity_with_priorities(&rules).is_ambiguous());
         // Without priority separation it is ambiguous.
         assert!(detect_ambiguity_with_priorities(&[pi1(), pi2()]).is_ambiguous());
-    }
-
-    #[test]
-    fn break_by_index_always_resolves() {
-        let rules = vec![pi1(), pi2(), pi3()];
-        let broken = break_ambiguity_by_index(&rules);
-        assert!(!detect_ambiguity_with_priorities(&broken).is_ambiguous());
-        assert_eq!(broken[0].priority, 0);
-        assert_eq!(broken[2].priority, 2);
     }
 
     #[test]

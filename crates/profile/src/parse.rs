@@ -722,7 +722,6 @@ impl<'r> Parser<'r> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::vor::RuleCmp;
 
     fn reg() -> PrefRelRegistry {
         let mut r = PrefRelRegistry::new();
@@ -876,9 +875,18 @@ mod tests {
         else {
             panic!()
         };
-        let red = |k: &str| (k == "color").then(|| AttrValue::Str("red".into()));
-        let blue = |k: &str| (k == "color").then(|| AttrValue::Str("blue".into()));
-        assert_eq!(parsed.compare("car", "car", &red, &blue), RuleCmp::PreferA);
+        let builder = ValueOrderingRule::prefer_value("pi1", "car", "color", "red");
+        assert_eq!(parsed.form, builder.form);
+        let compiled = crate::CompiledVors::compile(&[parsed]);
+        let key = |color: &str| {
+            compiled.make_key("car", |_, attr| {
+                (attr == "color").then(|| AttrValue::Str(color.into()))
+            })
+        };
+        assert_eq!(
+            compiled.compare(&key("red"), &key("blue")),
+            crate::VorOutcome::PreferA
+        );
     }
 
     #[test]

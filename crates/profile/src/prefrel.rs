@@ -154,11 +154,6 @@ impl PrefTable {
     pub fn prefers_ids(&self, a: u32, b: u32) -> bool {
         self.bits[a as usize * self.n + b as usize]
     }
-
-    /// Number of domain values.
-    pub fn domain_size(&self) -> usize {
-        self.n
-    }
 }
 
 fn norm(s: &str) -> String {
@@ -228,7 +223,6 @@ mod tests {
         let t = r.compile();
         let mut domain: Vec<&str> = r.values().into_iter().collect();
         domain.sort_unstable();
-        assert_eq!(t.domain_size(), domain.len());
         for a in &domain {
             for b in &domain {
                 let (ia, ib) = (t.id(a).unwrap(), t.id(b).unwrap());

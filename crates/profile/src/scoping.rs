@@ -9,11 +9,8 @@
 //! them); applying a rule grafts or prunes the corresponding pieces of the
 //! pattern.
 
-use pimento_tpq::{contains as tpq_implies_pred, Axis, Predicate, Tpq, TpqNodeId};
-
-// `contains` from pimento-tpq is pattern-level; atom-level checks reuse the
-// predicate implication helper below.
 use pimento_tpq::implies as pred_implies;
+use pimento_tpq::{Axis, Predicate, Tpq, TpqNodeId};
 
 /// One atom of a rule condition or conclusion.
 #[derive(Debug, Clone, PartialEq)]
@@ -272,11 +269,13 @@ pub enum Edit {
     },
 }
 
-/// Does the query's pattern satisfy (imply) the atom?
+/// Does the query's pattern satisfy (imply) the atom? Every tag an atom
+/// names must be a query node's own name: a `*` node satisfies no named
+/// atom, since it also binds elements with other names.
 pub fn atom_satisfied(query: &Tpq, atom: &Atom) -> bool {
     match atom {
         Atom::Pc { parent, child } => query.node_ids().any(|id| {
-            query.node(id).tag.matches(parent)
+            tag_is(query, id, parent)
                 && query
                     .node(id)
                     .children
@@ -284,7 +283,7 @@ pub fn atom_satisfied(query: &Tpq, atom: &Atom) -> bool {
                     .any(|&c| query.node(c).axis == Axis::Child && tag_is(query, c, child))
         }),
         Atom::Ad { anc, desc } => query.node_ids().any(|id| {
-            query.node(id).tag.matches(anc)
+            tag_is(query, id, anc)
                 && query
                     .descendants(id)
                     .iter()
@@ -406,7 +405,8 @@ fn tag_name(query: &Tpq, id: TpqNodeId) -> String {
 /// Delete an atom from the query: predicate atoms remove **all** matching
 /// predicate occurrences on nodes with the tag; structural atoms remove
 /// **every** matching child that is a bare leaf (no predicates, no
-/// children, not distinguished).
+/// children, not distinguished). `pc` matches only a child edge; `ad`
+/// matches either axis, since both imply it.
 pub fn delete_atom(query: &mut Tpq, atom: &Atom) -> Vec<Edit> {
     let mut edits = Vec::new();
     match atom {
@@ -425,18 +425,20 @@ pub fn delete_atom(query: &mut Tpq, atom: &Atom) -> Vec<Edit> {
             // Remove every bare leaf `child` attached under a `parent`
             // node. Highest id first: `remove_leaf` renumbers only the
             // ids above the one it removes.
+            let child_edge_only = matches!(atom, Atom::Pc { .. });
             let victims: Vec<TpqNodeId> = query
                 .node_ids()
                 .filter(|&id| {
                     tag_is(query, id, child)
                         && id != query.root()
                         && id != query.distinguished()
+                        && (!child_edge_only || query.node(id).axis == Axis::Child)
                         && query.node(id).children.is_empty()
                         && query.node(id).predicates.is_empty()
                         && query
                             .node(id)
                             .parent
-                            .is_some_and(|p| query.node(p).tag.matches(parent))
+                            .is_some_and(|p| tag_is(query, p, parent))
                 })
                 .collect();
             for id in victims.into_iter().rev() {
@@ -477,11 +479,11 @@ pub fn relax_edges(query: &mut Tpq, parent: &str, child: &str) -> Vec<Edit> {
         .node_ids()
         .filter(|&id| {
             query.node(id).axis == Axis::Child
-                && query.node(id).tag.name() == Some(child)
+                && tag_is(query, id, child)
                 && query
                     .node(id)
                     .parent
-                    .is_some_and(|p| query.node(p).tag.matches(parent))
+                    .is_some_and(|p| tag_is(query, p, parent))
         })
         .collect();
     for id in targets {
@@ -492,12 +494,6 @@ pub fn relax_edges(query: &mut Tpq, parent: &str, child: &str) -> Vec<Edit> {
         });
     }
     edits
-}
-
-/// Pattern-level subsumption (exposed for profiles whose conditions are
-/// full patterns rather than atom lists): does `query` subsume `cond`?
-pub fn query_subsumes(cond: &Tpq, query: &Tpq) -> bool {
-    tpq_implies_pred(cond, query)
 }
 
 #[cfg(test)]
@@ -699,6 +695,39 @@ mod tests {
         let edits = r.apply(&mut q);
         assert_eq!(q, parse_tpq("//car").unwrap(), "{q}");
         assert_eq!(edits.len(), 2);
+    }
+
+    #[test]
+    fn delete_pc_atom_keeps_a_descendant_edge() {
+        // `pc(car, price)` does not name `//car[.//price]`'s edge; `ad`
+        // names both edges.
+        let mut q = parse_tpq("//car[.//price and ./price]").unwrap();
+        ScopingRule::delete("nopc", vec![], vec![Atom::pc("car", "price")]).apply(&mut q);
+        assert_eq!(q, parse_tpq("//car[.//price]").unwrap(), "{q}");
+        ScopingRule::delete("noad", vec![], vec![Atom::ad("car", "price")]).apply(&mut q);
+        assert_eq!(q, parse_tpq("//car").unwrap(), "{q}");
+    }
+
+    #[test]
+    fn wildcard_node_satisfies_no_named_atom() {
+        let r = ScopingRule::add(
+            "nyc",
+            vec![Atom::pc("car", "description")],
+            vec![Atom::ft("description", "NYC")],
+        );
+        assert!(r.applicable(&parse_tpq("//car[./description]").unwrap()));
+        for q in [
+            "//*[./description]",
+            "//boat[./description]",
+            "//*[.//description]",
+        ] {
+            assert!(!r.applicable(&parse_tpq(q).unwrap()), "{q}");
+        }
+        // Nor does a `*` node take part in a delete or a relaxation.
+        let mut q = parse_tpq("//*[./description]").unwrap();
+        ScopingRule::delete("d", vec![], vec![Atom::pc("car", "description")]).apply(&mut q);
+        assert_eq!(q, parse_tpq("//*[./description]").unwrap(), "{q}");
+        assert!(relax_edges(&mut q, "car", "description").is_empty());
     }
 
     #[test]

@@ -253,80 +253,6 @@ impl ValueOrderingRule {
         out.extend(self.guards.iter().map(|g| g.attr.as_str()));
         out
     }
-
-    /// Compare two answers under this rule. `fields` functions resolve
-    /// attribute names to values for each answer; `tag_of` supplies the
-    /// answers' element tags.
-    pub fn compare(
-        &self,
-        a_tag: &str,
-        b_tag: &str,
-        a_fields: &dyn Fn(&str) -> Option<AttrValue>,
-        b_fields: &dyn Fn(&str) -> Option<AttrValue>,
-    ) -> RuleCmp {
-        // Common conditions: same required tag on both sides.
-        if !a_tag.eq_ignore_ascii_case(&self.tag) || !b_tag.eq_ignore_ascii_case(&self.tag) {
-            return RuleCmp::NoInfo;
-        }
-        for attr in &self.equal_attrs {
-            match (a_fields(attr), b_fields(attr)) {
-                (Some(va), Some(vb)) if va.same(&vb) => {}
-                _ => return RuleCmp::NoInfo,
-            }
-        }
-        for g in &self.guards {
-            if !guard_holds(g, a_fields) || !guard_holds(g, b_fields) {
-                return RuleCmp::NoInfo;
-            }
-        }
-        match &self.form {
-            VorForm::EqConst { attr, value } => {
-                let target = AttrValue::Str(value.clone());
-                let a_has = a_fields(attr).map(|v| v.same(&target)).unwrap_or(false);
-                let b_has = b_fields(attr).map(|v| v.same(&target)).unwrap_or(false);
-                match (a_has, b_has) {
-                    (true, false) => RuleCmp::PreferA,
-                    (false, true) => RuleCmp::PreferB,
-                    (true, true) | (false, false) => RuleCmp::Equal,
-                }
-            }
-            VorForm::AttrCompare { attr, op } => {
-                let (Some(va), Some(vb)) = (a_fields(attr), b_fields(attr)) else {
-                    return RuleCmp::NoInfo;
-                };
-                let (Some(na), Some(nb)) = (va.as_num(), vb.as_num()) else {
-                    return RuleCmp::NoInfo;
-                };
-                if na == nb {
-                    return RuleCmp::Equal;
-                }
-                let a_wins = match op {
-                    PrefOp::Lt => na < nb,
-                    PrefOp::Gt => na > nb,
-                };
-                if a_wins {
-                    RuleCmp::PreferA
-                } else {
-                    RuleCmp::PreferB
-                }
-            }
-            VorForm::Preference { attr, order } => {
-                let (Some(va), Some(vb)) = (a_fields(attr), b_fields(attr)) else {
-                    return RuleCmp::NoInfo;
-                };
-                let (sa, sb) = (va.as_text(), vb.as_text());
-                if sa.eq_ignore_ascii_case(&sb) {
-                    RuleCmp::Equal
-                } else if order.prefers(&sa, &sb) {
-                    RuleCmp::PreferA
-                } else if order.prefers(&sb, &sa) {
-                    RuleCmp::PreferB
-                } else {
-                    RuleCmp::NoInfo
-                }
-            }
-        }
-    }
 }
 
 /// The canonical text rendering of a numeric attribute value (integral
@@ -337,20 +263,6 @@ pub(crate) fn format_num(n: f64) -> String {
         format!("{}", n as i64)
     } else {
         n.to_string()
-    }
-}
-
-fn guard_holds(g: &LocalGuard, fields: &dyn Fn(&str) -> Option<AttrValue>) -> bool {
-    let Some(v) = fields(&g.attr) else {
-        return false;
-    };
-    match g.op {
-        RelOp::Eq => v.same(&g.value),
-        RelOp::Ne => !v.same(&g.value),
-        op => match (v.as_num(), g.value.as_num()) {
-            (Some(a), Some(b)) => op.eval_num(a, b),
-            _ => false,
-        },
     }
 }
 
@@ -393,269 +305,9 @@ impl fmt::Display for VorOutcome {
     }
 }
 
-/// Compare two answers under a whole rule set, honoring priority classes:
-/// classes are consulted in ascending priority number; within a class
-/// (which static analysis guarantees unambiguous), any strict preference
-/// decides; a class where every rule says `Equal` falls through to the
-/// next; anything else renders the pair incomparable unless a later class
-/// decides — matching the paper's "assign priorities to break alternating
-/// cycles" semantics (§5.2).
-pub fn compare_all(
-    rules: &[ValueOrderingRule],
-    a_tag: &str,
-    b_tag: &str,
-    a_fields: &dyn Fn(&str) -> Option<AttrValue>,
-    b_fields: &dyn Fn(&str) -> Option<AttrValue>,
-) -> VorOutcome {
-    if rules.is_empty() {
-        return VorOutcome::Equal;
-    }
-    let mut classes: Vec<u32> = rules.iter().map(|r| r.priority).collect();
-    classes.sort_unstable();
-    classes.dedup();
-    let mut saw_noinfo = false;
-    for class in classes {
-        let mut prefer_a = false;
-        let mut prefer_b = false;
-        for rule in rules.iter().filter(|r| r.priority == class) {
-            match rule.compare(a_tag, b_tag, a_fields, b_fields) {
-                RuleCmp::PreferA => prefer_a = true,
-                RuleCmp::PreferB => prefer_b = true,
-                RuleCmp::Equal => {}
-                RuleCmp::NoInfo => saw_noinfo = true,
-            }
-        }
-        match (prefer_a, prefer_b) {
-            (true, false) => return VorOutcome::PreferA,
-            (false, true) => return VorOutcome::PreferB,
-            // Within an unambiguous class this cannot happen on real data;
-            // if it does (user skipped static analysis), the pair is
-            // incomparable rather than arbitrarily ordered.
-            (true, true) => return VorOutcome::Incomparable,
-            (false, false) => {}
-        }
-    }
-    if saw_noinfo {
-        VorOutcome::Incomparable
-    } else {
-        VorOutcome::Equal
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::HashMap;
-
-    fn fields(pairs: &[(&str, AttrValue)]) -> HashMap<String, AttrValue> {
-        pairs
-            .iter()
-            .map(|(k, v)| (k.to_string(), v.clone()))
-            .collect()
-    }
-
-    fn getter(m: &HashMap<String, AttrValue>) -> impl Fn(&str) -> Option<AttrValue> + '_ {
-        move |k| m.get(k).cloned()
-    }
-
-    fn s(v: &str) -> AttrValue {
-        AttrValue::Str(v.to_string())
-    }
-
-    fn n(v: f64) -> AttrValue {
-        AttrValue::Num(v)
-    }
-
-    #[test]
-    fn pi1_red_cars_preferred() {
-        let pi1 = ValueOrderingRule::prefer_value("pi1", "car", "color", "red");
-        let red = fields(&[("color", s("red"))]);
-        let blue = fields(&[("color", s("blue"))]);
-        assert_eq!(
-            pi1.compare("car", "car", &getter(&red), &getter(&blue)),
-            RuleCmp::PreferA
-        );
-        assert_eq!(
-            pi1.compare("car", "car", &getter(&blue), &getter(&red)),
-            RuleCmp::PreferB
-        );
-        assert_eq!(
-            pi1.compare("car", "car", &getter(&red), &getter(&red)),
-            RuleCmp::Equal
-        );
-        assert_eq!(
-            pi1.compare("car", "car", &getter(&blue), &getter(&blue)),
-            RuleCmp::Equal
-        );
-    }
-
-    #[test]
-    fn missing_attr_counts_as_not_preferred_in_form1() {
-        let pi1 = ValueOrderingRule::prefer_value("pi1", "car", "color", "red");
-        let red = fields(&[("color", s("red"))]);
-        let none = fields(&[]);
-        assert_eq!(
-            pi1.compare("car", "car", &getter(&red), &getter(&none)),
-            RuleCmp::PreferA
-        );
-        assert_eq!(
-            pi1.compare("car", "car", &getter(&none), &getter(&none)),
-            RuleCmp::Equal
-        );
-    }
-
-    #[test]
-    fn pi2_lower_mileage_preferred() {
-        let pi2 = ValueOrderingRule::prefer_smaller("pi2", "car", "mileage");
-        let lo = fields(&[("mileage", n(10_000.0))]);
-        let hi = fields(&[("mileage", n(90_000.0))]);
-        assert_eq!(
-            pi2.compare("car", "car", &getter(&lo), &getter(&hi)),
-            RuleCmp::PreferA
-        );
-        assert_eq!(
-            pi2.compare("car", "car", &getter(&hi), &getter(&lo)),
-            RuleCmp::PreferB
-        );
-        assert_eq!(
-            pi2.compare("car", "car", &getter(&lo), &getter(&lo)),
-            RuleCmp::Equal
-        );
-        let missing = fields(&[]);
-        assert_eq!(
-            pi2.compare("car", "car", &getter(&lo), &getter(&missing)),
-            RuleCmp::NoInfo
-        );
-    }
-
-    #[test]
-    fn pi3_same_make_higher_hp() {
-        let pi3 = ValueOrderingRule::prefer_larger("pi3", "car", "hp").with_equal_attr("make");
-        let strong = fields(&[("make", s("Honda")), ("hp", n(200.0))]);
-        let weak = fields(&[("make", s("honda")), ("hp", n(120.0))]);
-        let other = fields(&[("make", s("Ford")), ("hp", n(500.0))]);
-        assert_eq!(
-            pi3.compare("car", "car", &getter(&strong), &getter(&weak)),
-            RuleCmp::PreferA
-        );
-        // different make: common conditions fail
-        assert_eq!(
-            pi3.compare("car", "car", &getter(&strong), &getter(&other)),
-            RuleCmp::NoInfo
-        );
-    }
-
-    #[test]
-    fn tag_mismatch_is_noinfo() {
-        let pi1 = ValueOrderingRule::prefer_value("pi1", "car", "color", "red");
-        let red = fields(&[("color", s("red"))]);
-        assert_eq!(
-            pi1.compare("truck", "car", &getter(&red), &getter(&red)),
-            RuleCmp::NoInfo
-        );
-    }
-
-    #[test]
-    fn preference_order_form() {
-        let order = PrefRel::chain(&["red", "black", "white"]);
-        let r = ValueOrderingRule::prefer_order("po", "car", "color", order);
-        let red = fields(&[("color", s("red"))]);
-        let black = fields(&[("color", s("black"))]);
-        let green = fields(&[("color", s("green"))]);
-        assert_eq!(
-            r.compare("car", "car", &getter(&red), &getter(&black)),
-            RuleCmp::PreferA
-        );
-        assert_eq!(
-            r.compare("car", "car", &getter(&black), &getter(&red)),
-            RuleCmp::PreferB
-        );
-        assert_eq!(
-            r.compare("car", "car", &getter(&red), &getter(&green)),
-            RuleCmp::NoInfo
-        );
-        assert_eq!(
-            r.compare("car", "car", &getter(&red), &getter(&red)),
-            RuleCmp::Equal
-        );
-    }
-
-    #[test]
-    fn guards_must_hold_on_both() {
-        let r = ValueOrderingRule::prefer_smaller("g", "car", "mileage").with_guard(
-            "price",
-            RelOp::Lt,
-            n(1000.0),
-        );
-        let cheap_lo = fields(&[("price", n(500.0)), ("mileage", n(10.0))]);
-        let cheap_hi = fields(&[("price", n(900.0)), ("mileage", n(90.0))]);
-        let pricey = fields(&[("price", n(5000.0)), ("mileage", n(1.0))]);
-        assert_eq!(
-            r.compare("car", "car", &getter(&cheap_lo), &getter(&cheap_hi)),
-            RuleCmp::PreferA
-        );
-        assert_eq!(
-            r.compare("car", "car", &getter(&cheap_lo), &getter(&pricey)),
-            RuleCmp::NoInfo
-        );
-    }
-
-    #[test]
-    fn compare_all_priority_lexicographic() {
-        // priority 0: lower mileage; priority 1: red color.
-        let pi2 = ValueOrderingRule::prefer_smaller("pi2", "car", "mileage").with_priority(0);
-        let pi1 = ValueOrderingRule::prefer_value("pi1", "car", "color", "red").with_priority(1);
-        let rules = vec![pi1, pi2];
-        let red_hi = fields(&[("color", s("red")), ("mileage", n(90.0))]);
-        let blue_lo = fields(&[("color", s("blue")), ("mileage", n(10.0))]);
-        // mileage (higher priority class) decides against the red car
-        assert_eq!(
-            compare_all(&rules, "car", "car", &getter(&red_hi), &getter(&blue_lo)),
-            VorOutcome::PreferB
-        );
-        // equal mileage: color breaks the tie
-        let red_eq = fields(&[("color", s("red")), ("mileage", n(10.0))]);
-        assert_eq!(
-            compare_all(&rules, "car", "car", &getter(&red_eq), &getter(&blue_lo)),
-            VorOutcome::PreferA
-        );
-    }
-
-    #[test]
-    fn compare_all_equal_and_incomparable() {
-        let pi2 = ValueOrderingRule::prefer_smaller("pi2", "car", "mileage");
-        let rules = vec![pi2];
-        let a = fields(&[("mileage", n(10.0))]);
-        let b = fields(&[("mileage", n(10.0))]);
-        assert_eq!(
-            compare_all(&rules, "car", "car", &getter(&a), &getter(&b)),
-            VorOutcome::Equal
-        );
-        let missing = fields(&[]);
-        assert_eq!(
-            compare_all(&rules, "car", "car", &getter(&a), &getter(&missing)),
-            VorOutcome::Incomparable
-        );
-        assert_eq!(
-            compare_all(&[], "car", "car", &getter(&a), &getter(&b)),
-            VorOutcome::Equal
-        );
-    }
-
-    #[test]
-    fn compare_all_same_class_conflict_is_incomparable() {
-        // Ambiguous pair evaluated without priority separation: red car
-        // with high mileage vs non-red with low mileage.
-        let pi1 = ValueOrderingRule::prefer_value("pi1", "car", "color", "red");
-        let pi2 = ValueOrderingRule::prefer_smaller("pi2", "car", "mileage");
-        let rules = vec![pi1, pi2];
-        let red_hi = fields(&[("color", s("red")), ("mileage", n(90.0))]);
-        let blue_lo = fields(&[("color", s("blue")), ("mileage", n(10.0))]);
-        assert_eq!(
-            compare_all(&rules, "car", "car", &getter(&red_hi), &getter(&blue_lo)),
-            VorOutcome::Incomparable
-        );
-    }
 
     #[test]
     fn local_sets_for_ambiguity() {

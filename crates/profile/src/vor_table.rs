@@ -1,6 +1,7 @@
 //! Compiled `≺_V` evaluation over interned per-answer keys.
 //!
-//! The string-based reference path ([`crate::vor::compare_all`]) re-folds
+//! Comparing two answers' raw attribute values rule by rule (the reference
+//! definition, kept in the test suite's `tests/spec/vor.rs`) re-folds
 //! case, re-parses numbers, and re-normalizes `prefRel` operands on every
 //! pairwise comparison — exactly the per-answer work Algorithms 1–3 try to
 //! minimize. This module hoists all of that to *key construction time*:
@@ -16,12 +17,13 @@
 //!   and float compares, memcmp on pre-lowered bytes, and `PrefTable` bit
 //!   lookups.
 //!
-//! The outcome is **bit-identical** to [`crate::vor::compare_all`] by
-//! construction (see the equivalence notes on each step and the
-//! `agreement` tests below): ASCII-lowered memcmp ⇔ `eq_ignore_ascii_case`,
-//! the `same`/`as_num` coercions are precomputed with the identical
-//! trim-and-parse, and every early-`NoInfo` path commutes, so hoisting the
-//! guard checks into per-key applicability cannot change the result.
+//! The outcome is **bit-identical** to the reference by construction (see
+//! the equivalence notes on each step, and `tests/vor_spec.rs`, which
+//! checks every pair of a car-sale domain): ASCII-lowered memcmp ⇔
+//! `eq_ignore_ascii_case`, the `same`/`as_num` coercions are precomputed
+//! with the identical trim-and-parse, and every early-`NoInfo` path
+//! commutes, so hoisting the guard checks into per-key applicability
+//! cannot change the result.
 
 use crate::prefrel::PrefTable;
 use crate::vor::{format_num, AttrValue, PrefOp, RuleCmp, ValueOrderingRule, VorForm, VorOutcome};
@@ -424,9 +426,9 @@ impl CompiledVors {
         }
     }
 
-    /// Pairwise `≺_V` over the whole set — the compiled
-    /// [`crate::vor::compare_all`], with identical priority-class and
-    /// aggregation semantics.
+    /// Pairwise `≺_V` over the whole set — the compiled form of the
+    /// reference `≺_V` in `tests/spec/vor.rs`, with identical
+    /// priority-class and aggregation semantics.
     pub fn compare(&self, a: &CompiledKey, b: &CompiledKey) -> VorOutcome {
         if self.rules.is_empty() {
             return VorOutcome::Equal;
@@ -473,191 +475,8 @@ fn guard_holds(g: &CompiledGuard, slots: &[Option<CVal>]) -> bool {
 }
 
 #[cfg(test)]
-mod agreement {
-    //! The compiled path must agree with the string-based reference on
-    //! every pair — exercised over the paper's car-sale scenario with all
-    //! three rule forms, guards, equal-attrs, priorities, and missing,
-    //! mixed-type, and out-of-domain values.
-
+mod tests {
     use super::*;
-    use crate::prefrel::PrefRel;
-    use crate::vor::compare_all;
-    use std::collections::HashMap;
-
-    fn rules() -> Vec<ValueOrderingRule> {
-        vec![
-            // π1: prefer red cars (form 1).
-            ValueOrderingRule::prefer_value("pi1", "car", "color", "red").with_priority(0),
-            // π2: prefer lower mileage (form 2), same make only.
-            ValueOrderingRule::prefer_smaller("pi2", "car", "mileage")
-                .with_equal_attr("make")
-                .with_priority(1),
-            // π3: prefer along the paper's color partial order (form 3).
-            ValueOrderingRule::prefer_order(
-                "pi3",
-                "car",
-                "color",
-                PrefRel::new([("red", "black"), ("black", "white"), ("red", "silver")]).unwrap(),
-            )
-            .with_priority(2),
-            // π4: among cheap cars, prefer higher horsepower (guarded form 2).
-            ValueOrderingRule::prefer_larger("pi4", "car", "hp")
-                .with_guard("price", RelOp::Lt, AttrValue::Num(1000.0))
-                .with_priority(2),
-        ]
-    }
-
-    /// The car-sale answer domain: every combination of color (incl.
-    /// out-of-domain and missing), make, mileage (incl. string-typed
-    /// numerics), hp, and price.
-    fn answers() -> Vec<(String, HashMap<String, AttrValue>)> {
-        let colors: [Option<AttrValue>; 6] = [
-            Some(AttrValue::Str("red".into())),
-            Some(AttrValue::Str("Black".into())),
-            Some(AttrValue::Str("white".into())),
-            Some(AttrValue::Str("silver".into())),
-            Some(AttrValue::Str("green".into())), // outside the prefRel domain
-            None,
-        ];
-        let mileages: [Option<AttrValue>; 4] = [
-            Some(AttrValue::Num(10_000.0)),
-            Some(AttrValue::Str(" 50000 ".into())), // string-typed numeric
-            Some(AttrValue::Num(90_000.0)),
-            None,
-        ];
-        let mut out = Vec::new();
-        for (ci, color) in colors.iter().enumerate() {
-            for (mi, mileage) in mileages.iter().enumerate() {
-                let mut fields = HashMap::new();
-                if let Some(c) = color {
-                    fields.insert("color".to_string(), c.clone());
-                }
-                if let Some(m) = mileage {
-                    fields.insert("mileage".to_string(), m.clone());
-                }
-                fields.insert(
-                    "make".to_string(),
-                    AttrValue::Str(if ci % 2 == 0 {
-                        "Honda".into()
-                    } else {
-                        "honda".into()
-                    }),
-                );
-                fields.insert(
-                    "hp".to_string(),
-                    AttrValue::Num(100.0 + (ci * 4 + mi) as f64),
-                );
-                fields.insert(
-                    "price".to_string(),
-                    AttrValue::Num(if mi % 2 == 0 { 500.0 } else { 1500.0 }),
-                );
-                let tag = if ci == 5 { "truck" } else { "car" };
-                out.push((tag.to_string(), fields));
-            }
-        }
-        out
-    }
-
-    #[test]
-    fn compiled_agrees_with_reference_on_full_domain() {
-        let rules = rules();
-        let compiled = CompiledVors::compile(&rules);
-        let answers = answers();
-        let keys: Vec<CompiledKey> = answers
-            .iter()
-            .map(|(tag, fields)| compiled.make_key(tag, |_, attr| fields.get(attr).cloned()))
-            .collect();
-        let mut checked = 0usize;
-        for (i, (ta, fa)) in answers.iter().enumerate() {
-            for (j, (tb, fb)) in answers.iter().enumerate() {
-                let want = compare_all(&rules, ta, tb, &|k| fa.get(k).cloned(), &|k| {
-                    fb.get(k).cloned()
-                });
-                let got = compiled.compare(&keys[i], &keys[j]);
-                assert_eq!(got, want, "pair {i}/{j}: {ta:?} vs {tb:?}");
-                checked += 1;
-            }
-        }
-        assert_eq!(checked, answers.len() * answers.len());
-    }
-
-    fn class_hash(k: &CompiledKey) -> u64 {
-        use std::hash::{Hash, Hasher};
-        let mut h = std::collections::hash_map::DefaultHasher::new();
-        KeyClass(k).hash(&mut h);
-        h.finish()
-    }
-
-    #[test]
-    fn keys_of_one_class_are_interchangeable() {
-        // The class laws ranking relies on: same class ⇒ same hash and
-        // the same `compare` outcome against every third key, in both
-        // argument positions; and a key is never preferred to itself.
-        // Each domain answer is keyed twice, and the float corner cases
-        // get keys of their own.
-        let rules = rules();
-        let compiled = CompiledVors::compile(&rules);
-        let mut keys: Vec<CompiledKey> = answers()
-            .iter()
-            .chain(answers().iter())
-            .map(|(tag, fields)| compiled.make_key(tag, |_, attr| fields.get(attr).cloned()))
-            .collect();
-        let corner = |mileage: AttrValue| {
-            compiled.make_key("car", |_, attr| match attr {
-                "mileage" => Some(mileage.clone()),
-                "make" => Some(AttrValue::Str("honda".into())),
-                _ => None,
-            })
-        };
-        for m in [0.0, -0.0, f64::NAN, 10_000.0] {
-            keys.push(corner(AttrValue::Num(m)));
-            keys.push(corner(AttrValue::Num(m)));
-        }
-        keys.push(corner(AttrValue::Str("NaN".into())));
-        keys.push(corner(AttrValue::Str("10000".into())));
-
-        let mut same_class_pairs = 0usize;
-        for (i, a) in keys.iter().enumerate() {
-            assert!(
-                KeyClass(a) == KeyClass(a),
-                "key {i}: reflexive, NaN included"
-            );
-            // Members of one class never dominate one another.
-            assert_ne!(compiled.compare(a, a), VorOutcome::PreferA, "key {i}");
-            for (j, b) in keys.iter().enumerate() {
-                if i == j || KeyClass(a) != KeyClass(b) {
-                    continue;
-                }
-                same_class_pairs += 1;
-                assert_eq!(class_hash(a), class_hash(b), "keys {i}/{j}");
-                for (t, c) in keys.iter().enumerate() {
-                    assert_eq!(
-                        compiled.compare(a, c),
-                        compiled.compare(b, c),
-                        "{i}/{j} vs {t}"
-                    );
-                    assert_eq!(
-                        compiled.compare(c, a),
-                        compiled.compare(c, b),
-                        "{t} vs {i}/{j}"
-                    );
-                }
-            }
-        }
-        assert!(same_class_pairs >= 2 * answers().len() + 8);
-        // Bitwise, not numeric: the zeros differ, and a number is not the
-        // string that parses to it, although `compare` treats both alike.
-        let class_eq = |a: AttrValue, b: AttrValue| KeyClass(&corner(a)) == KeyClass(&corner(b));
-        assert!(!class_eq(AttrValue::Num(0.0), AttrValue::Num(-0.0)));
-        assert!(!class_eq(
-            AttrValue::Num(10_000.0),
-            AttrValue::Str("10000".into())
-        ));
-        assert!(!class_eq(
-            AttrValue::Num(f64::NAN),
-            AttrValue::Str("NaN".into())
-        ));
-    }
 
     #[test]
     fn empty_rule_set_is_equal() {

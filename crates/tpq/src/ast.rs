@@ -39,14 +39,6 @@ pub enum TagTest {
 }
 
 impl TagTest {
-    /// Does an element tag satisfy the test?
-    pub fn matches(&self, tag: &str) -> bool {
-        match self {
-            TagTest::Name(n) => n == tag,
-            TagTest::Star => true,
-        }
-    }
-
     /// The concrete name, if any.
     pub fn name(&self) -> Option<&str> {
         match self {
@@ -104,18 +96,6 @@ impl RelOp {
             RelOp::Ge => RelOp::Le,
             RelOp::Eq => RelOp::Eq,
             RelOp::Ne => RelOp::Ne,
-        }
-    }
-
-    /// Logical negation (`a < b` ⇔ ¬(a >= b)).
-    pub fn negate(self) -> RelOp {
-        match self {
-            RelOp::Lt => RelOp::Ge,
-            RelOp::Le => RelOp::Gt,
-            RelOp::Gt => RelOp::Le,
-            RelOp::Ge => RelOp::Lt,
-            RelOp::Eq => RelOp::Ne,
-            RelOp::Ne => RelOp::Eq,
         }
     }
 }
@@ -374,12 +354,6 @@ impl Tpq {
         self.nodes[node.0 as usize].predicates.push(pred);
     }
 
-    /// Builder-style: add a child and return `self`.
-    pub fn with_child(mut self, parent: TpqNodeId, axis: Axis, tag: &str) -> Self {
-        self.add_child(parent, axis, tag);
-        self
-    }
-
     /// First node (in id order) whose tag test equals `tag`, if any.
     pub fn find_by_tag(&self, tag: &str) -> Option<TpqNodeId> {
         self.node_ids()
@@ -438,15 +412,6 @@ impl Tpq {
             stack.extend(self.node(n).children.iter().copied());
         }
         out
-    }
-
-    /// Total number of keyword predicates across all nodes (these are the
-    /// score contributors in a plan for this query).
-    pub fn keyword_predicate_count(&self) -> usize {
-        self.nodes
-            .iter()
-            .map(|n| n.predicates.iter().filter(|p| p.is_keyword()).count())
-            .sum()
     }
 
     /// A canonical string key: children sorted recursively, predicates
@@ -509,7 +474,6 @@ mod tests {
         let q = car_query();
         assert_eq!(q.len(), 3);
         assert_eq!(q.distinguished(), q.root());
-        assert_eq!(q.keyword_predicate_count(), 2);
         let d = q.find_by_tag("description").unwrap();
         assert_eq!(q.node(d).predicates.len(), 2);
         assert_eq!(q.node(d).axis, Axis::Child);
@@ -585,14 +549,12 @@ mod tests {
     }
 
     #[test]
-    fn relop_eval_and_flip_negate() {
+    fn relop_eval_and_flip() {
         assert!(RelOp::Lt.eval_num(1.0, 2.0));
         assert!(!RelOp::Lt.eval_num(2.0, 2.0));
         assert!(RelOp::Le.eval_num(2.0, 2.0));
         assert!(RelOp::Ne.eval_num(1.0, 2.0));
         assert_eq!(RelOp::Lt.flip(), RelOp::Gt);
-        assert_eq!(RelOp::Le.negate(), RelOp::Gt);
-        assert_eq!(RelOp::Eq.negate(), RelOp::Ne);
     }
 
     #[test]
@@ -605,12 +567,5 @@ mod tests {
         descs.sort();
         assert_eq!(descs, vec![b, c, d]);
         assert_eq!(q.descendants(c), vec![]);
-    }
-
-    #[test]
-    fn star_tag_matches_everything() {
-        assert!(TagTest::Star.matches("anything"));
-        assert!(TagTest::Name("car".into()).matches("car"));
-        assert!(!TagTest::Name("car".into()).matches("cart"));
     }
 }

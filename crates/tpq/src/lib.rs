@@ -7,9 +7,10 @@
 //!
 //! * the [`ast`] itself with structural editing (what scoping rules need),
 //! * a [`parse`]r for an XPath/NEXI-like textual syntax,
-//! * sound homomorphism-based [`containment`] (the subsumption check that
-//!   decides rule applicability),
-//! * leaf-pruning minimization ([`minimize()`](minimize::minimize), reference \[2\] of the paper),
+//! * sound homomorphism-based [`containment`] between patterns, and the
+//!   predicate implication ([`implies`]) that scoping rules' atom tests
+//!   use (rule applicability is decided atom by atom in `pimento-profile`,
+//!   not by containment),
 //! * a [`std::fmt::Display`] renderer that round-trips through the parser.
 //!
 //! ```
@@ -18,9 +19,9 @@
 //! let query = parse_tpq(
 //!     r#"//car[.//description[ftcontains(., "good condition")] and ./price < 2000]"#,
 //! ).unwrap();
-//! let rule_condition = parse_tpq(r#"//car[.//description]"#).unwrap();
-//! // The query subsumes the condition, so a rule guarded by it applies.
-//! assert!(contains(&rule_condition, &query));
+//! let wider = parse_tpq(r#"//car[.//description]"#).unwrap();
+//! // Every answer of the query is an answer of the wider pattern.
+//! assert!(contains(&wider, &query));
 //! ```
 
 #![forbid(unsafe_code)]
@@ -29,19 +30,16 @@
 pub mod ast;
 pub mod containment;
 pub mod display;
-pub mod minimize;
 pub mod parse;
 
 pub use ast::{Axis, Predicate, RelOp, TagTest, Tpq, TpqNode, TpqNodeId, Value};
 pub use containment::{contains, equivalent, implies};
-pub use minimize::{minimize, minimized, simplify_predicates};
 pub use parse::{parse_tpq, ParseError};
 
 #[cfg(test)]
 mod proptests {
     use crate::ast::{Axis, Predicate, RelOp, Tpq};
     use crate::containment::{contains, equivalent};
-    use crate::minimize::minimized;
     use crate::parse::parse_tpq;
     use proptest::prelude::*;
 
@@ -99,15 +97,6 @@ mod proptests {
             let mut specialized = q.clone();
             specialized.add_child(specialized.root(), Axis::Child, TAGS[tag]);
             prop_assert!(contains(&q, &specialized));
-        }
-
-        /// Minimization preserves equivalence.
-        #[test]
-        fn minimization_preserves_equivalence(r in recipe_strategy()) {
-            let q = build(&r);
-            let m = minimized(&q);
-            prop_assert!(equivalent(&q, &m), "{} vs {}", q, m);
-            prop_assert!(m.len() <= q.len());
         }
 
         /// Display → parse round-trips to an equivalent pattern.

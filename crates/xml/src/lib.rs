@@ -21,7 +21,7 @@
 //! let price = symbols.get("price").unwrap();
 //! let p = doc.child_element(doc.root(), price).unwrap();
 //! assert_eq!(doc.text_content(p), "500");
-//! assert!(doc.is_ancestor(doc.root(), p));
+//! assert_eq!(doc.node(p).parent, Some(doc.root()));
 //! ```
 
 #![forbid(unsafe_code)]
@@ -38,4 +38,4 @@ pub mod writer;
 pub use error::{Pos, Result, XmlError};
 pub use parser::{parse_content, parse_with};
 pub use tree::{Document, Node, NodeId, NodeKind, SymbolId, SymbolTable};
-pub use writer::{subtree_to_string, to_string, to_string_pretty};
+pub use writer::{subtree_to_string, to_string};

@@ -29,37 +29,12 @@ pub fn ancestors<'d>(doc: &'d Document, id: NodeId) -> impl Iterator<Item = Node
     std::iter::successors(doc.node(id).parent, move |&p| doc.node(p).parent)
 }
 
-/// Descendant elements of `id` with tag `tag`, document order.
-pub fn descendants_with_tag(doc: &Document, id: NodeId, tag: SymbolId) -> Vec<NodeId> {
-    doc.descendant_elements(id)
-        .into_iter()
-        .filter(|&n| doc.node(n).tag() == Some(tag))
-        .collect()
-}
-
 /// The nearest ancestor (or self) of `id` with tag `tag`.
 pub fn ancestor_or_self_with_tag(doc: &Document, id: NodeId, tag: SymbolId) -> Option<NodeId> {
     if doc.node(id).tag() == Some(tag) {
         return Some(id);
     }
     ancestors(doc, id).find(|&a| doc.node(a).tag() == Some(tag))
-}
-
-/// Following siblings of `id` (elements only), document order.
-pub fn following_sibling_elements(doc: &Document, id: NodeId) -> Vec<NodeId> {
-    let Some(parent) = doc.node(id).parent else {
-        return Vec::new();
-    };
-    let kids = &doc.node(parent).children;
-    let pos = kids
-        .iter()
-        .position(|&k| k == id)
-        .expect("child listed under parent");
-    kids[pos + 1..]
-        .iter()
-        .copied()
-        .filter(|&c| matches!(doc.node(c).kind, NodeKind::Element { .. }))
-        .collect()
 }
 
 #[cfg(test)]
@@ -78,6 +53,15 @@ mod tests {
         (d, st)
     }
 
+    /// The first descendant element of the root with tag `name`.
+    fn first(d: &Document, st: &SymbolTable, name: &str) -> NodeId {
+        let tag = st.get(name).unwrap();
+        d.descendant_elements(d.root())
+            .into_iter()
+            .find(|&n| d.node(n).tag() == Some(tag))
+            .unwrap()
+    }
+
     #[test]
     fn children_with_tag_filters() {
         let (d, st) = doc();
@@ -90,18 +74,10 @@ mod tests {
     #[test]
     fn ancestors_walk_to_root() {
         let (d, st) = doc();
-        let price = st.get("price").unwrap();
-        let p = descendants_with_tag(&d, d.root(), price)[0];
+        let p = first(&d, &st, "price");
         let chain: Vec<NodeId> = ancestors(&d, p).collect();
         assert_eq!(chain.len(), 2); // car, dealer
         assert_eq!(chain[1], d.root());
-    }
-
-    #[test]
-    fn descendants_with_tag_finds_all() {
-        let (d, st) = doc();
-        let price = st.get("price").unwrap();
-        assert_eq!(descendants_with_tag(&d, d.root(), price).len(), 2);
     }
 
     #[test]
@@ -109,21 +85,10 @@ mod tests {
         let (d, st) = doc();
         let car = st.get("car").unwrap();
         let color = st.get("color").unwrap();
-        let c = descendants_with_tag(&d, d.root(), color)[0];
+        let c = first(&d, &st, "color");
         let found = ancestor_or_self_with_tag(&d, c, car).unwrap();
         assert_eq!(d.node(found).tag(), Some(car));
         // self case
         assert_eq!(ancestor_or_self_with_tag(&d, c, color), Some(c));
-    }
-
-    #[test]
-    fn following_siblings() {
-        let (d, st) = doc();
-        let car = st.get("car").unwrap();
-        let first_car = children_with_tag(&d, d.root(), car).next().unwrap();
-        let sibs = following_sibling_elements(&d, first_car);
-        assert_eq!(sibs.len(), 1);
-        assert!(following_sibling_elements(&d, sibs[0]).is_empty());
-        assert!(following_sibling_elements(&d, d.root()).is_empty());
     }
 }

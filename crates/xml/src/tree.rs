@@ -189,18 +189,6 @@ impl Document {
         (0..self.nodes.len() as u32).map(NodeId)
     }
 
-    /// True iff `anc` is a proper ancestor of `desc` (region containment).
-    pub fn is_ancestor(&self, anc: NodeId, desc: NodeId) -> bool {
-        let a = self.node(anc);
-        let d = self.node(desc);
-        a.start < d.start && d.end < a.end
-    }
-
-    /// True iff `parent` is the parent of `child`.
-    pub fn is_parent(&self, parent: NodeId, child: NodeId) -> bool {
-        self.node(child).parent == Some(parent)
-    }
-
     /// Concatenated text content of the subtree rooted at `id`, with single
     /// spaces joining adjacent text nodes.
     pub fn text_content(&self, id: NodeId) -> String {
@@ -253,26 +241,6 @@ impl Document {
         }
         out
     }
-
-    /// Approximate serialized size in bytes (used by the data generators to
-    /// hit target document sizes without serializing).
-    pub fn approx_bytes(&self, symbols: &SymbolTable) -> usize {
-        let mut total = 0usize;
-        for n in &self.nodes {
-            match &n.kind {
-                NodeKind::Element { tag, attrs } => {
-                    let name_len = symbols.name(*tag).len();
-                    total += 2 * name_len + 5; // open + close tags
-                    for (a, v) in attrs.iter() {
-                        total += symbols.name(*a).len() + v.len() + 4;
-                    }
-                }
-                NodeKind::Text(t) => total += t.len(),
-                NodeKind::Comment(c) => total += c.len() + 7,
-            }
-        }
-        total
-    }
 }
 
 #[cfg(test)]
@@ -302,13 +270,14 @@ mod tests {
         let b = doc.node(a).children[0];
         let c = doc.node(b).children[0];
         let d = doc.node(a).children[1];
-        assert!(doc.is_ancestor(a, b));
-        assert!(doc.is_ancestor(a, c));
-        assert!(doc.is_ancestor(b, c));
-        assert!(!doc.is_ancestor(b, d));
-        assert!(!doc.is_ancestor(c, a));
-        assert!(doc.is_parent(a, b));
-        assert!(!doc.is_parent(a, c));
+        let inside = |anc: NodeId, desc: NodeId| doc.node(anc).contains(doc.node(desc));
+        assert!(inside(a, b));
+        assert!(inside(a, c));
+        assert!(inside(b, c));
+        assert!(!inside(b, d));
+        assert!(!inside(c, a));
+        assert_eq!(doc.node(b).parent, Some(a));
+        assert_eq!(doc.node(c).parent, Some(b));
         assert_eq!(doc.node(a).level, 1);
         assert_eq!(doc.node(b).level, 2);
         assert_eq!(doc.node(c).level, 3);

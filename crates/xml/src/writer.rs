@@ -94,106 +94,3 @@ mod tests {
         assert_eq!(once, twice);
     }
 }
-
-/// Serialize with two-space indentation: elements whose children are all
-/// elements/comments break onto new lines; mixed or text content stays
-/// inline so no whitespace-sensitive text is altered.
-pub fn to_string_pretty(doc: &Document, symbols: &SymbolTable) -> String {
-    let mut out = String::with_capacity(doc.len() * 20);
-    write_pretty(doc, symbols, doc.root(), 0, &mut out);
-    out.push('\n');
-    out
-}
-
-fn write_pretty(doc: &Document, symbols: &SymbolTable, id: NodeId, depth: usize, out: &mut String) {
-    let n = doc.node(id);
-    let indent = |out: &mut String, d: usize| {
-        for _ in 0..d {
-            out.push_str("  ");
-        }
-    };
-    match &n.kind {
-        NodeKind::Element { tag, attrs } => {
-            let name = symbols.name(*tag);
-            indent(out, depth);
-            out.push('<');
-            out.push_str(name);
-            for (a, v) in attrs.iter() {
-                let _ = std::fmt::Write::write_fmt(
-                    out,
-                    format_args!(" {}=\"{}\"", symbols.name(*a), escape_attr(v)),
-                );
-            }
-            if n.children.is_empty() {
-                out.push_str("/>");
-                return;
-            }
-            let structured = n
-                .children
-                .iter()
-                .all(|&c| !matches!(doc.node(c).kind, NodeKind::Text(_)));
-            out.push('>');
-            if structured {
-                for &c in &n.children {
-                    out.push('\n');
-                    write_pretty(doc, symbols, c, depth + 1, out);
-                }
-                out.push('\n');
-                indent(out, depth);
-            } else {
-                // Mixed/text content: inline, exactly as the compact writer
-                // would emit it, to keep text verbatim.
-                for &c in &n.children {
-                    write_node(doc, symbols, c, out);
-                }
-            }
-            out.push_str("</");
-            out.push_str(name);
-            out.push('>');
-        }
-        NodeKind::Text(t) => {
-            indent(out, depth);
-            out.push_str(&escape_text(t));
-        }
-        NodeKind::Comment(c) => {
-            indent(out, depth);
-            out.push_str("<!--");
-            out.push_str(c);
-            out.push_str("-->");
-        }
-    }
-}
-
-#[cfg(test)]
-mod pretty_tests {
-    use super::*;
-    use crate::parser::parse_with;
-
-    #[test]
-    fn pretty_prints_structured_content() {
-        let mut st = SymbolTable::new();
-        let doc = parse_with("<a><b><c/></b><d/></a>", &mut st).unwrap();
-        assert_eq!(
-            to_string_pretty(&doc, &st),
-            "<a>\n  <b>\n    <c/>\n  </b>\n  <d/>\n</a>\n"
-        );
-    }
-
-    #[test]
-    fn pretty_keeps_text_content_inline_and_verbatim() {
-        let mut st = SymbolTable::new();
-        let doc = parse_with("<a><b>keep  this text</b></a>", &mut st).unwrap();
-        let pretty = to_string_pretty(&doc, &st);
-        assert!(pretty.contains("<b>keep  this text</b>"), "{pretty}");
-    }
-
-    #[test]
-    fn pretty_output_reparses_equivalently_for_structured_docs() {
-        let mut st = SymbolTable::new();
-        let doc = parse_with("<dealer><car><price>5</price></car></dealer>", &mut st).unwrap();
-        let pretty = to_string_pretty(&doc, &st);
-        let mut st2 = SymbolTable::new();
-        let doc2 = parse_with(&pretty, &mut st2).unwrap();
-        assert_eq!(to_string(&doc, &st), to_string(&doc2, &st2));
-    }
-}
